@@ -1,15 +1,20 @@
 //! Criterion micro-benchmarks of the simulator's own hot paths: the event
-//! queue, the SIP parser/serializer, the stream framer, and a full
-//! small-scenario step. These guard the simulator's wall-clock performance
+//! queue, the SIP parser/serializer, the stream framer, the proxy core's
+//! INVITE forward, and a full small-scenario step. These guard the simulator's wall-clock performance
 //! (figure regeneration runs millions of events) rather than the paper's
 //! results.
 
+use std::cell::{Cell, RefCell};
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use siperf_proxy::{Plan, ProxyCore};
 use siperf_simcore::queue::EventQueue;
-use siperf_simcore::time::SimTime;
+use siperf_simcore::time::{SimDuration, SimTime};
+use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_sip::framer::StreamFramer;
 use siperf_sip::gen::{self, CallParty};
+use siperf_sip::msg::StatusCode;
 use siperf_sip::parse::parse_message;
 use siperf_workload::{Scenario, Transport};
 
@@ -51,6 +56,55 @@ fn bench_sip(c: &mut Criterion) {
         b.iter(|| parse_message(std::hint::black_box(&wire)).unwrap())
     });
     group.bench_function("serialize_invite", |b| b.iter(|| invite.to_bytes()));
+    group.bench_function("proxy_forward_invite", |b| {
+        // A stateful UDP core with both parties registered. Only routing
+        // the INVITE (100 Trying plus the forward) is timed; between
+        // iterations the previous call is answered and reaped so the core
+        // holds one live transaction, as it would at low load.
+        let (a_src, b_src) = (
+            SockAddr::new(HostId(1), 33000),
+            SockAddr::new(HostId(2), 33001),
+        );
+        let core = RefCell::new(ProxyCore::new(
+            "h0:5060".into(),
+            siperf_proxy::Transport::Udp,
+            true,
+        ));
+        for (party, src) in [(&alice, a_src), (&bob, b_src)] {
+            let reg = gen::register(party, "sip.lab", 1, "z9hG4bKreg", "UDP");
+            core.borrow_mut().handle_message(SimTime::ZERO, reg, src);
+        }
+        let now = Cell::new(SimTime::ZERO);
+        let calls = Cell::new(0u64);
+        let last: RefCell<Option<Plan>> = RefCell::new(None);
+        b.iter_batched(
+            || {
+                let mut core = core.borrow_mut();
+                if let Some(plan) = last.borrow_mut().take() {
+                    let fwd = parse_message(&plan.out[1].bytes).unwrap();
+                    let ok = gen::response(StatusCode::OK, &fwd, Some("bt"), None);
+                    core.handle_message(now.get(), ok, b_src);
+                    core.timer_pass(now.get() + SimDuration::from_secs(6));
+                }
+                now.set(now.get() + SimDuration::from_secs(10));
+                calls.set(calls.get() + 1);
+                let n = calls.get();
+                gen::invite(
+                    &alice,
+                    &bob,
+                    "sip.lab",
+                    &format!("call-{n}"),
+                    &format!("z9hG4bK{n}"),
+                    "UDP",
+                )
+            },
+            |inv| {
+                let plan = core.borrow_mut().handle_message(now.get(), inv, a_src);
+                *last.borrow_mut() = Some(plan);
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.bench_function("frame_invite_stream", |b| {
         let mut triple = Vec::new();
         for _ in 0..3 {

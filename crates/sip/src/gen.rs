@@ -325,6 +325,186 @@ mod tests {
         assert_eq!(parse_message(&resp.to_bytes()).unwrap(), resp);
     }
 
+    /// The SDP stand-ins `fake_sdp` produces for alice and bob.
+    const SDP_ALICE: &str = "v=0\r\no=- 3894 3894 IN IP4 alice.invalid\r\ns=call\r\n\
+        c=IN IP4 10.0.0.1\r\nt=0 0\r\nm=audio 49170 RTP/AVP 0\r\na=rtpmap:0 PCMU/8000\r\n";
+    const SDP_BOB: &str = "v=0\r\no=- 3894 3894 IN IP4 bob.invalid\r\ns=call\r\n\
+        c=IN IP4 10.0.0.1\r\nt=0 0\r\nm=audio 49170 RTP/AVP 0\r\na=rtpmap:0 PCMU/8000\r\n";
+
+    /// Wire bytes from header lines and a body: every line CRLF-ended,
+    /// then the blank line, then the body.
+    fn wire(head: &[&str], body: &str) -> Vec<u8> {
+        let mut out = String::new();
+        for line in head {
+            out.push_str(line);
+            out.push_str("\r\n");
+        }
+        out.push_str("\r\n");
+        out.push_str(body);
+        out.into_bytes()
+    }
+
+    #[track_caller]
+    fn assert_wire(msg: &SipMessage, want: Vec<u8>) {
+        let got = msg.to_bytes();
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want),
+            "serialized bytes changed"
+        );
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn builders_serialize_to_the_golden_wire_bytes() {
+        let (alice, bob) = (
+            CallParty::new("alice", "h1:40001"),
+            CallParty::new("bob", "h2:40002"),
+        );
+        let d = "proxy.lab";
+        assert_wire(
+            &register(&alice, d, 1, "z9hG4bKr1", "UDP"),
+            wire(
+                &[
+                    "REGISTER sip:alice@proxy.lab SIP/2.0",
+                    "Via: SIP/2.0/UDP h1:40001;branch=z9hG4bKr1",
+                    "From: <sip:alice@proxy.lab>;tag=rt-alice",
+                    "To: <sip:alice@proxy.lab>",
+                    "Call-ID: reg-alice@h1:40001",
+                    "CSeq: 1 REGISTER",
+                    "Contact: <sip:alice@h1:40001>",
+                    "Max-Forwards: 70",
+                    "Expires: 3600",
+                    "Content-Length: 0",
+                ],
+                "",
+            ),
+        );
+        let inv = invite(&alice, &bob, d, "call-1", "z9hG4bKi1", "UDP");
+        assert_wire(
+            &inv,
+            wire(
+                &[
+                    "INVITE sip:bob@proxy.lab SIP/2.0",
+                    "Via: SIP/2.0/UDP h1:40001;branch=z9hG4bKi1",
+                    "From: <sip:alice@proxy.lab>;tag=ft-alice",
+                    "To: <sip:bob@proxy.lab>",
+                    "Call-ID: call-1",
+                    "CSeq: 1 INVITE",
+                    "Contact: <sip:alice@h1:40001>",
+                    "Max-Forwards: 70",
+                    "Content-Length: 122",
+                ],
+                SDP_ALICE,
+            ),
+        );
+        assert_wire(
+            &ack(&alice, &bob, d, "call-1", "bt-bob", "z9hG4bKa1", "UDP"),
+            wire(
+                &[
+                    "ACK sip:bob@proxy.lab SIP/2.0",
+                    "Via: SIP/2.0/UDP h1:40001;branch=z9hG4bKa1",
+                    "From: <sip:alice@proxy.lab>;tag=ft-alice",
+                    "To: <sip:bob@proxy.lab>;tag=bt-bob",
+                    "Call-ID: call-1",
+                    "CSeq: 1 ACK",
+                    "Max-Forwards: 70",
+                    "Content-Length: 0",
+                ],
+                "",
+            ),
+        );
+        assert_wire(
+            &bye(&alice, &bob, d, "call-1", "bt-bob", "z9hG4bKb1", "TCP"),
+            wire(
+                &[
+                    "BYE sip:bob@proxy.lab SIP/2.0",
+                    "Via: SIP/2.0/TCP h1:40001;branch=z9hG4bKb1",
+                    "From: <sip:alice@proxy.lab>;tag=ft-alice",
+                    "To: <sip:bob@proxy.lab>;tag=bt-bob",
+                    "Call-ID: call-1",
+                    "CSeq: 2 BYE",
+                    "Max-Forwards: 70",
+                    "Content-Length: 0",
+                ],
+                "",
+            ),
+        );
+        assert_wire(
+            &cancel(&alice, &bob, d, "call-1", "z9hG4bKi1", "SCTP"),
+            wire(
+                &[
+                    "CANCEL sip:bob@proxy.lab SIP/2.0",
+                    "Via: SIP/2.0/SCTP h1:40001;branch=z9hG4bKi1",
+                    "From: <sip:alice@proxy.lab>;tag=ft-alice",
+                    "To: <sip:bob@proxy.lab>",
+                    "Call-ID: call-1",
+                    "CSeq: 1 CANCEL",
+                    "Max-Forwards: 70",
+                    "Content-Length: 0",
+                ],
+                "",
+            ),
+        );
+        // Responses copy the INVITE's Via, From, Call-ID and CSeq.
+        let answer = |status: &'static str, to: &'static str, tail: &[&'static str]| {
+            let mut head = vec![
+                status,
+                "Via: SIP/2.0/UDP h1:40001;branch=z9hG4bKi1",
+                "From: <sip:alice@proxy.lab>;tag=ft-alice",
+                to,
+                "Call-ID: call-1",
+                "CSeq: 1 INVITE",
+            ];
+            head.extend_from_slice(tail);
+            head
+        };
+        let untagged = "To: <sip:bob@proxy.lab>";
+        let tagged = "To: <sip:bob@proxy.lab>;tag=bt-bob";
+        let bare_tail = ["Max-Forwards: 70", "Content-Length: 0"];
+        assert_wire(
+            &response(StatusCode::TRYING, &inv, None, None),
+            wire(&answer("SIP/2.0 100 Trying", untagged, &bare_tail), ""),
+        );
+        assert_wire(
+            &response(StatusCode::RINGING, &inv, Some("bt-bob"), None),
+            wire(&answer("SIP/2.0 180 Ringing", tagged, &bare_tail), ""),
+        );
+        assert_wire(
+            &response(StatusCode::OK, &inv, Some("bt-bob"), Some(bob.contact())),
+            wire(
+                &answer(
+                    "SIP/2.0 200 OK",
+                    tagged,
+                    &[
+                        "Contact: <sip:bob@h2:40002>",
+                        "Max-Forwards: 70",
+                        "Content-Length: 120",
+                    ],
+                ),
+                SDP_BOB,
+            ),
+        );
+        assert_wire(
+            &response(StatusCode::REQUEST_TIMEOUT, &inv, None, None),
+            wire(
+                &answer("SIP/2.0 408 Request Timeout", untagged, &bare_tail),
+                "",
+            ),
+        );
+        assert_wire(
+            &service_unavailable(&inv, 7),
+            wire(
+                &answer(
+                    "SIP/2.0 503 Service Unavailable",
+                    untagged,
+                    &["Max-Forwards: 70", "Retry-After: 7", "Content-Length: 0"],
+                ),
+                "",
+            ),
+        );
+    }
+
     #[test]
     fn response_does_not_overwrite_existing_to_tag() {
         let (alice, bob) = parties();
