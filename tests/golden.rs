@@ -7,13 +7,15 @@
 //! re-baseline updates them in a commit that changes nothing else and says
 //! why.
 
+use siperf::faults::{Fault, FaultSchedule};
 use siperf::overload::OverloadConfig;
 use siperf::proxy::config::{Arch, ProxyConfig, Transport};
 use siperf::simcore::time::SimDuration;
+use siperf::simnet::HostId;
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 7] = [
+const GOLDEN: [(&str, u64); 9] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -21,6 +23,8 @@ const GOLDEN: [(&str, u64); 7] = [
     ("threaded", 0x74c9_1f5d_d41c_1cef),
     ("open-loop-udp-shed", 0x55f3_c12a_508b_1de6),
     ("udp-cancel", 0xe2ab_5f37_80fe_ed11),
+    ("tcp-reset", 0xe876_ef4c_4bc8_1be5),
+    ("open-loop-tcp", 0x7ad8_423a_607d_0341),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -72,6 +76,25 @@ fn scenario(name: &str) -> Scenario {
             .client_pairs(8)
             .cancel_every(3)
             .ring_delay(SimDuration::from_millis(20)),
+        "tcp-reset" => b.transport(Transport::Tcp).client_pairs(10).fault_schedule(
+            FaultSchedule::new()
+                .at(
+                    SimDuration::from_millis(650),
+                    Fault::KillWorker { index: 1 },
+                )
+                .at(
+                    SimDuration::from_millis(700),
+                    Fault::TcpReset {
+                        host: HostId(0),
+                        nth: 1,
+                    },
+                ),
+        ),
+        "open-loop-tcp" => b
+            .transport(Transport::Tcp)
+            .client_pairs(20)
+            .arrival_rate(8_000.0)
+            .setup_deadline(SimDuration::from_millis(200)),
         other => panic!("no golden scenario named {other}"),
     })
 }
@@ -87,6 +110,8 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
             "threaded" => p.fd_requests == 0 && p.conns_assigned > 0,
             "open-loop-udp-shed" => p.overload_rejections > 0,
             "udp-cancel" => p.cancels_relayed > 0,
+            "tcp-reset" => r.recovered_calls > 0 && r.workers_respawned > 0,
+            "open-loop-tcp" => r.open_calls_peak > 1,
             _ => true,
         }
 }
