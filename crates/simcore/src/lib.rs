@@ -47,6 +47,6 @@ pub mod prelude {
     pub use crate::profile::{ProfileReport, Profiler};
     pub use crate::queue::EventQueue;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Counter, Histogram, WindowRate};
+    pub use crate::stats::{Histogram, WindowRate};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -1,4 +1,4 @@
-//! Measurement primitives: counters, gauges, and latency histograms.
+//! Measurement primitives: latency histograms and window rates.
 //!
 //! The workload harness reports throughput and latency percentiles the same
 //! way the paper does (operations per second over a measurement window,
@@ -25,41 +25,6 @@
 use std::fmt;
 
 use crate::time::SimDuration;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 const SUB_BUCKET_BITS: u32 = 5; // 32 linear sub-buckets per power of two
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
@@ -255,15 +220,6 @@ impl fmt::Display for WindowRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
 
     #[test]
     fn histogram_exact_small_values() {

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use siperf_simcore::stats::Histogram;
-use siperf_simcore::time::{SimDuration, SimTime};
+use siperf_simcore::time::SimTime;
 
 /// Aggregated phone-side results, shared by all phones of a run.
 #[derive(Debug)]
@@ -140,55 +140,12 @@ impl WorkloadStats {
             self.rejected_in_window += 1;
         }
     }
-
-    /// Throughput over the window in operations per second. A zero-length
-    /// (or never-configured) window yields 0, never NaN.
-    pub fn throughput(&self) -> f64 {
-        let secs = (self.window.1 - self.window.0).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.ops_in_window as f64 / secs
-        }
-    }
-
-    /// Fraction of attempted calls that failed.
-    pub fn failure_ratio(&self) -> f64 {
-        if self.call_attempts == 0 {
-            0.0
-        } else {
-            self.call_failures as f64 / self.call_attempts as f64
-        }
-    }
-
-    /// Goodput: completed transactions per second over the window. Under a
-    /// closed loop only successes reach `ops_in_window`, so this *is* the
-    /// throughput number — the name marks the contrast with the offered
-    /// rate when the proxy sheds or fails calls.
-    pub fn goodput(&self) -> f64 {
-        self.throughput()
-    }
-
-    /// Offered load: call attempts started per second over the window. A
-    /// zero-length window yields 0, never NaN.
-    pub fn offered_rate(&self) -> f64 {
-        let secs = (self.window.1 - self.window.0).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.attempts_in_window as f64 / secs
-        }
-    }
-}
-
-/// Convenience constructor for a window `[start, start + len)`.
-pub fn window(start: SimTime, len: SimDuration) -> (SimTime, SimTime) {
-    (start, start + len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siperf_simcore::time::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -204,7 +161,6 @@ mod tests {
         s.record_bye(t(4), t(5)); // after (window is half-open)
         assert_eq!(s.ops_total, 4);
         assert_eq!(s.ops_in_window, 2);
-        assert_eq!(s.throughput(), 1.0);
         assert_eq!(s.invite_ok, 2);
         assert_eq!(s.bye_ok, 2);
     }
@@ -216,26 +172,5 @@ mod tests {
         s.record_invite(t(1), t(1) + SimDuration::from_millis(3));
         assert_eq!(s.invite_latency.count(), 1);
         assert!(s.invite_latency.mean() >= SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn zero_length_window_rates_are_zero_not_nan() {
-        let stats = WorkloadStats::new((t(3), t(3)));
-        let mut s = stats.borrow_mut();
-        s.ops_in_window = 5;
-        s.attempts_in_window = 9;
-        assert_eq!(s.throughput(), 0.0);
-        assert_eq!(s.offered_rate(), 0.0);
-        assert_eq!(s.goodput(), 0.0);
-    }
-
-    #[test]
-    fn failure_ratio() {
-        let stats = WorkloadStats::new((t(0), t(1)));
-        let mut s = stats.borrow_mut();
-        assert_eq!(s.failure_ratio(), 0.0);
-        s.call_attempts = 10;
-        s.call_failures = 3;
-        assert!((s.failure_ratio() - 0.3).abs() < 1e-12);
     }
 }
