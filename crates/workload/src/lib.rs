@@ -2,16 +2,19 @@
 //!
 //! The benchmark driver for the SIPerf study — the paper's §4.2
 //! methodology as code: thousands of simulated SIP phones across three
-//! client machines, a registration phase, then closed-loop calls through
-//! the proxy with throughput measured as operations (SIP transactions) per
-//! second over the measured phase only.
+//! client machines, a registration phase, then calls through the proxy
+//! with throughput measured as operations (SIP transactions) per second
+//! over the measured phase only.
 //!
-//! * [`phone`] — the transport-independent caller engine and callee logic.
-//! * [`phone_msg`] — UDP/SCTP phone processes.
-//! * [`phone_tcp`] — TCP phone processes with listen sockets, never-closed
-//!   connections, and the 50/500 ops-per-connection reconnect policies.
-//! * [`open_loop`] — open-loop Poisson callers that offer load regardless
-//!   of outstanding calls (the x-axis of goodput-vs-offered-load curves).
+//! * [`phone`] — the transport-independent call engine and callee logic.
+//!   One [`phone::CallEngine`] drives every caller, closed-loop (the
+//!   paper's one call per pair) or open-loop Poisson (load offered
+//!   regardless of outstanding calls, the x-axis of goodput-vs-offered-load
+//!   curves), as [`phone::Arrivals`] selects.
+//! * [`phone_msg`] — the UDP/SCTP phone process, caller or callee.
+//! * [`phone_tcp`] — the TCP phone process, caller or callee, with listen
+//!   sockets, never-closed connections, reconnect-and-redrive after resets,
+//!   and the 50/500 ops-per-connection reconnect policies.
 //! * [`scenario`] — world construction, execution, and the full
 //!   [`scenario::ScenarioReport`].
 //! * [`experiments`] — the paper's grid: Figures 3–5 cells, the §4.3
@@ -37,7 +40,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod open_loop;
 pub mod phone;
 pub mod phone_msg;
 pub mod phone_tcp;

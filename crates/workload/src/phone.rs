@@ -1,20 +1,38 @@
 //! Transport-independent phone behaviour.
 //!
-//! The benchmark simulates thousands of phones (§4.2): callers drive a
-//! closed loop of calls against their designated callees, callees answer
-//! immediately. [`CallEngine`] is the caller's brain — it builds requests,
-//! tracks the in-flight transaction with its RFC 3261 retransmission clock,
-//! and decides what to do with each response — independent of how bytes
-//! reach the proxy, so the UDP/SCTP and TCP phone processes stay thin and
-//! the logic is unit-testable.
+//! The benchmark simulates thousands of phones (§4.2): callers place calls
+//! through the proxy, callees answer them. [`CallEngine`] is the caller's
+//! brain — it builds requests, tracks every call in flight with its RFC 3261
+//! retransmission clock, and decides what to do with each response —
+//! independent of how bytes reach the proxy, so the UDP/SCTP and TCP phone
+//! processes stay thin and the logic is unit-testable.
+//!
+//! One engine serves both caller architectures, chosen by [`Arrivals`]:
+//!
+//! * [`Arrivals::Closed`] is the paper's workload: one call in flight per
+//!   caller/callee pair, the next one starting when the previous ends, so a
+//!   slow proxy automatically slows the offered load.
+//! * [`Arrivals::Poisson`] originates calls on a seeded Poisson clock
+//!   *regardless of how many are outstanding*, the arrival process behind
+//!   the goodput-vs-offered-load curves of the overload-control literature
+//!   (Hong/Huang/Yan; Shen/Schulzrinne). A failed or shed call starts no
+//!   successor, which is what lets the offered rate exceed capacity and the
+//!   goodput cliff appear.
+//!
+//! Either way the engine holds a pool of calls keyed by Call-ID; a closed
+//! loop is simply a pool that never holds more than one.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::rc::Rc;
 
+use siperf_proxy::config::Transport;
 use siperf_simcore::rng::SimRng;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::{bytes_from, Bytes};
+use siperf_simnet::HostId;
 use siperf_sip::gen::{self, CallParty};
 use siperf_sip::msg::{Method, SipMessage, StatusCode};
 use siperf_sip::txn::{RetransClock, TimerVerdict, TIMEOUT};
@@ -45,13 +63,34 @@ pub fn reject_backoff(retry_after: u32, consecutive_rejects: u32, rng: &mut SimR
     SimDuration::from_nanos(half + rng.range_u64(0..half + 1))
 }
 
-/// Whether a phone initiates calls or answers them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// When a caller originates calls.
+#[derive(Debug, Clone)]
+pub enum Arrivals {
+    /// Closed loop (§4.2): one call at a time to `peer`. The next call
+    /// starts when the previous one ends (completed, failed, timed out or
+    /// cancelled) or when its 503 retry comes due.
+    Closed {
+        /// User name of the callee.
+        peer: String,
+    },
+    /// Open loop: calls arrive at `rate` per second with exponential gaps,
+    /// each to a callee drawn uniformly from `callees`, whatever the
+    /// number already outstanding.
+    Poisson {
+        /// Mean calls per second.
+        rate: f64,
+        /// User names of the callees to dial.
+        callees: Vec<String>,
+    },
+}
+
+/// Whether a phone answers calls or places them.
+#[derive(Debug, Clone)]
 pub enum Role {
-    /// Initiates INVITE and BYE transactions in a closed loop.
-    Caller,
-    /// Answers: 180 + 200 to INVITE, 200 to BYE.
+    /// Answers: 180 + 200 to INVITE, 200 to BYE, 200 + 487 to CANCEL.
     Callee,
+    /// Places calls on the given arrival process.
+    Caller(Arrivals),
 }
 
 /// Static description of one phone.
@@ -59,9 +98,7 @@ pub enum Role {
 pub struct PhoneCfg {
     /// SIP user name.
     pub user: String,
-    /// Peer user this caller dials (unused for callees).
-    pub peer_user: String,
-    /// Caller or callee.
+    /// Callee, or caller with its arrival process.
     pub role: Role,
     /// The phone's fixed local port (contact/listen port).
     pub port: u16,
@@ -69,52 +106,67 @@ pub struct PhoneCfg {
     pub proxy: SockAddr,
     /// SIP domain served by the proxy.
     pub domain: String,
-    /// Via/Contact transport token ("UDP"/"TCP"/"SCTP").
-    pub transport: &'static str,
-    /// Whether the transport retransmits for us.
-    pub reliable: bool,
-    /// When callers may start dialing.
+    /// Transport to the proxy; gives the Via/Contact token and whether the
+    /// transport retransmits for us.
+    pub transport: Transport,
+    /// When callers may start dialing (registration happens before).
     pub call_start: SimTime,
     /// Per-phone startup stagger before registering.
-    pub stagger: siperf_simcore::time::SimDuration,
+    pub stagger: SimDuration,
     /// Reconnect after this many operations (TCP; `None` = persistent).
     pub ops_per_conn: Option<u32>,
     /// Abandon (CANCEL) every k-th call while it rings (`None` = never).
     pub cancel_every: Option<u64>,
+    /// Setup-delay budget: a call whose INVITE transaction takes longer
+    /// still completes (the proxy paid for it) but scores zero goodput, the
+    /// way the overload literature counts sessions established past their
+    /// deadline. `None` counts every completion.
+    pub setup_deadline: Option<SimDuration>,
     /// How long callees ring before answering 200 (zero = instant answer,
     /// the paper's workload; nonzero makes CANCEL races winnable).
-    pub ring_delay: siperf_simcore::time::SimDuration,
+    pub ring_delay: SimDuration,
     /// CPU charged per message handled by the phone.
     pub proc_ns: u64,
-    /// Seed for the phone's private RNG stream (503 backoff jitter). Each
-    /// phone gets its own stream so jitter draws never perturb any other
-    /// phone's behaviour and same-seed runs replay bit-identically.
-    pub jitter_seed: u64,
+    /// Seed for the phone's private RNG stream (arrival gaps, callee choice,
+    /// 503 backoff jitter). Each phone gets its own stream so its draws
+    /// never perturb any other phone's behaviour and same-seed runs replay
+    /// bit-identically.
+    pub seed: u64,
     /// Shared result sink.
     pub stats: Rc<RefCell<WorkloadStats>>,
 }
 
 impl PhoneCfg {
     /// This phone as a SIP party (contact host is its `hN:port`).
-    pub fn party(&self, host: siperf_simnet::HostId) -> CallParty {
+    pub fn party(&self, host: HostId) -> CallParty {
         CallParty::new(self.user.clone(), format!("{}:{}", host, self.port))
     }
 
     /// Builds this phone's REGISTER request.
-    pub fn register_msg(&self, host: siperf_simnet::HostId) -> Bytes {
+    pub fn register_msg(&self, host: HostId) -> Bytes {
         let party = self.party(host);
         let msg = gen::register(
             &party,
             &self.domain,
             1,
             &format!("z9hG4bKreg{}", self.user),
-            self.transport,
+            self.transport.token(),
         );
         bytes_from(msg.to_bytes())
     }
 }
 
-/// Phase of the caller's current call.
+/// A request's retransmission clock: Timer A on an unreliable transport,
+/// only the Timer B deadline on a reliable one.
+fn new_clock(reliable: bool, now: SimTime) -> RetransClock {
+    if reliable {
+        RetransClock::reliable(now)
+    } else {
+        RetransClock::new(now, Method::Invite)
+    }
+}
+
+/// Phase of one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CallPhase {
     /// INVITE sent; waiting for any response, then the 200.
@@ -123,244 +175,358 @@ enum CallPhase {
     AwaitByeOk,
 }
 
+/// Per-call transaction state held in the pool.
 #[derive(Debug)]
-struct CallCtx {
-    call_id: String,
+struct Call {
+    /// The Call-ID, `c{n}-{user}` for the caller's n-th call.
+    id: String,
+    /// Index of the dialed callee in the engine's peer list.
+    peer: usize,
     phase: CallPhase,
     clock: RetransClock,
     deadline: SimTime,
     cur_msg: Bytes,
     txn_start: SimTime,
-    invite_branch: String,
     cancel_pending: bool,
     cancel_sent: bool,
-    /// The call hit a transport fault (reset/EOF) and was re-driven; when it
+    /// The call hit a transport fault (reset) and was re-driven; when it
     /// still completes, it counts as recovered.
     disturbed: bool,
+    /// Setup exceeded the deadline budget: finish the call but record no
+    /// goodput for it.
+    late: bool,
 }
 
-/// What the transport layer should do after consulting the engine.
-#[derive(Debug)]
-pub enum EngineAction {
-    /// Transmit these requests to the proxy, in order.
-    Send(Vec<Bytes>),
-    /// Nothing to do; wake the engine again at the embedded instant.
-    Wait(SimTime),
+impl Call {
+    /// The instant this call next needs the engine's attention.
+    fn next_event(&self) -> SimTime {
+        if self.clock.is_stopped() {
+            self.deadline
+        } else {
+            self.clock.next_at().min(self.deadline)
+        }
+    }
 }
 
-/// The caller's transaction state machine.
+/// The caller's transaction state machine: arrivals, the call pool, and
+/// the jittered 503 retry queue. Transport processes feed it timer expiries
+/// and responses and send whatever requests it returns to the proxy, in
+/// order.
 #[derive(Debug)]
 pub struct CallEngine {
     party: CallParty,
-    peer: CallParty,
+    /// Who this caller dials: the one closed-loop peer, or the Poisson
+    /// callees.
+    peers: Vec<CallParty>,
+    /// Mean Poisson gap in nanoseconds; `None` for the closed loop.
+    mean_gap_ns: Option<f64>,
     domain: String,
-    transport: &'static str,
-    reliable: bool,
+    transport: Transport,
     cancel_every: Option<u64>,
+    setup_deadline: Option<SimDuration>,
     stats: Rc<RefCell<WorkloadStats>>,
+    rng: SimRng,
     call_no: u64,
-    call: Option<CallCtx>,
-    /// Set while backing off after a 503: no call is in flight and the
-    /// next one may not start before this instant.
-    backoff_until: Option<SimTime>,
+    /// Calls in flight, keyed by the call number their Call-ID carries.
+    calls: BTreeMap<u64, Call>,
+    /// Per-call wake-ups. An entry is stale once its call is gone or the
+    /// call's `next_event` moved; stale heads are dropped after every
+    /// update, so the head is always a live call's next event.
+    wakes: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Jittered retry instants from 503-shed calls.
+    retries: BinaryHeap<Reverse<SimTime>>,
+    /// Next arrival: the closed loop's first call, then never; the next
+    /// Poisson arrival otherwise.
+    next_arrival: SimTime,
     /// Consecutive 503s without an admitted call (backoff exponent).
     consecutive_rejects: u32,
-    /// Private jitter stream (503 backoff desynchronization).
-    rng: SimRng,
     /// Operations completed since the engine started (drives reconnects).
     pub ops_done: u64,
 }
 
 impl CallEngine {
-    /// Creates the engine for one caller.
-    pub fn new(cfg: &PhoneCfg, host: siperf_simnet::HostId) -> Self {
-        CallEngine {
+    /// Creates the engine for one caller with the given arrival process.
+    /// The first call is due at the phone's `call_start` (closed loop) or
+    /// one Poisson gap after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Poisson rate is not positive and finite or it has no
+    /// callees to dial.
+    pub fn new(cfg: &PhoneCfg, arrivals: &Arrivals, host: HostId) -> Self {
+        let (peers, mean_gap_ns) = match arrivals {
+            Arrivals::Closed { peer } => (vec![peer.clone()], None),
+            Arrivals::Poisson { rate, callees } => {
+                assert!(
+                    rate.is_finite() && *rate > 0.0,
+                    "open-loop arrival rate must be positive, got {rate}"
+                );
+                assert!(
+                    !callees.is_empty(),
+                    "open-loop caller needs callees to dial"
+                );
+                (callees.clone(), Some(1e9 / rate))
+            }
+        };
+        let mut engine = CallEngine {
             party: cfg.party(host),
-            peer: CallParty::new(cfg.peer_user.clone(), String::new()),
+            peers: peers
+                .into_iter()
+                .map(|user| CallParty::new(user, String::new()))
+                .collect(),
+            mean_gap_ns,
             domain: cfg.domain.clone(),
             transport: cfg.transport,
-            reliable: cfg.reliable,
             cancel_every: cfg.cancel_every,
+            setup_deadline: cfg.setup_deadline,
             stats: cfg.stats.clone(),
+            rng: SimRng::seed_from_u64(cfg.seed),
             call_no: 0,
-            call: None,
-            backoff_until: None,
+            calls: BTreeMap::new(),
+            wakes: BinaryHeap::new(),
+            retries: BinaryHeap::new(),
+            next_arrival: cfg.call_start,
             consecutive_rejects: 0,
-            rng: SimRng::seed_from_u64(cfg.jitter_seed),
             ops_done: 0,
+        };
+        if let Some(mean) = engine.mean_gap_ns {
+            let gap = engine.draw_gap(mean);
+            engine.next_arrival += gap;
         }
+        engine
     }
 
-    fn new_clock(&self, now: SimTime) -> RetransClock {
-        if self.reliable {
-            RetransClock::reliable(now)
-        } else {
-            RetransClock::new(now, Method::Invite)
-        }
+    /// Number of calls currently in flight.
+    pub fn in_flight(&self) -> usize {
+        self.calls.len()
     }
 
-    /// Starts the next call, returning the INVITE to transmit.
-    pub fn start_call(&mut self, now: SimTime) -> Bytes {
+    fn draw_gap(&mut self, mean_ns: f64) -> SimDuration {
+        SimDuration::from_nanos(self.rng.exponential(mean_ns).max(1.0) as u64)
+    }
+
+    /// Originates one call right now, returning its INVITE.
+    fn start_call(&mut self, now: SimTime) -> Bytes {
         self.call_no += 1;
-        let call_id = format!("c{}-{}", self.call_no, self.party.user);
-        let branch = format!("z9hG4bK{}i{}", self.party.user, self.call_no);
+        let no = self.call_no;
+        let peer = if self.mean_gap_ns.is_some() {
+            self.rng.range_usize(0..self.peers.len())
+        } else {
+            0
+        };
+        let id = format!("c{no}-{}", self.party.user);
         let invite = gen::invite(
             &self.party,
-            &self.peer,
+            &self.peers[peer],
             &self.domain,
-            &call_id,
-            &branch,
-            self.transport,
+            &id,
+            &format!("z9hG4bK{}i{no}", self.party.user),
+            self.transport.token(),
         );
         let bytes = bytes_from(invite.to_bytes());
-        self.stats.borrow_mut().record_attempt(now);
-        self.backoff_until = None;
-        let cancel_pending = self
-            .cancel_every
-            .is_some_and(|k| self.call_no.is_multiple_of(k));
-        self.call = Some(CallCtx {
-            call_id,
+        let call = Call {
+            id,
+            peer,
             phase: CallPhase::AwaitInvite,
-            clock: self.new_clock(now),
+            clock: new_clock(self.transport.is_reliable(), now),
             deadline: now + TIMEOUT,
             cur_msg: bytes.clone(),
             txn_start: now,
-            invite_branch: branch,
-            cancel_pending,
+            cancel_pending: self.cancel_every.is_some_and(|k| no.is_multiple_of(k)),
             cancel_sent: false,
             disturbed: false,
-        });
+            late: false,
+        };
+        self.wakes.push(Reverse((call.next_event(), no)));
+        self.calls.insert(no, call);
+        let mut stats = self.stats.borrow_mut();
+        stats.record_attempt(now);
+        if self.mean_gap_ns.is_some() {
+            stats.open_calls_peak = stats.open_calls_peak.max(self.calls.len() as u64);
+        }
         bytes
     }
 
-    /// Transport-fault recovery: returns the in-flight request (INVITE or
-    /// BYE) to send again after a reconnect, marking the call disturbed so a
-    /// later completion counts as recovered. `None` when no call is in
-    /// flight — reconnecting between calls needs no re-drive.
-    pub fn redrive(&mut self, now: SimTime) -> Option<Bytes> {
-        let call = self.call.as_mut()?;
-        // One re-drive per call: the first disturbance re-sends the
-        // in-flight request; further connection losses (e.g. a server
+    /// Removes an ended call; the closed loop starts its successor, whose
+    /// INVITE is returned.
+    fn end_call(&mut self, no: u64, now: SimTime) -> Vec<Bytes> {
+        self.calls.remove(&no);
+        if self.mean_gap_ns.is_none() {
+            vec![self.start_call(now)]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn fail_call(&mut self, no: u64, now: SimTime) -> Vec<Bytes> {
+        self.stats.borrow_mut().call_failures += 1;
+        self.end_call(no, now)
+    }
+
+    /// Drops stale wake-ups from the head of the heap, so that the head is
+    /// a live call's next event and [`next_wake`](Self::next_wake) is exact.
+    fn settle(&mut self) {
+        while let Some(&Reverse((at, no))) = self.wakes.peek() {
+            if self.calls.get(&no).is_some_and(|c| c.next_event() == at) {
+                break;
+            }
+            self.wakes.pop();
+        }
+    }
+
+    /// The pool entry a response belongs to, if its call is still in
+    /// flight.
+    fn route(&self, call_id: &str) -> Option<u64> {
+        let (no, _) = call_id.strip_prefix('c')?.split_once('-')?;
+        let no = no.parse().ok()?;
+        self.calls.get(&no).filter(|c| c.id == call_id).map(|_| no)
+    }
+
+    /// When the transport should next wake the engine if nothing arrives:
+    /// the earliest retransmission or deadline of a call in flight, 503
+    /// retry, or arrival. `SimTime::MAX` when nothing is pending.
+    pub fn next_wake(&self) -> SimTime {
+        let mut next = self.next_arrival;
+        if let Some(&Reverse((at, _))) = self.wakes.peek() {
+            next = next.min(at);
+        }
+        if let Some(&Reverse(at)) = self.retries.peek() {
+            next = next.min(at);
+        }
+        next
+    }
+
+    /// Transport-fault recovery after a reset: returns the in-flight request
+    /// (INVITE or BYE) of every call not yet re-driven, to send again over
+    /// the new connection, and marks those calls disturbed so a later
+    /// completion counts as recovered.
+    pub fn redrive(&mut self, now: SimTime) -> Vec<Bytes> {
+        let reliable = self.transport.is_reliable();
+        let mut out = Vec::new();
+        // One re-drive per call: further connection losses (e.g. a server
         // aggressively reaping idle connections) must not turn one call
         // into a reconnect storm.
-        if call.disturbed {
-            return None;
+        for (&no, call) in self.calls.iter_mut().filter(|(_, c)| !c.disturbed) {
+            call.disturbed = true;
+            // Restart the retransmission clock relative to the reconnect so
+            // an unreliable phone does not fire a burst of catch-up
+            // retransmits.
+            call.clock = new_clock(reliable, now);
+            self.wakes.push(Reverse((call.next_event(), no)));
+            out.push(call.cur_msg.clone());
         }
-        call.disturbed = true;
-        // Restart the retransmission clock relative to the reconnect so an
-        // unreliable phone does not fire a burst of catch-up retransmits.
-        let reliable = self.reliable;
-        call.clock = if reliable {
-            RetransClock::reliable(now)
-        } else {
-            RetransClock::new(now, Method::Invite)
-        };
-        Some(call.cur_msg.clone())
+        self.settle();
+        out
     }
 
-    /// Whether a call is currently in flight (drives reconnect-and-redrive
-    /// decisions in the transport layer).
-    pub fn call_in_flight(&self) -> bool {
-        self.call.is_some()
-    }
+    /// Clock tick: retransmit or expire due calls, fire due 503 retries and
+    /// arrivals, and return everything to transmit.
+    pub fn on_timer(&mut self, now: SimTime) -> Vec<Bytes> {
+        let mut out = Vec::new();
 
-    /// When the transport should next wake the engine if nothing arrives.
-    pub fn next_wake(&self) -> SimTime {
-        match &self.call {
-            Some(c) if c.clock.is_stopped() => c.deadline,
-            Some(c) => c.clock.next_at().min(c.deadline),
-            None => self.backoff_until.unwrap_or(SimTime::MAX),
-        }
-    }
-
-    /// Clock tick: retransmit, keep waiting, or declare the call dead (in
-    /// which case the next call's INVITE is returned).
-    pub fn on_timer(&mut self, now: SimTime) -> EngineAction {
-        let Some(call) = &mut self.call else {
-            // Between calls only the 503 backoff can be pending; once it
-            // expires the phone retries (the amplification the counters
-            // measure).
-            return match self.backoff_until {
-                Some(until) if now >= until => {
-                    self.stats.borrow_mut().rejection_retries += 1;
-                    EngineAction::Send(vec![self.start_call(now)])
-                }
-                Some(until) => EngineAction::Wait(until),
-                None => EngineAction::Wait(SimTime::MAX),
+        // Due per-call events (retransmission clocks and Timer B deadlines).
+        while let Some(&Reverse((at, no))) = self.wakes.peek() {
+            if at > now {
+                break;
+            }
+            self.wakes.pop();
+            let Some(call) = self.calls.get_mut(&no) else {
+                continue; // call ended — stale entry
             };
-        };
-        if now >= call.deadline {
-            self.fail_call();
-            return EngineAction::Send(vec![self.start_call(now)]);
-        }
-        if call.clock.is_stopped() {
-            return EngineAction::Wait(call.deadline);
-        }
-        match call.clock.check(now) {
-            TimerVerdict::Retransmit { next } => {
+            if call.next_event() != at {
+                continue; // state moved since this wake was scheduled
+            }
+            if now >= call.deadline {
+                out.extend(self.fail_call(no, now));
+                continue;
+            }
+            // A live due entry below the deadline is the clock's own
+            // instant, so the clock retransmits (or, past its own deadline,
+            // times out).
+            if let TimerVerdict::Retransmit { .. } = call.clock.check(now) {
                 self.stats.borrow_mut().phone_retransmits += 1;
-                let msg = call.cur_msg.clone();
-                let _ = next;
-                EngineAction::Send(vec![msg])
+                out.push(call.cur_msg.clone());
+                self.wakes.push(Reverse((call.next_event(), no)));
+            } else {
+                out.extend(self.fail_call(no, now));
             }
-            TimerVerdict::Wait { next } => EngineAction::Wait(next.min(call.deadline)),
-            TimerVerdict::TimedOut => {
-                self.fail_call();
-                EngineAction::Send(vec![self.start_call(now)])
-            }
-            TimerVerdict::Done => EngineAction::Wait(call.deadline),
         }
-    }
 
-    fn fail_call(&mut self) {
-        self.call = None;
-        self.stats.borrow_mut().call_failures += 1;
+        // Due 503 retries (the amplification the counters measure).
+        while let Some(&Reverse(at)) = self.retries.peek() {
+            if at > now {
+                break;
+            }
+            self.retries.pop();
+            self.stats.borrow_mut().rejection_retries += 1;
+            out.push(self.start_call(now));
+        }
+
+        // Due arrivals — for Poisson unconditionally: this is the open loop.
+        while self.next_arrival <= now {
+            out.push(self.start_call(now));
+            self.next_arrival = match self.mean_gap_ns {
+                Some(mean) => self.next_arrival + self.draw_gap(mean),
+                None => SimTime::MAX,
+            };
+        }
+
+        self.settle();
+        out
     }
 
     /// Feeds a parsed response; returns what to transmit next.
-    pub fn on_response(&mut self, now: SimTime, msg: &SipMessage) -> EngineAction {
-        let Some(call) = &mut self.call else {
-            return EngineAction::Wait(SimTime::MAX);
-        };
+    pub fn on_response(&mut self, now: SimTime, msg: &SipMessage) -> Vec<Bytes> {
+        let out = self.handle_response(now, msg);
+        self.settle();
+        out
+    }
+
+    fn handle_response(&mut self, now: SimTime, msg: &SipMessage) -> Vec<Bytes> {
         let Some(code) = msg.status() else {
-            // Phones only expect responses; a request here is a protocol
+            // Callers only expect responses; a request here is a protocol
             // surprise we ignore (e.g. a very late retransmission).
-            return EngineAction::Wait(self.next_wake());
+            return Vec::new();
         };
-        if msg.call_id != call.call_id {
-            return EngineAction::Wait(self.next_wake()); // stale call
-        }
         if msg.cseq_method == Method::Cancel {
             // The proxy's 200 to our CANCEL; the 487 follows separately.
-            return EngineAction::Wait(self.next_wake());
+            return Vec::new();
         }
-        match call.phase {
-            CallPhase::AwaitInvite if msg.cseq_method == Method::Invite => {
+        let Some(no) = self.route(&msg.call_id) else {
+            return Vec::new(); // stale or duplicate
+        };
+        let call = self.calls.get_mut(&no).expect("routed");
+        let token = self.transport.token();
+        match (call.phase, msg.cseq_method) {
+            (CallPhase::AwaitInvite, Method::Invite) => {
                 if code.is_provisional() {
                     // Any response stops INVITE retransmissions (Timer A).
+                    let before = call.next_event();
                     call.clock.stop();
+                    if call.next_event() != before {
+                        self.wakes.push(Reverse((call.next_event(), no)));
+                    }
                     if call.cancel_pending && !call.cancel_sent && code == StatusCode::RINGING {
                         // Abandon while ringing (RFC 3261 §9: CANCEL only
                         // after a provisional response).
                         call.cancel_sent = true;
                         let cancel = gen::cancel(
                             &self.party,
-                            &self.peer,
+                            &self.peers[call.peer],
                             &self.domain,
-                            &call.call_id,
-                            &call.invite_branch,
-                            self.transport,
+                            &call.id,
+                            &format!("z9hG4bK{}i{no}", self.party.user),
+                            token,
                         );
-                        return EngineAction::Send(vec![bytes_from(cancel.to_bytes())]);
+                        return vec![bytes_from(cancel.to_bytes())];
                     }
-                    return EngineAction::Wait(self.next_wake());
+                    return Vec::new();
                 }
                 if code == StatusCode::REQUEST_TERMINATED && call.cancel_sent {
                     // Our CANCEL won: the call ends cleanly, not as a
                     // failure.
-                    self.call = None;
                     self.stats.borrow_mut().calls_cancelled += 1;
-                    return EngineAction::Send(vec![self.start_call(now)]);
+                    return self.end_call(no, now);
                 }
                 if code == StatusCode::SERVICE_UNAVAILABLE {
                     // The proxy shed us. Honor Retry-After with capped,
@@ -375,77 +541,84 @@ impl CallEngine {
                         &mut self.rng,
                     );
                     self.consecutive_rejects = self.consecutive_rejects.saturating_add(1);
-                    self.call = None;
-                    self.backoff_until = Some(now + delay);
+                    self.calls.remove(&no);
+                    self.retries.push(Reverse(now + delay));
                     self.stats.borrow_mut().record_rejection(now);
-                    return EngineAction::Wait(now + delay);
+                    return Vec::new();
                 }
-                if code == StatusCode::OK {
-                    let to_tag = msg.to.tag.clone().unwrap_or_else(|| "t".into());
-                    let started = call.txn_start;
-                    if call.disturbed {
-                        call.disturbed = false;
-                        self.stats.borrow_mut().recovered_calls += 1;
+                if code != StatusCode::OK {
+                    // Final error: abandon the call.
+                    return self.fail_call(no, now);
+                }
+                let started = call.txn_start;
+                let late = self
+                    .setup_deadline
+                    .is_some_and(|budget| now - started > budget);
+                {
+                    let mut stats = self.stats.borrow_mut();
+                    if std::mem::take(&mut call.disturbed) {
+                        stats.recovered_calls += 1;
                     }
-                    self.stats.borrow_mut().record_invite(started, now);
-                    self.consecutive_rejects = 0;
-                    self.ops_done += 1;
-                    // Acknowledge and immediately hang up (§4.2's workload:
-                    // zero hold time, equal invites and byes).
-                    let ack = gen::ack(
-                        &self.party,
-                        &self.peer,
-                        &self.domain,
-                        &call.call_id,
-                        &to_tag,
-                        &format!("z9hG4bK{}a{}", self.party.user, self.call_no),
-                        self.transport,
-                    );
-                    let bye = gen::bye(
-                        &self.party,
-                        &self.peer,
-                        &self.domain,
-                        &call.call_id,
-                        &to_tag,
-                        &format!("z9hG4bK{}b{}", self.party.user, self.call_no),
-                        self.transport,
-                    );
-                    let bye_bytes = bytes_from(bye.to_bytes());
-                    call.phase = CallPhase::AwaitByeOk;
-                    call.clock = if self.reliable {
-                        RetransClock::reliable(now)
+                    if late {
+                        stats.calls_late += 1;
                     } else {
-                        RetransClock::new(now, Method::Invite)
-                    };
-                    call.deadline = now + TIMEOUT;
-                    call.cur_msg = bye_bytes.clone();
-                    call.txn_start = now;
-                    return EngineAction::Send(vec![bytes_from(ack.to_bytes()), bye_bytes]);
-                }
-                // Final error: abandon and move on.
-                self.fail_call();
-                EngineAction::Send(vec![self.start_call(now)])
-            }
-            CallPhase::AwaitByeOk if msg.cseq_method == Method::Bye => {
-                if code == StatusCode::OK {
-                    let started = call.txn_start;
-                    if call.disturbed {
-                        call.disturbed = false;
-                        self.stats.borrow_mut().recovered_calls += 1;
+                        stats.record_invite(started, now);
                     }
-                    self.stats.borrow_mut().record_bye(started, now);
-                    self.ops_done += 1;
-                    self.call = None;
-                    EngineAction::Send(vec![self.start_call(now)])
-                } else if code.is_provisional() {
-                    EngineAction::Wait(self.next_wake())
-                } else {
-                    self.fail_call();
-                    EngineAction::Send(vec![self.start_call(now)])
                 }
+                self.consecutive_rejects = 0;
+                self.ops_done += 1;
+                // Acknowledge and immediately hang up (§4.2's workload: zero
+                // hold time, equal invites and byes).
+                let to_tag = msg.to.tag.as_deref().unwrap_or("t");
+                let peer = &self.peers[call.peer];
+                let ack = gen::ack(
+                    &self.party,
+                    peer,
+                    &self.domain,
+                    &call.id,
+                    to_tag,
+                    &format!("z9hG4bK{}a{no}", self.party.user),
+                    token,
+                );
+                let bye = gen::bye(
+                    &self.party,
+                    peer,
+                    &self.domain,
+                    &call.id,
+                    to_tag,
+                    &format!("z9hG4bK{}b{no}", self.party.user),
+                    token,
+                );
+                let bye_bytes = bytes_from(bye.to_bytes());
+                call.phase = CallPhase::AwaitByeOk;
+                call.clock = new_clock(self.transport.is_reliable(), now);
+                call.deadline = now + TIMEOUT;
+                call.cur_msg = bye_bytes.clone();
+                call.txn_start = now;
+                call.late = late;
+                self.wakes.push(Reverse((call.next_event(), no)));
+                vec![bytes_from(ack.to_bytes()), bye_bytes]
+            }
+            (CallPhase::AwaitByeOk, Method::Bye) => {
+                if code.is_provisional() {
+                    return Vec::new();
+                }
+                if code != StatusCode::OK {
+                    return self.fail_call(no, now);
+                }
+                let mut stats = self.stats.borrow_mut();
+                if call.disturbed {
+                    stats.recovered_calls += 1;
+                }
+                if !call.late {
+                    stats.record_bye(call.txn_start, now);
+                }
+                drop(stats);
+                self.ops_done += 1;
+                self.end_call(no, now)
             }
             // Duplicate/late response for the other phase: ignore.
-            _ => EngineAction::Wait(self.next_wake()),
+            _ => Vec::new(),
         }
     }
 }
@@ -460,105 +633,100 @@ pub struct CalleeAnswer {
     pub delayed_ok: Option<Bytes>,
 }
 
-/// Callee-side answering machine with an optional ring time: 180 Ringing
-/// goes out immediately; the 200 OK follows after `ring` (immediately when
-/// zero, the paper's workload).
-pub fn callee_answer_timed(
-    user: &str,
-    msg: &SipMessage,
-    ring: siperf_simcore::time::SimDuration,
-) -> CalleeAnswer {
+/// Callee-side answering machine (RFC 3261 UAS happy path): builds the
+/// responses a phone returns for an incoming request. An INVITE gets 180
+/// Ringing right away and its 200 OK after `ring` (immediately when zero,
+/// the paper's workload).
+pub fn callee_answer_timed(user: &str, msg: &SipMessage, ring: SimDuration) -> CalleeAnswer {
     let mut out = CalleeAnswer::default();
     let Some(method) = msg.method() else {
-        return out;
-    };
-    if method == Method::Invite {
-        let to_tag = format!("tt-{user}");
-        let contact = msg.to.uri.clone();
-        out.immediate.push(bytes_from(
-            gen::response(StatusCode::RINGING, msg, Some(&to_tag), None).to_bytes(),
-        ));
-        let ok =
-            bytes_from(gen::response(StatusCode::OK, msg, Some(&to_tag), Some(contact)).to_bytes());
-        if ring.is_zero() {
-            out.immediate.push(ok);
-        } else {
-            out.delayed_ok = Some(ok);
-        }
-        return out;
-    }
-    out.immediate = callee_answer(user, msg);
-    out
-}
-
-/// Callee-side answering machine: builds the responses a phone returns for
-/// an incoming request (RFC 3261 UAS happy path with zero ring time).
-pub fn callee_answer(user: &str, msg: &SipMessage) -> Vec<Bytes> {
-    let Some(method) = msg.method() else {
-        return Vec::new(); // responses need no answer
+        return out; // responses need no answer
     };
     let to_tag = format!("tt-{user}");
+    let reply = |code| bytes_from(gen::response(code, msg, Some(&to_tag), None).to_bytes());
     match method {
         Method::Invite => {
+            out.immediate.push(reply(StatusCode::RINGING));
             let contact = msg.to.uri.clone();
-            vec![
-                bytes_from(gen::response(StatusCode::RINGING, msg, Some(&to_tag), None).to_bytes()),
-                bytes_from(
-                    gen::response(StatusCode::OK, msg, Some(&to_tag), Some(contact)).to_bytes(),
-                ),
-            ]
+            let ok = bytes_from(
+                gen::response(StatusCode::OK, msg, Some(&to_tag), Some(contact)).to_bytes(),
+            );
+            if ring.is_zero() {
+                out.immediate.push(ok);
+            } else {
+                out.delayed_ok = Some(ok);
+            }
         }
-        Method::Bye => vec![bytes_from(
-            gen::response(StatusCode::OK, msg, Some(&to_tag), None).to_bytes(),
-        )],
         Method::Cancel => {
             // 200 for the CANCEL itself, then the INVITE's final answer:
             // 487 Request Terminated on the same branch and CSeq number
             // (RFC 3261 §9.2 — the CANCEL carries both by construction).
-            let ok = gen::response(StatusCode::OK, msg, Some(&to_tag), None);
+            out.immediate.push(reply(StatusCode::OK));
             let mut terminated =
                 gen::response(StatusCode::REQUEST_TERMINATED, msg, Some(&to_tag), None);
             terminated.cseq_method = Method::Invite;
-            vec![bytes_from(ok.to_bytes()), bytes_from(terminated.to_bytes())]
+            out.immediate.push(bytes_from(terminated.to_bytes()));
         }
-        Method::Ack => Vec::new(),
-        // Anything else (OPTIONS, stray REGISTER) gets a polite 200.
-        _ => vec![bytes_from(
-            gen::response(StatusCode::OK, msg, Some(&to_tag), None).to_bytes(),
-        )],
+        Method::Ack => {}
+        // BYE, and anything else (OPTIONS, stray REGISTER), gets a 200.
+        _ => out.immediate.push(reply(StatusCode::OK)),
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siperf_simcore::time::SimDuration;
-    use siperf_simnet::HostId;
     use siperf_sip::parse::parse_message;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn cfg(reliable: bool) -> PhoneCfg {
+    fn cfg(transport: Transport, seed: u64) -> PhoneCfg {
         PhoneCfg {
             user: "alice".into(),
-            peer_user: "bob".into(),
-            role: Role::Caller,
+            role: Role::Callee,
             port: 20000,
             proxy: SockAddr::new(HostId(0), 5060),
             domain: "sip.lab".into(),
-            transport: if reliable { "TCP" } else { "UDP" },
-            reliable,
+            transport,
             call_start: t(0),
             stagger: SimDuration::ZERO,
             ops_per_conn: None,
             cancel_every: None,
+            setup_deadline: None,
             ring_delay: SimDuration::ZERO,
             proc_ns: 500,
-            jitter_seed: 7,
+            seed,
             stats: WorkloadStats::new((t(0), t(1_000_000))),
         }
+    }
+
+    fn closed() -> Arrivals {
+        Arrivals::Closed { peer: "bob".into() }
+    }
+
+    fn poisson(rate: f64) -> Arrivals {
+        Arrivals::Poisson {
+            rate,
+            callees: (0..4).map(|i| format!("e{i}")).collect(),
+        }
+    }
+
+    fn engine(cfg: &PhoneCfg, arrivals: Arrivals) -> CallEngine {
+        CallEngine::new(cfg, &arrivals, HostId(1))
+    }
+
+    /// A closed-loop engine over UDP (or a reliable transport) with its
+    /// first call placed at t=0.
+    fn closed_call(transport: Transport) -> (PhoneCfg, CallEngine, Bytes) {
+        let cfg = cfg(transport, 7);
+        let mut e = engine(&cfg, closed());
+        let mut out = e.on_timer(t(0));
+        assert_eq!(out.len(), 1, "the closed loop dials once at call_start");
+        let invite = out.pop().unwrap();
+        (cfg, e, invite)
     }
 
     fn respond(engine_msg: &Bytes, code: StatusCode) -> SipMessage {
@@ -566,46 +734,68 @@ mod tests {
         gen::response(code, &req, Some("tt-bob"), None)
     }
 
+    /// Steps the engine's timer until `want` messages have been sent,
+    /// returning them with the instant of the last step.
+    fn step_until_sent(e: &mut CallEngine, want: usize) -> (Vec<Bytes>, SimTime) {
+        let mut sent = Vec::new();
+        let mut at = SimTime::ZERO;
+        while sent.len() < want {
+            at = e.next_wake();
+            sent.extend(e.on_timer(at));
+        }
+        (sent, at)
+    }
+
+    /// Steps the engine's timer through `until`, collecting the instant of
+    /// every *new* call the arrival process originates (retransmissions of
+    /// outstanding calls are not arrivals).
+    fn collect_arrivals(e: &mut CallEngine, until: SimTime) -> Vec<SimTime> {
+        let mut arrivals = Vec::new();
+        loop {
+            let at = e.next_wake();
+            if at > until {
+                break;
+            }
+            let before = e.call_no;
+            e.on_timer(at);
+            arrivals.extend((before..e.call_no).map(|_| at));
+        }
+        arrivals
+    }
+
     #[test]
     fn happy_call_flow_produces_two_ops() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let invite = e.start_call(t(0));
+        let (cfg, mut e, invite) = closed_call(Transport::Udp);
         let inv = parse_message(&invite).unwrap();
         assert_eq!(inv.method(), Some(Method::Invite));
+        assert_eq!(inv.call_id, "c1-alice");
+        assert_eq!(inv.branch(), Some("z9hG4bKalicei1"));
 
         // 100 then 180 stop retransmissions but complete nothing.
         let trying = respond(&invite, StatusCode::TRYING);
-        assert!(matches!(
-            e.on_response(t(1), &trying),
-            EngineAction::Wait(_)
-        ));
+        assert!(e.on_response(t(1), &trying).is_empty());
         let ringing = respond(&invite, StatusCode::RINGING);
-        assert!(matches!(
-            e.on_response(t(2), &ringing),
-            EngineAction::Wait(_)
-        ));
+        assert!(e.on_response(t(2), &ringing).is_empty());
 
         // 200 → ACK + BYE.
         let ok = respond(&invite, StatusCode::OK);
-        let EngineAction::Send(msgs) = e.on_response(t(3), &ok) else {
-            panic!("expected sends");
-        };
+        let msgs = e.on_response(t(3), &ok);
         assert_eq!(msgs.len(), 2);
         let ack = parse_message(&msgs[0]).unwrap();
         let bye = parse_message(&msgs[1]).unwrap();
         assert_eq!(ack.method(), Some(Method::Ack));
         assert_eq!(bye.method(), Some(Method::Bye));
         assert_eq!(ack.to.tag.as_deref(), Some("tt-bob"));
+        assert_eq!(ack.branch(), Some("z9hG4bKalicea1"));
+        assert_eq!(bye.branch(), Some("z9hG4bKaliceb1"));
 
         // 200 to BYE → the next call starts.
         let bye_ok = respond(&msgs[1], StatusCode::OK);
-        let EngineAction::Send(next) = e.on_response(t(4), &bye_ok) else {
-            panic!("expected next call");
-        };
+        let next = e.on_response(t(4), &bye_ok);
+        assert_eq!(next.len(), 1);
         let next_inv = parse_message(&next[0]).unwrap();
         assert_eq!(next_inv.method(), Some(Method::Invite));
-        assert_ne!(next_inv.call_id, inv.call_id);
+        assert_eq!(next_inv.call_id, "c2-alice");
 
         let stats = cfg.stats.borrow();
         assert_eq!(stats.invite_ok, 1);
@@ -613,47 +803,61 @@ mod tests {
         assert_eq!(stats.ops_total, 2);
         assert_eq!(stats.call_attempts, 2);
         assert_eq!(stats.call_failures, 0);
+        assert_eq!(stats.open_calls_peak, 0, "closed loops report no pool");
         assert_eq!(e.ops_done, 2);
+        assert_eq!(e.in_flight(), 1);
     }
 
     #[test]
     fn udp_engine_retransmits_until_response() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let invite = e.start_call(t(0));
+        let (cfg, mut e, invite) = closed_call(Transport::Udp);
         // T1 later the clock demands a retransmission of the same INVITE.
         assert_eq!(e.next_wake(), t(500));
-        let EngineAction::Send(msgs) = e.on_timer(t(500)) else {
-            panic!("expected retransmission");
-        };
+        let msgs = e.on_timer(t(500));
+        assert_eq!(msgs.len(), 1, "expected one retransmission");
         assert_eq!(&*msgs[0], &*invite);
         assert_eq!(cfg.stats.borrow().phone_retransmits, 1);
+        assert_eq!(e.next_wake(), t(1_500), "Timer A doubles");
         // A provisional response silences it.
         let trying = respond(&invite, StatusCode::TRYING);
         e.on_response(t(600), &trying);
-        assert!(matches!(e.on_timer(t(1500)), EngineAction::Wait(_)));
+        assert!(e.on_timer(t(1_500)).is_empty());
+        assert_eq!(cfg.stats.borrow().phone_retransmits, 1);
+    }
+
+    #[test]
+    fn provisional_response_clears_the_stale_t1_wake() {
+        // Closed loop: after 100 Trying only Timer B remains.
+        let (_cfg, mut e, invite) = closed_call(Transport::Udp);
+        e.on_response(t(100), &respond(&invite, StatusCode::TRYING));
+        assert_eq!(e.next_wake(), t(0) + TIMEOUT);
+
+        // Open loop: the wake is the call's deadline or the next arrival,
+        // never the T1 instant the provisional cancelled.
+        let cfg = cfg(Transport::Udp, 6);
+        let mut e = engine(&cfg, poisson(1.0));
+        let (invites, at) = step_until_sent(&mut e, 1);
+        let trying = respond(&invites[0], StatusCode::TRYING);
+        e.on_response(at, &trying);
+        assert_ne!(e.next_wake(), at + siperf_sip::txn::T1);
+        assert_eq!(e.next_wake(), (at + TIMEOUT).min(e.next_arrival));
+        // Waking at the stale instant would find nothing to do.
+        assert!(e.next_wake() > at + siperf_sip::txn::T1);
     }
 
     #[test]
     fn reliable_engine_never_retransmits() {
-        let cfg = cfg(true);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let _invite = e.start_call(t(0));
-        match e.on_timer(t(5_000)) {
-            EngineAction::Wait(next) => assert_eq!(next, t(32_000)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let (cfg, mut e, _invite) = closed_call(Transport::Tcp);
+        assert!(e.on_timer(t(5_000)).is_empty());
+        assert_eq!(e.next_wake(), t(32_000));
         assert_eq!(cfg.stats.borrow().phone_retransmits, 0);
     }
 
     #[test]
     fn timeout_fails_call_and_starts_next() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let first = e.start_call(t(0));
-        let EngineAction::Send(next) = e.on_timer(t(32_000)) else {
-            panic!("expected new call after timeout");
-        };
+        let (cfg, mut e, first) = closed_call(Transport::Udp);
+        let next = e.on_timer(t(32_000));
+        assert_eq!(next.len(), 1, "expected new call after timeout");
         let next_inv = parse_message(&next[0]).unwrap();
         assert_ne!(next_inv.call_id, parse_message(&first).unwrap().call_id);
         assert_eq!(cfg.stats.borrow().call_failures, 1);
@@ -662,54 +866,46 @@ mod tests {
 
     #[test]
     fn error_response_fails_call() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let invite = e.start_call(t(0));
+        let (cfg, mut e, invite) = closed_call(Transport::Udp);
         let busy = respond(&invite, StatusCode::BUSY_HERE);
-        let EngineAction::Send(_) = e.on_response(t(1), &busy) else {
-            panic!("expected next call");
-        };
+        assert_eq!(e.on_response(t(1), &busy).len(), 1, "expected next call");
         assert_eq!(cfg.stats.borrow().call_failures, 1);
     }
 
     #[test]
     fn stale_responses_are_ignored() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let first = e.start_call(t(0));
+        let (cfg, mut e, first) = closed_call(Transport::Udp);
         // Complete the first call.
         let ok = respond(&first, StatusCode::OK);
-        let EngineAction::Send(msgs) = e.on_response(t(1), &ok) else {
-            panic!()
-        };
+        let msgs = e.on_response(t(1), &ok);
         let bye_ok = respond(&msgs[1], StatusCode::OK);
-        let EngineAction::Send(_) = e.on_response(t(2), &bye_ok) else {
-            panic!()
-        };
+        assert_eq!(e.on_response(t(2), &bye_ok).len(), 1);
         // A duplicate 200 for the finished call must not disturb call 2.
         let dup = respond(&first, StatusCode::OK);
-        assert!(matches!(e.on_response(t(3), &dup), EngineAction::Wait(_)));
+        assert!(e.on_response(t(3), &dup).is_empty());
         assert_eq!(cfg.stats.borrow().invite_ok, 1);
+        // Neither must a Call-ID this caller never issued.
+        let mut foreign = respond(&first, StatusCode::OK);
+        foreign.call_id = "c2-mallory".into();
+        assert!(e.on_response(t(4), &foreign).is_empty());
+        assert_eq!(e.in_flight(), 1);
     }
 
     #[test]
     fn rejected_call_backs_off_per_retry_after_then_retries() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
-        let invite = e.start_call(t(0));
+        let (cfg, mut e, invite) = closed_call(Transport::Udp);
         let req = parse_message(&invite).unwrap();
 
         // 503 + Retry-After: 2 → back off a jittered [1 s, 2 s], no failure
         // counted.
         let rejected = gen::service_unavailable(&req, 2);
-        let EngineAction::Wait(until) = e.on_response(t(100), &rejected) else {
-            panic!("expected backoff wait");
-        };
+        assert!(e.on_response(t(100), &rejected).is_empty());
+        let until = e.next_wake();
         assert!(
             until >= t(1_100) && until <= t(2_100),
             "jittered backoff {until:?} outside [nominal/2, nominal]"
         );
-        assert_eq!(e.next_wake(), until);
+        assert_eq!(e.in_flight(), 0, "shed call must leave the pool");
         {
             let s = cfg.stats.borrow();
             assert_eq!(s.calls_rejected, 1);
@@ -717,10 +913,9 @@ mod tests {
         }
 
         // Waking early keeps waiting; at the deadline the retry fires.
-        assert!(matches!(e.on_timer(t(1_000)), EngineAction::Wait(_)));
-        let EngineAction::Send(msgs) = e.on_timer(until) else {
-            panic!("expected retry INVITE");
-        };
+        assert!(e.on_timer(t(1_000)).is_empty());
+        let msgs = e.on_timer(until);
+        assert_eq!(msgs.len(), 1, "expected retry INVITE");
         let retry = parse_message(&msgs[0]).unwrap();
         assert_eq!(retry.method(), Some(Method::Invite));
         assert_ne!(retry.call_id, req.call_id, "retry is a fresh call");
@@ -730,20 +925,46 @@ mod tests {
     }
 
     #[test]
+    fn open_loop_rejected_call_leaves_pool_and_retries_with_jitter() {
+        let cfg = cfg(Transport::Udp, 5);
+        let mut e = engine(&cfg, poisson(10_000.0));
+        let (invites, _) = step_until_sent(&mut e, 1);
+        let in_flight = e.in_flight();
+        let req = parse_message(&invites[0]).unwrap();
+        let now = t(10);
+        assert!(e
+            .on_response(now, &gen::service_unavailable(&req, 2))
+            .is_empty());
+        assert_eq!(
+            e.in_flight(),
+            in_flight - 1,
+            "shed call must leave the pool"
+        );
+        let Reverse(retry_at) = *e.retries.peek().expect("retry queued");
+        let delay = retry_at - now;
+        assert!(
+            delay >= SimDuration::from_secs(1) && delay <= SimDuration::from_secs(2),
+            "jittered retry delay {delay:?} outside [Retry-After/2, Retry-After]"
+        );
+        let s = cfg.stats.borrow();
+        assert_eq!(s.calls_rejected, 1);
+        assert_eq!(s.call_failures, 0, "a shed call is not a failure");
+    }
+
+    #[test]
     fn repeated_rejections_double_the_backoff_up_to_the_cap() {
-        let cfg = cfg(false);
-        let mut e = CallEngine::new(&cfg, HostId(1));
+        let (_cfg, mut e, mut invite) = closed_call(Transport::Udp);
         let mut now = t(0);
         let mut delays = Vec::new();
         for _ in 0..5 {
-            let invite = e.start_call(now);
             let req = parse_message(&invite).unwrap();
-            let rejected = gen::service_unavailable(&req, 1);
-            let EngineAction::Wait(until) = e.on_response(now, &rejected) else {
-                panic!("expected backoff");
-            };
+            assert!(e
+                .on_response(now, &gen::service_unavailable(&req, 1))
+                .is_empty());
+            let until = e.next_wake();
             delays.push((until - now).as_secs_f64());
             now = until;
+            invite = e.on_timer(now).pop().expect("retry INVITE");
         }
         // The nominal delay doubles 1, 2, 4, 8, 8 (capped); jitter keeps
         // each draw inside [nominal/2, nominal].
@@ -760,18 +981,14 @@ mod tests {
         );
 
         // An admitted, completed call resets the exponent.
-        let invite = e.start_call(now);
-        let ok = respond(&invite, StatusCode::OK);
-        let EngineAction::Send(_) = e.on_response(now, &ok) else {
-            panic!("expected ACK+BYE");
-        };
-        let invite = e.start_call(now);
+        let msgs = e.on_response(now, &respond(&invite, StatusCode::OK));
+        let invite = e
+            .on_response(now, &respond(&msgs[1], StatusCode::OK))
+            .pop()
+            .expect("next call");
         let req = parse_message(&invite).unwrap();
-        let rejected = gen::service_unavailable(&req, 1);
-        let EngineAction::Wait(until) = e.on_response(now, &rejected) else {
-            panic!("expected backoff");
-        };
-        let reset_delay = (until - now).as_secs_f64();
+        e.on_response(now, &gen::service_unavailable(&req, 1));
+        let reset_delay = (e.next_wake() - now).as_secs_f64();
         assert!(
             (0.5..=1.0).contains(&reset_delay),
             "exponent was not reset: {reset_delay}"
@@ -781,18 +998,15 @@ mod tests {
     #[test]
     fn backoff_jitter_replays_from_the_seed_and_desynchronizes_phones() {
         let rejected_delays = |seed: u64| -> Vec<SimDuration> {
-            let mut c = cfg(false);
-            c.jitter_seed = seed;
-            let mut e = CallEngine::new(&c, HostId(1));
+            let c = cfg(Transport::Udp, seed);
+            let mut e = engine(&c, closed());
             let mut now = t(0);
             let mut out = Vec::new();
             for _ in 0..4 {
-                let invite = e.start_call(now);
+                let invite = e.on_timer(now).pop().expect("INVITE");
                 let req = parse_message(&invite).unwrap();
-                let rejected = gen::service_unavailable(&req, 1);
-                let EngineAction::Wait(until) = e.on_response(now, &rejected) else {
-                    panic!("expected backoff");
-                };
+                e.on_response(now, &gen::service_unavailable(&req, 1));
+                let until = e.next_wake();
                 out.push(until - now);
                 now = until;
             }
@@ -812,24 +1026,20 @@ mod tests {
 
     #[test]
     fn cancel_flow_abandons_a_ringing_call() {
-        let mut c = cfg(false);
+        let mut c = cfg(Transport::Udp, 7);
         c.cancel_every = Some(1); // cancel every call
-        let mut e = CallEngine::new(&c, HostId(1));
-        let invite = e.start_call(t(0));
+        let mut e = engine(&c, closed());
+        let invite = e.on_timer(t(0)).pop().unwrap();
         let inv = parse_message(&invite).unwrap();
 
         // 100 Trying must not trigger the CANCEL (only RINGING does).
         let trying = respond(&invite, StatusCode::TRYING);
-        assert!(matches!(
-            e.on_response(t(1), &trying),
-            EngineAction::Wait(_)
-        ));
+        assert!(e.on_response(t(1), &trying).is_empty());
 
         // 180 Ringing → the engine fires the CANCEL, same branch.
         let ringing = respond(&invite, StatusCode::RINGING);
-        let EngineAction::Send(msgs) = e.on_response(t(2), &ringing) else {
-            panic!("expected CANCEL");
-        };
+        let msgs = e.on_response(t(2), &ringing);
+        assert_eq!(msgs.len(), 1, "expected CANCEL");
         let cancel = parse_message(&msgs[0]).unwrap();
         assert_eq!(cancel.method(), Some(Method::Cancel));
         assert_eq!(cancel.branch(), inv.branch());
@@ -837,17 +1047,12 @@ mod tests {
 
         // The proxy's 200 to the CANCEL is consumed quietly.
         let cancel_ok = gen::response(StatusCode::OK, &cancel, None, None);
-        assert!(matches!(
-            e.on_response(t(3), &cancel_ok),
-            EngineAction::Wait(_)
-        ));
+        assert!(e.on_response(t(3), &cancel_ok).is_empty());
 
         // The 487 ends the call cleanly and starts the next one.
         let mut terminated = respond(&invite, StatusCode::REQUEST_TERMINATED);
         terminated.cseq_method = Method::Invite;
-        let EngineAction::Send(next) = e.on_response(t(4), &terminated) else {
-            panic!("expected next call");
-        };
+        let next = e.on_response(t(4), &terminated);
         assert_eq!(
             parse_message(&next[0]).unwrap().method(),
             Some(Method::Invite)
@@ -859,11 +1064,167 @@ mod tests {
     }
 
     #[test]
+    fn redrive_resends_each_call_once_and_counts_recovery() {
+        let (cfg, mut e, invite) = closed_call(Transport::Tcp);
+        let again = e.redrive(t(10));
+        assert_eq!(again.len(), 1);
+        assert_eq!(&*again[0], &*invite, "the in-flight INVITE is re-sent");
+        assert!(e.redrive(t(20)).is_empty(), "one re-drive per call");
+        let msgs = e.on_response(t(30), &respond(&invite, StatusCode::OK));
+        assert_eq!(cfg.stats.borrow().recovered_calls, 1);
+        // The BYE phase may be re-driven again.
+        let again = e.redrive(t(40));
+        assert_eq!(&*again[0], &*msgs[1]);
+        e.on_response(t(50), &respond(&msgs[1], StatusCode::OK));
+        assert_eq!(cfg.stats.borrow().recovered_calls, 2);
+        // Between calls nothing needs re-driving... except the successor,
+        // which is already in flight.
+        assert_eq!(e.in_flight(), 1);
+    }
+
+    #[test]
+    fn poisson_arrivals_replay_from_seed_and_match_the_rate() {
+        let c = cfg(Transport::Udp, 9);
+        let mut a = engine(&c, poisson(1000.0));
+        let mut b = engine(&c, poisson(1000.0));
+        let ta = collect_arrivals(&mut a, t(2_000));
+        let tb = collect_arrivals(&mut b, t(2_000));
+        assert_eq!(ta, tb, "same seed must produce the same arrivals");
+        // 1000 calls/s over 2 s → ~2000 arrivals; Poisson σ ≈ 45.
+        assert!(
+            (1700..2300).contains(&ta.len()),
+            "arrival count {} far from the configured rate",
+            ta.len()
+        );
+
+        let c2 = cfg(Transport::Udp, 10);
+        let mut d = engine(&c2, poisson(1000.0));
+        assert_ne!(
+            collect_arrivals(&mut d, t(2_000)),
+            ta,
+            "different seeds must diverge"
+        );
+    }
+
+    #[test]
+    fn arrivals_continue_while_calls_are_outstanding() {
+        let c = cfg(Transport::Udp, 3);
+        let mut e = engine(&c, poisson(100.0));
+        // Never answer anything: a closed loop would stall after call one,
+        // the open loop keeps originating.
+        let arrivals = collect_arrivals(&mut e, t(1_000));
+        assert!(
+            arrivals.len() >= 70,
+            "open loop stalled with calls outstanding: {} arrivals",
+            arrivals.len()
+        );
+        assert!(e.in_flight() >= 70, "pool should hold unanswered calls");
+        assert_eq!(c.stats.borrow().call_attempts, arrivals.len() as u64);
+        assert!(c.stats.borrow().open_calls_peak >= 70);
+    }
+
+    #[test]
+    fn pool_completes_concurrent_calls_independently() {
+        let c = cfg(Transport::Udp, 4);
+        let mut e = engine(&c, poisson(10_000.0));
+        let (invites, _) = step_until_sent(&mut e, 2);
+        let inv0 = parse_message(&invites[0]).unwrap();
+        let inv1 = parse_message(&invites[1]).unwrap();
+        assert_ne!(inv0.call_id, inv1.call_id);
+        let in_flight = e.in_flight();
+
+        // Answer the *second* call first: the pool must route by Call-ID.
+        let ok1 = gen::response(StatusCode::OK, &inv1, Some("tt"), None);
+        let msgs = e.on_response(t(50), &ok1);
+        assert_eq!(msgs.len(), 2, "expected ACK+BYE for call 2");
+        let bye1 = parse_message(&msgs[1]).unwrap();
+        assert_eq!(bye1.method(), Some(Method::Bye));
+        assert_eq!(bye1.call_id, inv1.call_id);
+        assert_eq!(bye1.to.uri.user, inv1.to.uri.user, "BYE goes to the callee");
+        assert_eq!(e.in_flight(), in_flight, "call 1 still awaits its 200");
+
+        let bye_ok1 = gen::response(StatusCode::OK, &bye1, Some("tt"), None);
+        assert!(e.on_response(t(60), &bye_ok1).is_empty(), "no successor");
+        assert_eq!(e.in_flight(), in_flight - 1, "call 2 left the pool");
+
+        let ok0 = gen::response(StatusCode::OK, &inv0, Some("tt"), None);
+        let msgs = e.on_response(t(70), &ok0);
+        assert_eq!(msgs.len(), 2, "expected ACK+BYE for call 1");
+        let bye0 = parse_message(&msgs[1]).unwrap();
+        let bye_ok0 = gen::response(StatusCode::OK, &bye0, Some("tt"), None);
+        e.on_response(t(80), &bye_ok0);
+        assert_eq!(e.in_flight(), in_flight - 2);
+        let s = c.stats.borrow();
+        assert_eq!(s.invite_ok, 2);
+        assert_eq!(s.bye_ok, 2);
+        assert_eq!(s.call_failures, 0);
+    }
+
+    #[test]
+    fn call_past_the_setup_deadline_completes_but_scores_no_goodput() {
+        let mut c = cfg(Transport::Udp, 8);
+        c.setup_deadline = Some(SimDuration::from_millis(200));
+        let mut e = engine(&c, poisson(10_000.0));
+        let (invites, _) = step_until_sent(&mut e, 2);
+        let fast = parse_message(&invites[0]).unwrap();
+        let slow = parse_message(&invites[1]).unwrap();
+        let in_flight = e.in_flight();
+
+        // First call answered within budget, second well past it.
+        let msgs = e.on_response(
+            t(100),
+            &gen::response(StatusCode::OK, &fast, Some("tt"), None),
+        );
+        let bye = parse_message(&msgs[1]).unwrap();
+        e.on_response(
+            t(110),
+            &gen::response(StatusCode::OK, &bye, Some("tt"), None),
+        );
+
+        let msgs = e.on_response(
+            t(900),
+            &gen::response(StatusCode::OK, &slow, Some("tt"), None),
+        );
+        assert_eq!(msgs.len(), 2, "late call still finishes its ACK+BYE");
+        let bye = parse_message(&msgs[1]).unwrap();
+        e.on_response(
+            t(910),
+            &gen::response(StatusCode::OK, &bye, Some("tt"), None),
+        );
+
+        assert_eq!(e.in_flight(), in_flight - 2, "both calls ran to completion");
+        let s = c.stats.borrow();
+        assert_eq!(s.calls_late, 1);
+        assert_eq!(s.invite_ok, 1, "only the in-budget call counts");
+        assert_eq!(s.bye_ok, 1);
+        assert_eq!(s.call_failures, 0, "late is not failed");
+    }
+
+    #[test]
+    fn unanswered_call_times_out_as_failure() {
+        let c = cfg(Transport::Udp, 6);
+        let mut e = engine(&c, poisson(1.0));
+        let (invites, at) = step_until_sent(&mut e, 1);
+        // Stop retransmissions with a provisional, then run past Timer B.
+        // Later arrivals keep originating meanwhile — that's the open loop —
+        // so assert on the timed-out call specifically.
+        let req = parse_message(&invites[0]).unwrap();
+        let trying = gen::response(StatusCode::TRYING, &req, None, None);
+        e.on_response(at, &trying);
+        e.on_timer(at + TIMEOUT + SimDuration::from_millis(1));
+        assert!(
+            e.route(&req.call_id).is_none(),
+            "timed-out call must leave the pool"
+        );
+        assert_eq!(c.stats.borrow().call_failures, 1);
+    }
+
+    #[test]
     fn callee_answers_cancel_with_200_and_487() {
         let alice = CallParty::new("alice", "h1:1");
         let bob = CallParty::new("bob", "h2:2");
         let cancel = gen::cancel(&alice, &bob, "d", "c1", "z9hG4bKinv", "UDP");
-        let answers = callee_answer("bob", &cancel);
+        let answers = callee_answer_timed("bob", &cancel, SimDuration::ZERO).immediate;
         assert_eq!(answers.len(), 2);
         let ok = parse_message(&answers[0]).unwrap();
         let terminated = parse_message(&answers[1]).unwrap();
@@ -883,19 +1244,36 @@ mod tests {
         let alice = CallParty::new("alice", "h1:1");
         let bob = CallParty::new("bob", "h2:2");
         let inv = gen::invite(&alice, &bob, "d", "c1", "z9hG4bKz", "UDP");
-        let answers = callee_answer("bob", &inv);
-        assert_eq!(answers.len(), 2);
-        let first = parse_message(&answers[0]).unwrap();
-        let second = parse_message(&answers[1]).unwrap();
+        let answer = callee_answer_timed("bob", &inv, SimDuration::ZERO);
+        assert_eq!(answer.immediate.len(), 2);
+        assert!(answer.delayed_ok.is_none());
+        let first = parse_message(&answer.immediate[0]).unwrap();
+        let second = parse_message(&answer.immediate[1]).unwrap();
         assert_eq!(first.status(), Some(StatusCode::RINGING));
         assert_eq!(second.status(), Some(StatusCode::OK));
         assert_eq!(second.to.tag.as_deref(), Some("tt-bob"));
 
+        // With a ring time the 200 waits.
+        let ringing = callee_answer_timed("bob", &inv, SimDuration::from_millis(20));
+        assert_eq!(ringing.immediate.len(), 1);
+        assert_eq!(
+            parse_message(ringing.delayed_ok.as_ref().unwrap())
+                .unwrap()
+                .status(),
+            Some(StatusCode::OK)
+        );
+
         let bye = gen::bye(&alice, &bob, "d", "c1", "tt-bob", "z9hG4bKy", "UDP");
-        let answers = callee_answer("bob", &bye);
-        assert_eq!(answers.len(), 1);
+        assert_eq!(
+            callee_answer_timed("bob", &bye, SimDuration::ZERO)
+                .immediate
+                .len(),
+            1
+        );
 
         let ack = gen::ack(&alice, &bob, "d", "c1", "tt-bob", "z9hG4bKx", "UDP");
-        assert!(callee_answer("bob", &ack).is_empty());
+        assert!(callee_answer_timed("bob", &ack, SimDuration::ZERO)
+            .immediate
+            .is_empty());
     }
 }

@@ -1,14 +1,16 @@
 //! Phone process for message-oriented transports (UDP and SCTP).
 //!
 //! One simulated process per phone: bind the phone's fixed port, register,
-//! then either drive calls ([`Role::Caller`]) or answer them
-//! ([`Role::Callee`]). Responses are sent to the topmost Via's sent-by, as
-//! RFC 3261 §18.2.2 prescribes for datagram transports.
+//! then either place calls through a [`CallEngine`] ([`Role::Caller`], with
+//! any [`crate::phone::Arrivals`]) or answer them ([`Role::Callee`]).
+//! Callers send every request to the proxy; callees send responses to the
+//! topmost Via's sent-by, as RFC 3261 §18.2.2 prescribes for datagram
+//! transports.
 
 use std::collections::VecDeque;
 
 use siperf_proxy::util::parse_sim_addr;
-use siperf_simcore::time::{SimDuration, SimTime};
+use siperf_simcore::time::SimTime;
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::Bytes;
 use siperf_simos::process::{Process, ResumeCtx};
@@ -17,7 +19,7 @@ use siperf_sip::msg::Method;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::{RetransClock, TimerVerdict};
 
-use crate::phone::{callee_answer_timed, CallEngine, EngineAction, PhoneCfg, Role};
+use crate::phone::{callee_answer_timed, CallEngine, PhoneCfg, Role};
 
 /// Which message-oriented transport the phone speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +50,7 @@ enum Phase {
     SleepingToStart,
 }
 
-/// A UDP/SCTP phone process.
+/// A UDP/SCTP phone process (caller or callee).
 pub struct MsgPhone {
     cfg: PhoneCfg,
     mt: MsgTransport,
@@ -100,25 +102,20 @@ impl MsgPhone {
         }
     }
 
+    fn engine(&mut self) -> &mut CallEngine {
+        self.engine.as_mut().expect("caller engine")
+    }
+
     fn poll_for(&self, cont: Cont, now: SimTime) -> Syscall {
-        let timeout = match cont {
-            Cont::RegPoll => {
-                let next = self.reg_clock.as_ref().expect("registering").next_at();
-                Some(next.max(now) - now)
-            }
-            Cont::CallPoll => {
-                let next = self.engine.as_ref().expect("caller").next_wake();
-                if next == SimTime::MAX {
-                    None
-                } else {
-                    Some(next.max(now) - now)
-                }
-            }
-            Cont::ServePoll => self.delayed.front().map(|&(at, _, _)| at.max(now) - now),
+        let next = match cont {
+            Cont::RegPoll => Some(self.reg_clock.as_ref().expect("registering").next_at()),
+            Cont::CallPoll => Some(self.engine.as_ref().expect("caller").next_wake())
+                .filter(|&t| t < SimTime::MAX),
+            Cont::ServePoll => self.delayed.front().map(|&(at, _, _)| at),
         };
         Syscall::Poll {
             fds: vec![self.fd],
-            timeout,
+            timeout: next.map(|at| at.max(now) - now),
         }
     }
 
@@ -152,10 +149,9 @@ impl MsgPhone {
         }
     }
 
-    fn handle_engine_action(&mut self, action: EngineAction, now: SimTime) -> Syscall {
-        if let EngineAction::Send(msgs) = action {
-            self.queue_sends(self.cfg.proxy, msgs);
-        }
+    /// Sends the engine's requests to the proxy and parks in the call loop.
+    fn send_calls(&mut self, msgs: Vec<Bytes>, now: SimTime) -> Syscall {
+        self.queue_sends(self.cfg.proxy, msgs);
         self.park(Cont::CallPoll, now)
     }
 
@@ -176,7 +172,7 @@ impl MsgPhone {
                     self.cfg.stats.borrow_mut().register_ok += 1;
                     self.reg_clock = None;
                     match self.cfg.role {
-                        Role::Caller => {
+                        Role::Caller(_) => {
                             self.phase = Phase::SleepingToStart;
                             return Syscall::SleepUntil(self.cfg.call_start);
                         }
@@ -186,12 +182,8 @@ impl MsgPhone {
                 self.park(Cont::RegPoll, now)
             }
             Cont::CallPoll => {
-                let action = self
-                    .engine
-                    .as_mut()
-                    .expect("caller engine")
-                    .on_response(now, &msg);
-                self.handle_engine_action(action, now)
+                let msgs = self.engine().on_response(now, &msg);
+                self.send_calls(msgs, now)
             }
             Cont::ServePoll => {
                 let answer = callee_answer_timed(&self.cfg.user, &msg, self.cfg.ring_delay);
@@ -228,14 +220,16 @@ impl Process for MsgPhone {
             }
             Phase::Bound => {
                 self.fd = last.expect_fd();
-                self.engine = Some(CallEngine::new(&self.cfg, ctx.host));
+                if let Role::Caller(arrivals) = &self.cfg.role {
+                    self.engine = Some(CallEngine::new(&self.cfg, arrivals, ctx.host));
+                }
                 self.reg_msg = Some(self.cfg.register_msg(ctx.host));
                 self.phase = Phase::Staggered;
                 Syscall::Sleep(self.cfg.stagger)
             }
             Phase::Staggered => {
                 // Register (with a non-INVITE retransmission clock on UDP).
-                let clock = if self.cfg.reliable {
+                let clock = if self.cfg.transport.is_reliable() {
                     RetransClock::reliable(ctx.now)
                 } else {
                     RetransClock::new(ctx.now, Method::Register)
@@ -246,13 +240,9 @@ impl Process for MsgPhone {
                 self.park(Cont::RegPoll, ctx.now)
             }
             Phase::SleepingToStart => {
-                let invite = self
-                    .engine
-                    .as_mut()
-                    .expect("caller engine")
-                    .start_call(ctx.now);
-                self.queue_sends(self.cfg.proxy, vec![invite]);
-                self.park(Cont::CallPoll, ctx.now)
+                // The engine's first arrival is due at `call_start`.
+                let msgs = self.engine().on_timer(ctx.now);
+                self.send_calls(msgs, ctx.now)
             }
             Phase::Polling(cont) => match last {
                 SysResult::Ready(_) => {
@@ -271,20 +261,17 @@ impl Process for MsgPhone {
                             }
                             TimerVerdict::Wait { .. } => self.park(Cont::RegPoll, ctx.now),
                             TimerVerdict::TimedOut | TimerVerdict::Done => {
-                                panic!(
-                                    "phone {} failed to register — proxy unreachable",
-                                    self.cfg.user
-                                );
+                                // Timer F: the proxy is unreachable. Give up
+                                // quietly, as the TCP phone does, instead of
+                                // panicking the whole simulation.
+                                self.cfg.stats.borrow_mut().connect_errors += 1;
+                                Syscall::Exit
                             }
                         }
                     }
                     Cont::CallPoll => {
-                        let action = self
-                            .engine
-                            .as_mut()
-                            .expect("caller engine")
-                            .on_timer(ctx.now);
-                        self.handle_engine_action(action, ctx.now)
+                        let msgs = self.engine().on_timer(ctx.now);
+                        self.send_calls(msgs, ctx.now)
                     }
                     Cont::ServePoll => self.park(Cont::ServePoll, ctx.now),
                 },
@@ -305,10 +292,4 @@ impl Process for MsgPhone {
             }
         }
     }
-}
-
-/// A small helper so scenario code can build send/receive deadlines without
-/// underflow when the wake time is already past.
-pub(crate) fn _deadline_after(now: SimTime, next: SimTime) -> SimDuration {
-    next.max(now) - now
 }

@@ -1,6 +1,7 @@
 //! Phone process for TCP.
 //!
-//! TCP phones own real connections, exactly like the paper's benchmark
+//! One process per phone, callee or caller with any
+//! [`crate::phone::Arrivals`]. TCP phones own real connections, exactly like the paper's benchmark
 //! (§4.3): every phone listens on its fixed port (so the proxy can open a
 //! connection *to* it when forwarding), keeps a client connection to the
 //! proxy for its own requests, **never closes connections**, and — in the
@@ -20,7 +21,7 @@ use siperf_sip::msg::Method;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::TIMEOUT;
 
-use crate::phone::{callee_answer_timed, CallEngine, EngineAction, PhoneCfg, Role};
+use crate::phone::{callee_answer_timed, CallEngine, PhoneCfg, Role};
 
 const RECV_CHUNK: usize = 16 * 1024;
 const CONNECT_BACKOFF: SimDuration = SimDuration::from_millis(100);
@@ -98,23 +99,24 @@ impl TcpPhone {
         }
     }
 
+    fn engine(&mut self) -> &mut CallEngine {
+        self.engine.as_mut().expect("caller engine")
+    }
+
     fn poll_for(&self, cont: Cont, now: SimTime) -> Syscall {
-        let timeout = match cont {
-            Cont::Reg => Some(self.reg_deadline.max(now) - now),
-            Cont::Call => {
-                let next = self.engine.as_ref().expect("caller").next_wake();
-                if next == SimTime::MAX {
-                    None
-                } else {
-                    Some(next.max(now) - now)
-                }
-            }
-            Cont::Serve => self.delayed.front().map(|&(at, _, _)| at.max(now) - now),
+        let next = match cont {
+            Cont::Reg => Some(self.reg_deadline),
+            Cont::Call => Some(self.engine.as_ref().expect("caller").next_wake())
+                .filter(|&t| t < SimTime::MAX),
+            Cont::Serve => self.delayed.front().map(|&(at, _, _)| at),
         };
         let mut fds = Vec::with_capacity(2 + self.framers.len());
         fds.push(self.listener);
         fds.extend(self.framers.keys().copied());
-        Syscall::Poll { fds, timeout }
+        Syscall::Poll {
+            fds,
+            timeout: next.map(|at| at.max(now) - now),
+        }
     }
 
     fn park(&mut self, cont: Cont, now: SimTime) -> Syscall {
@@ -152,8 +154,12 @@ impl TcpPhone {
 
     /// Queues caller-originated messages: straight onto the client
     /// connection, or through a reconnect when the ops-per-connection
-    /// policy says so (or the connection died).
-    fn send_to_proxy(&mut self, msgs: Vec<Bytes>, now: SimTime) -> Option<Syscall> {
+    /// policy says so (or the connection died). Nothing to send changes
+    /// nothing.
+    fn send_to_proxy(&mut self, msgs: Vec<Bytes>) -> Option<Syscall> {
+        if msgs.is_empty() {
+            return None;
+        }
         let ops_done = self.engine.as_ref().map(|e| e.ops_done).unwrap_or(0);
         let policy_hit = self
             .cfg
@@ -173,17 +179,15 @@ impl TcpPhone {
         for m in msgs {
             self.script.push_back(Syscall::TcpSend { fd, data: m });
         }
-        let _ = now;
         None
     }
 
-    fn handle_engine_action(&mut self, action: EngineAction, now: SimTime) -> Syscall {
-        if let EngineAction::Send(msgs) = action {
-            if let Some(s) = self.send_to_proxy(msgs, now) {
-                return s;
-            }
+    /// Sends the engine's requests and parks in the call loop.
+    fn send_calls(&mut self, msgs: Vec<Bytes>, now: SimTime) -> Syscall {
+        match self.send_to_proxy(msgs) {
+            Some(connect) => connect,
+            None => self.park(Cont::Call, now),
         }
-        self.park(Cont::Call, now)
     }
 
     fn conn_gone(&mut self, fd: Fd, now: SimTime, reset: bool) {
@@ -197,15 +201,15 @@ impl TcpPhone {
         // the dead descriptor is released like any real client would.
         self.script.push_back(Syscall::Close { fd });
         // A *reset* on the client connection mid-call is a fault, not a
-        // fatality: queue the in-flight request so the reconnect re-drives
-        // it (reliable transports never retransmit on their own, so without
+        // fatality: queue the in-flight requests so the reconnect re-drives
+        // them (reliable transports never retransmit on their own, so without
         // this the call would stall to Timer B). A graceful EOF is the
         // server reaping an idle connection — the transaction is intact and
         // its response arrives over a proxy-initiated connection, so
         // re-driving would only add connection churn.
         if reset && was_client && self.registered {
-            if let Some(msg) = self.engine.as_mut().and_then(|e| e.redrive(now)) {
-                self.pending_out.push(msg);
+            if let Some(engine) = self.engine.as_mut() {
+                self.pending_out.extend(engine.redrive(now));
             }
         }
     }
@@ -246,7 +250,7 @@ impl TcpPhone {
                 continue;
             };
             match self.cfg.role {
-                Role::Caller => {
+                Role::Caller(_) => {
                     if !self.registered {
                         let is_reg_ok = msg.status().is_some_and(|c| c.is_success())
                             && msg.cseq_method == Method::Register;
@@ -258,15 +262,9 @@ impl TcpPhone {
                         }
                         continue;
                     }
-                    let action = self
-                        .engine
-                        .as_mut()
-                        .expect("caller engine")
-                        .on_response(now, &msg);
-                    if let EngineAction::Send(msgs) = action {
-                        if let Some(s) = self.send_to_proxy(msgs, now) {
-                            return s;
-                        }
+                    let msgs = self.engine().on_response(now, &msg);
+                    if let Some(connect) = self.send_to_proxy(msgs) {
+                        return connect;
                     }
                 }
                 Role::Callee => {
@@ -315,7 +313,9 @@ impl Process for TcpPhone {
             }
             Phase::Listened => {
                 self.listener = last.expect_fd();
-                self.engine = Some(CallEngine::new(&self.cfg, ctx.host));
+                if let Role::Caller(arrivals) = &self.cfg.role {
+                    self.engine = Some(CallEngine::new(&self.cfg, arrivals, ctx.host));
+                }
                 self.phase = Phase::Staggered;
                 Syscall::Sleep(self.cfg.stagger)
             }
@@ -356,15 +356,9 @@ impl Process for TcpPhone {
                 Syscall::TcpConnect { to: self.cfg.proxy }
             }
             Phase::SleepingToStart => {
-                let invite = self
-                    .engine
-                    .as_mut()
-                    .expect("caller engine")
-                    .start_call(ctx.now);
-                if let Some(s) = self.send_to_proxy(vec![invite], ctx.now) {
-                    return s;
-                }
-                self.park(Cont::Call, ctx.now)
+                // The engine's first arrival is due at `call_start`.
+                let msgs = self.engine().on_timer(ctx.now);
+                self.send_calls(msgs, ctx.now)
             }
             Phase::Polling(cont) => match last {
                 SysResult::Ready(fds) => {
@@ -390,12 +384,8 @@ impl Process for TcpPhone {
                         Syscall::TcpConnect { to: self.cfg.proxy }
                     }
                     Cont::Call => {
-                        let action = self
-                            .engine
-                            .as_mut()
-                            .expect("caller engine")
-                            .on_timer(ctx.now);
-                        self.handle_engine_action(action, ctx.now)
+                        let msgs = self.engine().on_timer(ctx.now);
+                        self.send_calls(msgs, ctx.now)
                     }
                     Cont::Serve => self.park(Cont::Serve, ctx.now),
                 },

@@ -18,9 +18,9 @@ use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_simnet::{NetConfig, NetStats};
 use siperf_simos::cost::CostModel;
 use siperf_simos::kernel::{Kernel, KernelStats};
+use siperf_simos::process::Process;
 
-use crate::open_loop::{OpenLoopCfg, OpenLoopMsgPhone, OpenLoopTcpPhone};
-use crate::phone::{PhoneCfg, Role};
+use crate::phone::{Arrivals, PhoneCfg, Role};
 use crate::phone_msg::{MsgPhone, MsgTransport};
 use crate::phone_tcp::TcpPhone;
 use crate::stats::WorkloadStats;
@@ -58,10 +58,10 @@ pub struct Scenario {
     /// `Some(rate)`, [`Scenario::pairs`] counts callees only and arrivals
     /// keep coming regardless of how many calls are outstanding.
     pub arrival_rate: Option<f64>,
-    /// Setup-delay budget for open-loop calls: a call whose INVITE
-    /// transaction takes longer completes but scores no goodput, the way
-    /// the overload literature counts sessions established past their
-    /// deadline. Ignored in closed-loop mode.
+    /// Setup-delay budget for every caller, closed- or open-loop: a call
+    /// whose INVITE transaction takes longer completes but scores no
+    /// goodput, the way the overload literature counts sessions established
+    /// past their deadline. `None` (the default) counts every completion.
     pub setup_deadline: Option<SimDuration>,
     /// RNG seed; identical seeds replay identically.
     pub seed: u64,
@@ -153,114 +153,78 @@ impl Scenario {
         let transport = self.proxy.transport;
         let call_start = SimTime::ZERO + self.call_start;
 
+        let phone_cfg = |user: String, role, port, call_start, stagger, seed| PhoneCfg {
+            user,
+            role,
+            port,
+            proxy: proxy.addr,
+            domain: "sip.lab".into(),
+            transport,
+            call_start,
+            stagger,
+            ops_per_conn: self.ops_per_conn,
+            cancel_every: self.cancel_every,
+            setup_deadline: self.setup_deadline,
+            ring_delay: self.ring_delay,
+            proc_ns: self.phone_proc_ns,
+            seed,
+            stats: stats.clone(),
+        };
+        let spawn = |kernel: &mut Kernel, host, name: String, cfg| {
+            let phone: Box<dyn Process> = match transport {
+                Transport::Udp => Box::new(MsgPhone::new(cfg, MsgTransport::Udp)),
+                Transport::Sctp => Box::new(MsgPhone::new(cfg, MsgTransport::Sctp)),
+                Transport::Tcp => Box::new(TcpPhone::new(cfg)),
+            };
+            kernel.spawn(host, Default::default(), name, phone);
+        };
+
         // Closed loop: caller/callee pairs. Open loop: `pairs` callees plus
         // one Poisson caller per client host; each pooled caller dials the
         // callees uniformly.
-        let spawn_sets: Vec<(usize, Role)> = if self.arrival_rate.is_some() {
-            (0..self.pairs).map(|i| (i, Role::Callee)).collect()
-        } else {
-            (0..self.pairs)
-                .flat_map(|i| [(2 * i, Role::Caller), (2 * i + 1, Role::Callee)])
-                .collect()
+        let spawn_sets: Vec<(usize, usize, Role)> = match self.arrival_rate {
+            Some(_) => (0..self.pairs).map(|i| (i, i, Role::Callee)).collect(),
+            None => (0..self.pairs)
+                .flat_map(|i| {
+                    let caller = Role::Caller(Arrivals::Closed {
+                        peer: format!("e{i}"),
+                    });
+                    [(2 * i, i, caller), (2 * i + 1, i, Role::Callee)]
+                })
+                .collect(),
         };
-        for (idx, role) in spawn_sets {
-            let i = if self.arrival_rate.is_some() {
-                idx
-            } else {
-                idx / 2
-            };
+        for (idx, i, role) in spawn_sets {
             let host = clients[idx % clients.len()];
-            let (user, peer_user) = match role {
-                Role::Caller => (format!("c{i}"), format!("e{i}")),
-                Role::Callee => (format!("e{i}"), String::new()),
+            let user = match role {
+                Role::Caller(_) => format!("c{i}"),
+                Role::Callee => format!("e{i}"),
             };
-            let cfg = PhoneCfg {
-                user: user.clone(),
-                peer_user,
-                role,
-                port: 20_000 + idx as u16,
-                proxy: proxy.addr,
-                domain: "sip.lab".into(),
-                transport: transport.token(),
-                reliable: transport.is_reliable(),
-                call_start: call_start + SimDuration::from_nanos(rng.range_u64(0..20_000_000)),
-                stagger: SimDuration::from_nanos(rng.range_u64(1..500_000_000)),
-                ops_per_conn: self.ops_per_conn,
-                cancel_every: self.cancel_every,
-                ring_delay: self.ring_delay,
-                proc_ns: self.phone_proc_ns,
-                jitter_seed: rng.next_u64(),
-                stats: stats.clone(),
-            };
+            let start = call_start + SimDuration::from_nanos(rng.range_u64(0..20_000_000));
+            let stagger = SimDuration::from_nanos(rng.range_u64(1..500_000_000));
+            let seed = rng.next_u64();
             let name = format!("phone_{user}");
-            match transport {
-                Transport::Udp => {
-                    kernel.spawn(
-                        host,
-                        Default::default(),
-                        name,
-                        Box::new(MsgPhone::new(cfg, MsgTransport::Udp)),
-                    );
-                }
-                Transport::Sctp => {
-                    kernel.spawn(
-                        host,
-                        Default::default(),
-                        name,
-                        Box::new(MsgPhone::new(cfg, MsgTransport::Sctp)),
-                    );
-                }
-                Transport::Tcp => {
-                    kernel.spawn(host, Default::default(), name, Box::new(TcpPhone::new(cfg)));
-                }
-            }
+            let cfg = phone_cfg(user, role, 20_000 + idx as u16, start, stagger, seed);
+            spawn(&mut kernel, host, name, cfg);
         }
 
         if let Some(rate) = self.arrival_rate {
+            let callees: Vec<String> = (0..self.pairs).map(|i| format!("e{i}")).collect();
             for (h, &host) in clients.iter().enumerate() {
-                let cfg = OpenLoopCfg {
-                    user: format!("o{h}"),
-                    callees: self.pairs,
-                    port: 30_000 + h as u16,
-                    proxy: proxy.addr,
-                    domain: "sip.lab".into(),
-                    transport: transport.token(),
-                    reliable: transport.is_reliable(),
+                let role = Role::Caller(Arrivals::Poisson {
+                    rate: rate / clients.len() as f64,
+                    callees: callees.clone(),
+                });
+                let stagger = SimDuration::from_nanos(rng.range_u64(1..500_000_000));
+                let seed = rng.next_u64();
+                let cfg = phone_cfg(
+                    format!("o{h}"),
+                    role,
+                    30_000 + h as u16,
                     call_start,
-                    stagger: SimDuration::from_nanos(rng.range_u64(1..500_000_000)),
-                    arrival_rate: rate / clients.len() as f64,
-                    setup_deadline: self.setup_deadline,
-                    proc_ns: self.phone_proc_ns,
-                    seed: rng.next_u64(),
-                    stats: stats.clone(),
-                };
-                let name = format!("caller_o{h}");
-                match transport {
-                    Transport::Udp => {
-                        kernel.spawn(
-                            host,
-                            Default::default(),
-                            name,
-                            Box::new(OpenLoopMsgPhone::new(cfg, MsgTransport::Udp)),
-                        );
-                    }
-                    Transport::Sctp => {
-                        kernel.spawn(
-                            host,
-                            Default::default(),
-                            name,
-                            Box::new(OpenLoopMsgPhone::new(cfg, MsgTransport::Sctp)),
-                        );
-                    }
-                    Transport::Tcp => {
-                        kernel.spawn(
-                            host,
-                            Default::default(),
-                            name,
-                            Box::new(OpenLoopTcpPhone::new(cfg)),
-                        );
-                    }
-                }
+                    stagger,
+                    seed,
+                );
+                spawn(&mut kernel, host, format!("caller_o{h}"), cfg);
             }
         }
 
@@ -481,8 +445,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the open-loop setup-delay budget: calls whose INVITE
-    /// transaction exceeds it complete but count as zero goodput.
+    /// Sets the callers' setup-delay budget: calls whose INVITE transaction
+    /// exceeds it complete but count as zero goodput.
     pub fn setup_deadline(mut self, budget: SimDuration) -> Self {
         self.scenario.setup_deadline = Some(budget);
         self

@@ -5,7 +5,7 @@
 use siperf::faults::{Fault, FaultSchedule};
 use siperf::proxy::config::{ProxyConfig, Transport};
 use siperf::simcore::time::{SimDuration, SimTime};
-use siperf::simnet::NetConfig;
+use siperf::simnet::{HostId, NetConfig};
 use siperf::workload::Scenario;
 
 #[test]
@@ -220,4 +220,30 @@ fn tcp_tolerates_a_mid_call_worker_crash() {
 fn sctp_tolerates_a_mid_call_worker_crash() {
     let report = worker_crash_run(Transport::Sctp);
     assert_crash_tolerated(&report, Transport::Sctp);
+}
+
+/// A datagram phone whose REGISTER never gets through hits Timer F and
+/// gives up, counted as a connect error, instead of panicking the run.
+#[test]
+fn udp_phone_gives_up_registering_behind_a_partition() {
+    // Host 1 holds the caller; the partition outlasts Timer F (32 s).
+    let faults = FaultSchedule::new().at(
+        SimDuration::ZERO,
+        Fault::Partition {
+            a: HostId(0),
+            b: HostId(1),
+            heal_after: SimDuration::from_secs(40),
+        },
+    );
+    let mut s = Scenario::builder("unreachable-registrar")
+        .transport(Transport::Udp)
+        .client_pairs(1)
+        .fault_schedule(faults)
+        .build();
+    s.measure_from = SimDuration::from_secs(2);
+    s.measure = SimDuration::from_millis(31_500);
+    let report = s.run();
+    assert_eq!(report.registered, 1, "only the callee registers");
+    assert_eq!(report.connect_errors, 1, "the caller counts its give-up");
+    assert_eq!(report.call_attempts, 0);
 }
