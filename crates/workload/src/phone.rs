@@ -156,6 +156,11 @@ impl PhoneCfg {
     }
 }
 
+/// Whether `msg` is the proxy's success response to our REGISTER.
+pub(crate) fn is_register_ok(msg: &SipMessage) -> bool {
+    msg.status().is_some_and(|c| c.is_success()) && msg.cseq_method == Method::Register
+}
+
 /// A request's retransmission clock: Timer A on an unreliable transport,
 /// only the Timer B deadline on a reliable one.
 fn new_clock(reliable: bool, now: SimTime) -> RetransClock {
@@ -241,7 +246,7 @@ pub struct CallEngine {
     /// Consecutive 503s without an admitted call (backoff exponent).
     consecutive_rejects: u32,
     /// Operations completed since the engine started (drives reconnects).
-    pub ops_done: u64,
+    pub(crate) ops_done: u64,
 }
 
 impl CallEngine {
@@ -294,11 +299,6 @@ impl CallEngine {
             engine.next_arrival += gap;
         }
         engine
-    }
-
-    /// Number of calls currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.calls.len()
     }
 
     fn draw_gap(&mut self, mean_ns: f64) -> SimDuration {
@@ -805,7 +805,7 @@ mod tests {
         assert_eq!(stats.call_failures, 0);
         assert_eq!(stats.open_calls_peak, 0, "closed loops report no pool");
         assert_eq!(e.ops_done, 2);
-        assert_eq!(e.in_flight(), 1);
+        assert_eq!(e.calls.len(), 1);
     }
 
     #[test]
@@ -888,7 +888,7 @@ mod tests {
         let mut foreign = respond(&first, StatusCode::OK);
         foreign.call_id = "c2-mallory".into();
         assert!(e.on_response(t(4), &foreign).is_empty());
-        assert_eq!(e.in_flight(), 1);
+        assert_eq!(e.calls.len(), 1);
     }
 
     #[test]
@@ -905,7 +905,7 @@ mod tests {
             until >= t(1_100) && until <= t(2_100),
             "jittered backoff {until:?} outside [nominal/2, nominal]"
         );
-        assert_eq!(e.in_flight(), 0, "shed call must leave the pool");
+        assert_eq!(e.calls.len(), 0, "shed call must leave the pool");
         {
             let s = cfg.stats.borrow();
             assert_eq!(s.calls_rejected, 1);
@@ -929,14 +929,14 @@ mod tests {
         let cfg = cfg(Transport::Udp, 5);
         let mut e = engine(&cfg, poisson(10_000.0));
         let (invites, _) = step_until_sent(&mut e, 1);
-        let in_flight = e.in_flight();
+        let in_flight = e.calls.len();
         let req = parse_message(&invites[0]).unwrap();
         let now = t(10);
         assert!(e
             .on_response(now, &gen::service_unavailable(&req, 2))
             .is_empty());
         assert_eq!(
-            e.in_flight(),
+            e.calls.len(),
             in_flight - 1,
             "shed call must leave the pool"
         );
@@ -1077,9 +1077,8 @@ mod tests {
         assert_eq!(&*again[0], &*msgs[1]);
         e.on_response(t(50), &respond(&msgs[1], StatusCode::OK));
         assert_eq!(cfg.stats.borrow().recovered_calls, 2);
-        // Between calls nothing needs re-driving... except the successor,
-        // which is already in flight.
-        assert_eq!(e.in_flight(), 1);
+        // The closed loop's successor is in flight, not yet re-driven.
+        assert_eq!(e.redrive(t(60)).len(), 1);
     }
 
     #[test]
@@ -1118,7 +1117,7 @@ mod tests {
             "open loop stalled with calls outstanding: {} arrivals",
             arrivals.len()
         );
-        assert!(e.in_flight() >= 70, "pool should hold unanswered calls");
+        assert!(e.calls.len() >= 70, "pool should hold unanswered calls");
         assert_eq!(c.stats.borrow().call_attempts, arrivals.len() as u64);
         assert!(c.stats.borrow().open_calls_peak >= 70);
     }
@@ -1131,7 +1130,7 @@ mod tests {
         let inv0 = parse_message(&invites[0]).unwrap();
         let inv1 = parse_message(&invites[1]).unwrap();
         assert_ne!(inv0.call_id, inv1.call_id);
-        let in_flight = e.in_flight();
+        let in_flight = e.calls.len();
 
         // Answer the *second* call first: the pool must route by Call-ID.
         let ok1 = gen::response(StatusCode::OK, &inv1, Some("tt"), None);
@@ -1141,11 +1140,11 @@ mod tests {
         assert_eq!(bye1.method(), Some(Method::Bye));
         assert_eq!(bye1.call_id, inv1.call_id);
         assert_eq!(bye1.to.uri.user, inv1.to.uri.user, "BYE goes to the callee");
-        assert_eq!(e.in_flight(), in_flight, "call 1 still awaits its 200");
+        assert_eq!(e.calls.len(), in_flight, "call 1 still awaits its 200");
 
         let bye_ok1 = gen::response(StatusCode::OK, &bye1, Some("tt"), None);
         assert!(e.on_response(t(60), &bye_ok1).is_empty(), "no successor");
-        assert_eq!(e.in_flight(), in_flight - 1, "call 2 left the pool");
+        assert_eq!(e.calls.len(), in_flight - 1, "call 2 left the pool");
 
         let ok0 = gen::response(StatusCode::OK, &inv0, Some("tt"), None);
         let msgs = e.on_response(t(70), &ok0);
@@ -1153,7 +1152,7 @@ mod tests {
         let bye0 = parse_message(&msgs[1]).unwrap();
         let bye_ok0 = gen::response(StatusCode::OK, &bye0, Some("tt"), None);
         e.on_response(t(80), &bye_ok0);
-        assert_eq!(e.in_flight(), in_flight - 2);
+        assert_eq!(e.calls.len(), in_flight - 2);
         let s = c.stats.borrow();
         assert_eq!(s.invite_ok, 2);
         assert_eq!(s.bye_ok, 2);
@@ -1168,7 +1167,7 @@ mod tests {
         let (invites, _) = step_until_sent(&mut e, 2);
         let fast = parse_message(&invites[0]).unwrap();
         let slow = parse_message(&invites[1]).unwrap();
-        let in_flight = e.in_flight();
+        let in_flight = e.calls.len();
 
         // First call answered within budget, second well past it.
         let msgs = e.on_response(
@@ -1192,7 +1191,7 @@ mod tests {
             &gen::response(StatusCode::OK, &bye, Some("tt"), None),
         );
 
-        assert_eq!(e.in_flight(), in_flight - 2, "both calls ran to completion");
+        assert_eq!(e.calls.len(), in_flight - 2, "both calls ran to completion");
         let s = c.stats.borrow();
         assert_eq!(s.calls_late, 1);
         assert_eq!(s.invite_ok, 1, "only the in-budget call counts");

@@ -19,7 +19,7 @@ use siperf_sip::msg::Method;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::{RetransClock, TimerVerdict};
 
-use crate::phone::{callee_answer_timed, CallEngine, PhoneCfg, Role};
+use crate::phone::{callee_answer_timed, is_register_ok, CallEngine, PhoneCfg, Role};
 
 /// Which message-oriented transport the phone speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,9 +166,7 @@ impl MsgPhone {
         };
         match cont {
             Cont::RegPoll => {
-                let is_reg_ok = msg.status().is_some_and(|c| c.is_success())
-                    && msg.cseq_method == Method::Register;
-                if is_reg_ok {
+                if is_register_ok(&msg) {
                     self.cfg.stats.borrow_mut().register_ok += 1;
                     self.reg_clock = None;
                     match self.cfg.role {

@@ -17,11 +17,10 @@ use siperf_simnet::endpoint::Bytes;
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 use siperf_sip::framer::StreamFramer;
-use siperf_sip::msg::Method;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::TIMEOUT;
 
-use crate::phone::{callee_answer_timed, CallEngine, PhoneCfg, Role};
+use crate::phone::{callee_answer_timed, is_register_ok, CallEngine, PhoneCfg, Role};
 
 const RECV_CHUNK: usize = 16 * 1024;
 const CONNECT_BACKOFF: SimDuration = SimDuration::from_millis(100);
@@ -249,34 +248,25 @@ impl TcpPhone {
             let Ok(msg) = parse_message(&raw) else {
                 continue;
             };
+            if !self.registered {
+                if is_register_ok(&msg) {
+                    self.registered = true;
+                    self.cfg.stats.borrow_mut().register_ok += 1;
+                    if let Role::Caller(_) = self.cfg.role {
+                        self.phase = Phase::SleepingToStart;
+                        return Syscall::SleepUntil(self.cfg.call_start);
+                    }
+                }
+                continue;
+            }
             match self.cfg.role {
                 Role::Caller(_) => {
-                    if !self.registered {
-                        let is_reg_ok = msg.status().is_some_and(|c| c.is_success())
-                            && msg.cseq_method == Method::Register;
-                        if is_reg_ok {
-                            self.registered = true;
-                            self.cfg.stats.borrow_mut().register_ok += 1;
-                            self.phase = Phase::SleepingToStart;
-                            return Syscall::SleepUntil(self.cfg.call_start);
-                        }
-                        continue;
-                    }
                     let msgs = self.engine().on_response(now, &msg);
                     if let Some(connect) = self.send_to_proxy(msgs) {
                         return connect;
                     }
                 }
                 Role::Callee => {
-                    if !self.registered {
-                        let is_reg_ok = msg.status().is_some_and(|c| c.is_success())
-                            && msg.cseq_method == Method::Register;
-                        if is_reg_ok {
-                            self.registered = true;
-                            self.cfg.stats.borrow_mut().register_ok += 1;
-                        }
-                        continue;
-                    }
                     // Answer on the connection the request arrived on
                     // (RFC 3261 §18.2.2 for stream transports).
                     let answer = callee_answer_timed(&self.cfg.user, &msg, self.cfg.ring_delay);
