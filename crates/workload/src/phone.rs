@@ -260,7 +260,7 @@ impl CallEngine {
     /// callees to dial.
     pub fn new(cfg: &PhoneCfg, arrivals: &Arrivals, host: HostId) -> Self {
         let (peers, mean_gap_ns) = match arrivals {
-            Arrivals::Closed { peer } => (vec![peer.clone()], None),
+            Arrivals::Closed { peer } => (std::slice::from_ref(peer), None),
             Arrivals::Poisson { rate, callees } => {
                 assert!(
                     rate.is_finite() && *rate > 0.0,
@@ -270,14 +270,14 @@ impl CallEngine {
                     !callees.is_empty(),
                     "open-loop caller needs callees to dial"
                 );
-                (callees.clone(), Some(1e9 / rate))
+                (callees.as_slice(), Some(1e9 / rate))
             }
         };
         let mut engine = CallEngine {
             party: cfg.party(host),
             peers: peers
-                .into_iter()
-                .map(|user| CallParty::new(user, String::new()))
+                .iter()
+                .map(|user| CallParty::new(user.clone(), String::new()))
                 .collect(),
             mean_gap_ns,
             domain: cfg.domain.clone(),

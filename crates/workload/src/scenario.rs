@@ -182,23 +182,20 @@ impl Scenario {
         // Closed loop: caller/callee pairs. Open loop: `pairs` callees plus
         // one Poisson caller per client host; each pooled caller dials the
         // callees uniformly.
-        let spawn_sets: Vec<(usize, usize, Role)> = match self.arrival_rate {
-            Some(_) => (0..self.pairs).map(|i| (i, i, Role::Callee)).collect(),
+        let phones: Vec<(String, Role)> = match self.arrival_rate {
+            Some(_) => (0..self.pairs)
+                .map(|i| (format!("e{i}"), Role::Callee))
+                .collect(),
             None => (0..self.pairs)
                 .flat_map(|i| {
-                    let caller = Role::Caller(Arrivals::Closed {
-                        peer: format!("e{i}"),
-                    });
-                    [(2 * i, i, caller), (2 * i + 1, i, Role::Callee)]
+                    let peer = format!("e{i}");
+                    let caller = Role::Caller(Arrivals::Closed { peer: peer.clone() });
+                    [(format!("c{i}"), caller), (peer, Role::Callee)]
                 })
                 .collect(),
         };
-        for (idx, i, role) in spawn_sets {
+        for (idx, (user, role)) in phones.into_iter().enumerate() {
             let host = clients[idx % clients.len()];
-            let user = match role {
-                Role::Caller(_) => format!("c{i}"),
-                Role::Callee => format!("e{i}"),
-            };
             let start = call_start + SimDuration::from_nanos(rng.range_u64(0..20_000_000));
             let stagger = SimDuration::from_nanos(rng.range_u64(1..500_000_000));
             let seed = rng.next_u64();
