@@ -107,15 +107,24 @@ impl MsgPhone {
     }
 
     fn poll_for(&self, cont: Cont, now: SimTime) -> Syscall {
-        let next = match cont {
-            Cont::RegPoll => Some(self.reg_clock.as_ref().expect("registering").next_at()),
-            Cont::CallPoll => Some(self.engine.as_ref().expect("caller").next_wake())
-                .filter(|&t| t < SimTime::MAX),
-            Cont::ServePoll => self.delayed.front().map(|&(at, _, _)| at),
+        let timeout = match cont {
+            Cont::RegPoll => {
+                let next = self.reg_clock.as_ref().expect("registering").next_at();
+                Some(next.max(now) - now)
+            }
+            Cont::CallPoll => {
+                let next = self.engine.as_ref().expect("caller").next_wake();
+                if next == SimTime::MAX {
+                    None
+                } else {
+                    Some(next.max(now) - now)
+                }
+            }
+            Cont::ServePoll => self.delayed.front().map(|&(at, _, _)| at.max(now) - now),
         };
         Syscall::Poll {
             fds: vec![self.fd],
-            timeout: next.map(|at| at.max(now) - now),
+            timeout,
         }
     }
 

@@ -1,14 +1,14 @@
 //! Phone process for TCP.
 //!
 //! One process per phone, callee or caller with any
-//! [`crate::phone::Arrivals`]. TCP phones own real connections, exactly like the paper's benchmark
-//! (§4.3): every phone listens on its fixed port (so the proxy can open a
-//! connection *to* it when forwarding), keeps a client connection to the
-//! proxy for its own requests, **never closes connections**, and — in the
-//! non-persistent workloads — simply opens a fresh client connection after
-//! every 50 or 500 operations, abandoning the old one for the server's idle
-//! management to clean up. That abandonment is precisely what loads the
-//! §5.2 idle-scan path.
+//! [`crate::phone::Arrivals`]. TCP phones own real connections, exactly
+//! like the paper's benchmark (§4.3): every phone listens on its fixed
+//! port (so the proxy can open a connection *to* it when forwarding), keeps
+//! a client connection to the proxy for its own requests, **never closes
+//! connections**, and — in the non-persistent workloads — simply opens a
+//! fresh client connection after every 50 or 500 operations, abandoning
+//! the old one for the server's idle management to clean up. That
+//! abandonment is precisely what loads the §5.2 idle-scan path.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -103,19 +103,22 @@ impl TcpPhone {
     }
 
     fn poll_for(&self, cont: Cont, now: SimTime) -> Syscall {
-        let next = match cont {
-            Cont::Reg => Some(self.reg_deadline),
-            Cont::Call => Some(self.engine.as_ref().expect("caller").next_wake())
-                .filter(|&t| t < SimTime::MAX),
-            Cont::Serve => self.delayed.front().map(|&(at, _, _)| at),
+        let timeout = match cont {
+            Cont::Reg => Some(self.reg_deadline.max(now) - now),
+            Cont::Call => {
+                let next = self.engine.as_ref().expect("caller").next_wake();
+                if next == SimTime::MAX {
+                    None
+                } else {
+                    Some(next.max(now) - now)
+                }
+            }
+            Cont::Serve => self.delayed.front().map(|&(at, _, _)| at.max(now) - now),
         };
         let mut fds = Vec::with_capacity(2 + self.framers.len());
         fds.push(self.listener);
         fds.extend(self.framers.keys().copied());
-        Syscall::Poll {
-            fds,
-            timeout: next.map(|at| at.max(now) - now),
-        }
+        Syscall::Poll { fds, timeout }
     }
 
     fn park(&mut self, cont: Cont, now: SimTime) -> Syscall {
