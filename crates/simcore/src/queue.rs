@@ -6,6 +6,11 @@
 //! the same inputs must pop events in exactly the same order, which the
 //! monotone sequence number guarantees.
 //!
+//! [`EventQueue::retain`] drops events the owner knows are dead (for
+//! example, timers cancelled after they were scheduled). Survivors keep
+//! their `(time, seq)` keys, so they pop in exactly the order they would
+//! have popped had nothing been removed.
+//!
 //! # Examples
 //!
 //! ```
@@ -124,6 +129,15 @@ impl<E> EventQueue<E> {
     pub fn now(&self) -> SimTime {
         self.watermark
     }
+
+    /// Keeps only the events for which `keep` returns true.
+    ///
+    /// Survivors keep their time and FIFO position, so the pop order of
+    /// the remaining events is unchanged; the causality watermark does
+    /// not move. Runs in time linear in the queue length.
+    pub fn retain(&mut self, mut keep: impl FnMut(&E) -> bool) {
+        self.heap.retain(|entry| keep(&entry.event));
+    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -213,5 +227,52 @@ mod tests {
         };
         assert_eq!(run(), run());
         assert_eq!(run(), vec![100, 101, 200, 300]);
+    }
+
+    #[test]
+    fn retain_keeps_time_and_fifo_order_of_survivors() {
+        let mut q = EventQueue::new();
+        for i in 0..40 {
+            // Four instants, ten events each, scheduled out of time order.
+            q.schedule(SimTime::from_nanos(10 * (3 - i % 4)), i);
+        }
+        q.retain(|&e| e % 3 != 0);
+        let mut expected: Vec<(u64, u64)> = (0..40)
+            .filter(|e| e % 3 != 0)
+            .map(|e| (10 * (3 - e % 4), e))
+            .collect();
+        expected.sort();
+        assert_eq!(q.len(), expected.len());
+        let popped: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
+        assert_eq!(popped, expected);
+    }
+
+    #[test]
+    fn retain_leaves_the_watermark_alone() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 1);
+        q.schedule(SimTime::from_nanos(20), 2);
+        q.schedule(SimTime::from_nanos(30), 3);
+        q.pop();
+        q.retain(|&e| e == 3);
+        assert_eq!(q.now(), SimTime::from_nanos(10));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(30)));
+        q.retain(|_| false);
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::from_nanos(10));
+        // Scheduling before the watermark is still refused afterwards, and
+        // at the watermark still allowed.
+        q.schedule(SimTime::from_nanos(10), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 4)));
+    }
+
+    #[test]
+    fn retain_on_an_empty_queue_is_a_no_op() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.retain(|_| panic!("no event to ask about"));
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.peek_time(), None);
     }
 }

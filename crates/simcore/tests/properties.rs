@@ -36,6 +36,53 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
+    /// Any interleaving of schedule, pop and retain pops exactly what a
+    /// sorted reference list of `(at, seq, event)` pops when the same
+    /// entries are filtered out of it; retain never moves the watermark.
+    #[test]
+    fn event_queue_retain_matches_sorted_model(ops in proptest::collection::vec((0u8..4, 0u64..50, 2u64..6), 1..400)) {
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        for (op, a, m) in ops {
+            match op {
+                // Schedule twice as often as anything else so queues grow.
+                0 | 1 => {
+                    let event = seq * 31 + a;
+                    q.schedule(SimTime::from_nanos(now + a), event);
+                    model.push((now + a, seq, event));
+                    seq += 1;
+                }
+                2 => {
+                    model.sort_unstable();
+                    let expected = (!model.is_empty()).then(|| model.remove(0));
+                    let popped = q.pop();
+                    prop_assert_eq!(
+                        popped.map(|(t, e)| (t.as_nanos(), e)),
+                        expected.map(|(t, _, e)| (t, e))
+                    );
+                    if let Some((t, _, _)) = expected {
+                        now = t;
+                    }
+                }
+                _ => {
+                    let keep = |e: &u64| e % m != a % m;
+                    q.retain(keep);
+                    model.retain(|(_, _, e)| keep(e));
+                    prop_assert_eq!(q.now().as_nanos(), now);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        model.sort_unstable();
+        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.as_nanos(), e))
+            .collect();
+        let expected: Vec<(u64, u64)> = model.iter().map(|&(t, _, e)| (t, e)).collect();
+        prop_assert_eq!(rest, expected);
+    }
+
     /// The arena behaves exactly like a map from issued handles to values,
     /// with stale handles never resolving.
     #[test]
