@@ -36,16 +36,20 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Any interleaving of schedule, pop and retain pops exactly what a
-    /// sorted reference list of `(at, seq, event)` pops when the same
-    /// entries are filtered out of it; retain never moves the watermark.
+    /// Any interleaving of schedule, slot schedule, slot clear, pop and
+    /// retain pops exactly what a sorted reference list of
+    /// `(at, seq, event)` pops when the same entries are filtered out of
+    /// it; retain never moves the watermark.
     #[test]
-    fn event_queue_retain_matches_sorted_model(ops in proptest::collection::vec((0u8..4, 0u64..50, 2u64..6), 1..400)) {
+    fn event_queue_retain_matches_sorted_model(ops in proptest::collection::vec((0u8..6, 0u64..50, 2u64..6), 1..400)) {
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        // The sequence number of the model entry each slot holds.
+        let mut slots: [Option<u64>; 4] = [None; 4];
         let mut now = 0u64;
         let mut seq = 0u64;
         for (op, a, m) in ops {
+            let slot = (m - 2) as usize;
             match op {
                 // Schedule twice as often as anything else so queues grow.
                 0 | 1 => {
@@ -62,15 +66,35 @@ proptest! {
                         popped.map(|(t, e)| (t.as_nanos(), e)),
                         expected.map(|(t, _, e)| (t, e))
                     );
-                    if let Some((t, _, _)) = expected {
+                    if let Some((t, s, _)) = expected {
                         now = t;
+                        slots.iter_mut().filter(|h| **h == Some(s)).for_each(|h| *h = None);
                     }
                 }
-                _ => {
+                3 => {
                     let keep = |e: &u64| e % m != a % m;
                     q.retain(keep);
                     model.retain(|(_, _, e)| keep(e));
+                    for held in &mut slots {
+                        if held.is_some_and(|s| !model.iter().any(|&(_, ms, _)| ms == s)) {
+                            *held = None;
+                        }
+                    }
                     prop_assert_eq!(q.now().as_nanos(), now);
+                }
+                4 if slots[slot].is_none() => {
+                    let event = seq * 31 + a;
+                    q.schedule_slot(slot, SimTime::from_nanos(now + a), event);
+                    model.push((now + a, seq, event));
+                    slots[slot] = Some(seq);
+                    seq += 1;
+                }
+                _ => {
+                    let expected = slots[slot].take().map(|s| {
+                        let i = model.iter().position(|&(_, ms, _)| ms == s).expect("held");
+                        model.remove(i).2
+                    });
+                    prop_assert_eq!(q.clear_slot(slot), expected);
                 }
             }
             prop_assert_eq!(q.len(), model.len());

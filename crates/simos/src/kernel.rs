@@ -120,12 +120,13 @@ struct ProcEntry {
     pending: Pending,
     remaining_ns: u64,
     burst_tag: &'static str,
-    /// Cancellation token for this process's `Burst`/`Timer` events. It
-    /// is bumped whenever a burst starts, a burst is preempted, the
-    /// process wakes, arms a timer or is killed, and it never decreases.
-    /// A queued event is live only while its token equals this one, so an
-    /// event that stops matching can never match again: that is what lets
-    /// `Kernel::compact_queue` drop it without changing any outcome.
+    /// Cancellation token for this process's `Timer` events. It is bumped
+    /// whenever the process wakes, arms a timer or is killed, and it never
+    /// decreases. A queued timer is live only while its token equals this
+    /// one, so a timer that stops matching can never match again: that is
+    /// what lets `Kernel::compact_queue` drop it without changing any
+    /// outcome. (Bursts need no token: a burst sits in its core's queue
+    /// slot, which preemption and `kill` clear.)
     token: u64,
     quantum_left: u64,
     cpu_ns: u64,
@@ -160,9 +161,10 @@ impl HostSched {
 /// Below this length the event queue is never compacted.
 const COMPACT_FLOOR: usize = 4096;
 
-/// Kernel events on the global queue.
+/// Kernel events on the global queue. A `Burst` always sits in the queue
+/// slot of the core it runs on, never in the heap.
 enum KEvent {
-    Burst { pid: ProcId, token: u64 },
+    Burst { pid: ProcId },
     Timer { pid: ProcId, token: u64 },
     Net(NetEvent),
 }
@@ -175,12 +177,13 @@ pub enum RunOutcome {
     /// The event queue drained: nothing can ever happen again (all
     /// processes exited, blocked, or deadlocked).
     ///
-    /// Cancelled bursts and timers may still sit in the queue until their
-    /// instant (the kernel drops them in bulk only once the queue is
-    /// large), so `last_event` can be a dead event's instant, and a dead
-    /// event beyond the deadline turns this into [`RunOutcome::ReachedTime`].
-    /// No simulated result depends on it: a dead event does nothing when
-    /// it pops.
+    /// Cancelled timers may still sit in the queue until their instant
+    /// (the kernel drops them in bulk only once the queue is large), so
+    /// `last_event` can be a dead timer's instant, and a dead timer beyond
+    /// the deadline turns this into [`RunOutcome::ReachedTime`]. No
+    /// simulated result depends on it: a dead timer does nothing when it
+    /// pops. Cancelled bursts never linger: preemption and `kill` remove
+    /// them from the queue at once.
     Quiescent {
         /// When the last event ran.
         last_event: SimTime,
@@ -209,6 +212,9 @@ pub struct Kernel {
     now: SimTime,
     procs: Vec<ProcEntry>,
     scheds: Vec<HostSched>,
+    /// Queue slot of each host's core 0; core `c` bursts in slot
+    /// `slot_base[host] + c`.
+    slot_base: Vec<usize>,
     chans: Vec<Channel<FdKind>>,
     chan_attach: HashMap<(ChanId, Side), Vec<ProcId>>,
     locks: Vec<Lock>,
@@ -234,6 +240,7 @@ impl Kernel {
             now: SimTime::ZERO,
             procs: Vec::new(),
             scheds: Vec::new(),
+            slot_base: Vec::new(),
             chans: Vec::new(),
             chan_attach: HashMap::new(),
             locks: Vec::new(),
@@ -255,6 +262,8 @@ impl Kernel {
     pub fn add_host(&mut self, cores: usize) -> HostId {
         assert!(cores > 0, "a host needs at least one core");
         let id = self.net.add_host();
+        let base = self.scheds.iter().map(|s| s.cores.len()).sum();
+        self.slot_base.push(base);
         self.scheds.push(HostSched {
             cores: vec![None; cores],
             last_on_core: vec![None; cores],
@@ -401,6 +410,7 @@ impl Kernel {
                     e.cpu_ns += elapsed;
                     (e.host, e.burst_tag)
                 };
+                self.queue.clear_slot(self.slot(host, core));
                 self.scheds[host.0 as usize].cores[core] = None;
                 self.scheds[host.0 as usize].busy_ns += elapsed;
                 self.profilers[host.0 as usize].record(tag, elapsed);
@@ -418,7 +428,7 @@ impl Kernel {
             // re-check that the process is still validly blocked.
             ProcState::Blocked(_) => {}
         }
-        self.procs[pid.0 as usize].token += 1; // cancels burst/timer events
+        self.procs[pid.0 as usize].token += 1; // cancels any pending timer
         for lock in &mut self.locks {
             lock.force_release(pid);
         }
@@ -521,11 +531,13 @@ impl Kernel {
 
     /// Detects a cycle of processes blocked on each other's IPC channels —
     /// the §6 supervisor/worker deadlock. Returns the processes in one
-    /// cycle if found.
+    /// cycle if found, starting at the cycle's lowest pid. The search
+    /// visits processes in pid order, so the same kernel state always
+    /// reports the same cycle.
     pub fn find_ipc_deadlock(&self) -> Option<Vec<ProcId>> {
         // Wait-for edges: a process blocked on a channel operation waits for
         // every process attached to the other side.
-        let mut edges: HashMap<ProcId, Vec<ProcId>> = HashMap::new();
+        let mut edges: BTreeMap<ProcId, Vec<ProcId>> = BTreeMap::new();
         for (i, p) in self.procs.iter().enumerate() {
             let pid = ProcId(i as u32);
             let (chan, side) = match &p.state {
@@ -543,7 +555,7 @@ impl Kernel {
         // DFS cycle detection restricted to IPC-blocked processes.
         fn dfs(
             node: ProcId,
-            edges: &HashMap<ProcId, Vec<ProcId>>,
+            edges: &BTreeMap<ProcId, Vec<ProcId>>,
             visiting: &mut Vec<ProcId>,
             done: &mut Vec<ProcId>,
         ) -> Option<Vec<ProcId>> {
@@ -567,14 +579,13 @@ impl Kernel {
             done.push(node);
             None
         }
-        let nodes: Vec<ProcId> = edges.keys().copied().collect();
         let mut done = Vec::new();
-        for node in nodes {
-            if let Some(cycle) = dfs(node, &edges, &mut Vec::new(), &mut done) {
-                return Some(cycle);
-            }
-        }
-        None
+        let mut cycle = edges
+            .keys()
+            .find_map(|&node| dfs(node, &edges, &mut Vec::new(), &mut done))?;
+        let lowest = (0..cycle.len()).min_by_key(|&i| cycle[i])?;
+        cycle.rotate_left(lowest);
+        Some(cycle)
     }
 
     // ------------------------------------------------------------ running
@@ -594,7 +605,7 @@ impl Kernel {
             let (t, ev) = self.queue.pop().expect("peeked");
             self.now = t;
             match ev {
-                KEvent::Burst { pid, token } => self.on_burst(pid, token),
+                KEvent::Burst { pid } => self.on_burst(pid),
                 KEvent::Timer { pid, token } => self.on_timer(pid, token),
                 KEvent::Net(nev) => {
                     self.net.handle_event(t, nev);
@@ -675,9 +686,9 @@ impl Kernel {
         let remaining = (end - self.now).as_nanos();
         e.remaining_ns = remaining.max(self.cost.compute_min);
         e.cpu_ns += elapsed;
-        e.token += 1; // cancels the in-flight burst event
         let host = e.host;
         let tag = e.burst_tag;
+        self.queue.clear_slot(self.slot(host, core));
         self.scheds[host.0 as usize].cores[core] = None;
         self.scheds[host.0 as usize].busy_ns += elapsed;
         self.profilers[host.0 as usize].record(tag, elapsed);
@@ -701,8 +712,6 @@ impl Kernel {
             e.quantum_left = quantum;
         }
         let burst = e.remaining_ns + cs;
-        e.token += 1;
-        let token = e.token;
         let end = self.now + SimDuration::from_nanos(burst);
         e.state = ProcState::Running {
             core,
@@ -712,22 +721,25 @@ impl Kernel {
         let sched = &mut self.scheds[host.0 as usize];
         sched.cores[core] = Some(pid);
         sched.last_on_core[core] = Some(pid);
-        self.queue.schedule(end, KEvent::Burst { pid, token });
+        let slot = self.slot(host, core);
+        self.queue.schedule_slot(slot, end, KEvent::Burst { pid });
     }
 
-    fn on_burst(&mut self, pid: ProcId, token: u64) {
-        {
-            let e = &self.procs[pid.0 as usize];
-            if e.token != token {
-                return; // cancelled by preemption or wake
-            }
-        }
+    /// The queue slot of `core` on `host`.
+    fn slot(&self, host: HostId, core: usize) -> usize {
+        self.slot_base[host.0 as usize] + core
+    }
+
+    fn on_burst(&mut self, pid: ProcId) {
         let (host, core, elapsed, tag) = {
             let e = &mut self.procs[pid.0 as usize];
             let ProcState::Running { core, end, start } = e.state else {
-                return;
+                panic!("burst for {pid:?} found it {:?}, not running", e.state);
             };
-            debug_assert_eq!(end, self.now, "burst completing off-schedule");
+            debug_assert!(
+                end == self.now && self.scheds[e.host.0 as usize].cores[core] == Some(pid),
+                "burst for {pid:?} completing off-schedule or off its core"
+            );
             let elapsed = (self.now - start).as_nanos();
             e.cpu_ns += elapsed;
             e.quantum_left = e.quantum_left.saturating_sub(elapsed);
@@ -780,16 +792,13 @@ impl Kernel {
         }
     }
 
-    /// Drops every `Burst`/`Timer` event whose token is stale. Tokens only
-    /// grow, so none of them could have fired; live events keep their pop
-    /// order.
+    /// Drops every `Timer` event whose token is stale. Tokens only grow, so
+    /// none of them could have fired; live events keep their pop order.
     fn compact_queue(&mut self) {
         let procs = &self.procs;
         self.queue.retain(|ev| match *ev {
-            KEvent::Burst { pid, token } | KEvent::Timer { pid, token } => {
-                procs[pid.0 as usize].token == token
-            }
-            KEvent::Net(_) => true,
+            KEvent::Timer { pid, token } => procs[pid.0 as usize].token == token,
+            KEvent::Burst { .. } | KEvent::Net(_) => true,
         });
         self.compact_at = COMPACT_FLOOR.max(2 * self.queue.len());
     }
@@ -1438,7 +1447,8 @@ impl std::fmt::Debug for Kernel {
 
 #[cfg(test)]
 mod tests {
-    //! Queue compaction, checked against the queue's real length.
+    //! Queue compaction, checked against the queue's real length, and
+    //! bursts in their cores' queue slots.
 
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1456,6 +1466,10 @@ mod tests {
 
     fn ms(n: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    fn us(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(n)
     }
 
     /// A kernel with jitter-free links, so arrival instants are exact.
@@ -1634,5 +1648,144 @@ mod tests {
             "woke at {woke:?}"
         );
         assert!(!k.alive(survivor));
+    }
+
+    /// Resume instants a process saw, with a label.
+    type Log = Rc<RefCell<Vec<(&'static str, SimTime)>>>;
+
+    /// Spawns a process that logs `label` at each resume: it computes for
+    /// `ns` first, then exits.
+    fn spawn_computer(
+        k: &mut Kernel,
+        host: HostId,
+        nice: Nice,
+        ns: u64,
+        label: &'static str,
+        log: &Log,
+    ) -> ProcId {
+        let log = log.clone();
+        k.spawn(
+            host,
+            nice,
+            label,
+            Box::new(move |ctx: &mut ResumeCtx, last: SysResult| {
+                log.borrow_mut().push((label, ctx.now));
+                match last {
+                    SysResult::Start => Syscall::Compute {
+                        ns,
+                        tag: "user/work",
+                    },
+                    _ => Syscall::Exit,
+                }
+            }),
+        )
+    }
+
+    #[test]
+    fn a_process_killed_mid_burst_never_resumes() {
+        let ns = SimDuration::from_nanos;
+        let mut k = exact_kernel();
+        let h = k.add_host(1);
+        let log = Log::default();
+        // A 10 ns spawn burst plus a 10 ns context switch, then 1 ms of
+        // work: the burst would end at 1 ms + 20 ns.
+        let doomed = spawn_computer(&mut k, h, Nice::NORMAL, 1_000_000, "doomed", &log);
+        k.run_until(us(500));
+        assert!(k.kill(doomed));
+        assert_eq!(k.queue.len(), 0, "the killed burst leaves its slot");
+
+        // The heir takes the freed core: spawn and switch (20 ns), then
+        // 2 µs of work straight on, with no second switch.
+        spawn_computer(&mut k, h, Nice::NORMAL, 2_000, "heir", &log);
+        let outcome = k.run_until(ms(2));
+        let heir_done = us(502) + ns(20);
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("doomed", SimTime::ZERO + ns(20)),
+                ("heir", us(500) + ns(20)),
+                ("heir", heir_done),
+            ]
+        );
+        assert_eq!(
+            outcome,
+            RunOutcome::Quiescent {
+                last_event: heir_done
+            }
+        );
+        assert_eq!(k.proc_cpu_ns(doomed), 500_000);
+    }
+
+    #[test]
+    fn a_burst_ending_with_an_earlier_scheduled_arrival_runs_after_it() {
+        let ns = SimDuration::from_nanos;
+        let mut k = exact_kernel();
+        let h = k.add_host(1);
+        let peer = k.add_host(1);
+        let log = Log::default();
+        let recv_log = log.clone();
+        // A high-priority receiver blocks in `UdpRecv` long before 1 ms.
+        k.spawn(
+            h,
+            Nice::HIGHEST,
+            "receiver",
+            Box::new(move |ctx: &mut ResumeCtx, last: SysResult| match last {
+                SysResult::Start => Syscall::UdpBind { port: 5060 },
+                SysResult::NewFd(fd) => Syscall::UdpRecv { fd },
+                SysResult::Datagram { .. } => {
+                    recv_log.borrow_mut().push(("receiver", ctx.now));
+                    Syscall::Exit
+                }
+                other => panic!("receiver got {other:?}"),
+            }),
+        );
+        k.run_until(ms(1));
+        // The datagram is queued first and lands at 1 ms + 60 µs; the
+        // computer's burst, queued after it, ends at the same instant
+        // (20 ns of spawn and switch, then the rest as work).
+        let from = k.net.udp_bind(peer, 7000).expect("bind");
+        let now = k.now;
+        k.net
+            .udp_send(now, from, SockAddr::new(h, 5060), bytes_from(vec![1]))
+            .expect("send");
+        k.drain_net();
+        let arrival = ms(1) + SimDuration::from_micros(60);
+        spawn_computer(&mut k, h, Nice::NORMAL, 60_000 - 20, "computer", &log);
+        k.run_until(ms(2));
+        // The arrival runs first: the receiver wakes and preempts the
+        // computer, whose finished burst leaves a minimum 10 ns remainder.
+        // Wake plus switch cost 20 ns; the computer then pays its
+        // remainder and a switch back.
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("computer", ms(1) + ns(20)),
+                ("receiver", arrival + ns(20)),
+                ("computer", arrival + ns(40)),
+            ]
+        );
+        assert_eq!(k.stats().preemptions, 1);
+    }
+
+    #[test]
+    fn a_dead_burst_does_not_hold_the_run_open() {
+        let mut k = exact_kernel();
+        let h = k.add_host(1);
+        let other = k.add_host(1);
+        let log = Log::default();
+        let doomed = spawn_computer(&mut k, h, Nice::NORMAL, 1_000_000, "doomed", &log);
+        let (_, woke) = spawn_sleeper(&mut k, other, 6000, Syscall::SleepUntil(us(600)));
+        k.run_until(us(500));
+        assert!(k.kill(doomed));
+        // The killed burst would have ended at 1 ms + 20 ns, past the
+        // deadline; the last live event is the sleeper's exit after its
+        // 10 ns wake burst.
+        let last = us(600) + SimDuration::from_nanos(10);
+        assert_eq!(
+            k.run_until(us(800)),
+            RunOutcome::Quiescent { last_event: last }
+        );
+        assert_eq!(*woke.borrow(), Some(last));
+        assert_eq!(log.borrow().len(), 1, "the doomed process resumed once");
     }
 }

@@ -5,14 +5,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use siperf_simcore::time::{SimDuration, SimTime};
-use siperf_simnet::addr::SockAddr;
+use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_simnet::endpoint::bytes_from;
 use siperf_simnet::NetConfig;
 
 use crate::cost::CostModel;
-use crate::ipc::Side;
+use crate::ipc::{ChanId, Side};
 use crate::kernel::{Kernel, RunOutcome};
-use crate::process::{Nice, ResumeCtx};
+use crate::process::{Nice, ProcId, ResumeCtx};
 use crate::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
 fn secs(s: u64) -> SimTime {
@@ -531,6 +531,33 @@ fn bounded_ipc_blocks_sender_until_drained() {
     assert_eq!(*drained.borrow(), 5);
 }
 
+/// Spawns a process that attaches to `side` of `chan` and sends forever
+/// without receiving: once its direction is full, it blocks.
+fn spawn_stuck_sender(k: &mut Kernel, h: HostId, chan: ChanId, side: Side) -> ProcId {
+    let mut step = 0;
+    let mut fd = Fd(0);
+    k.spawn(
+        h,
+        Nice::NORMAL,
+        format!("peer-{chan:?}-{side:?}"),
+        Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+            step += 1;
+            match step {
+                1 => Syscall::IpcAttach { chan, side },
+                _ => {
+                    if step == 2 {
+                        fd = last.expect_fd();
+                    }
+                    Syscall::IpcSend {
+                        fd,
+                        msg: IpcMsg::new(step, 0, 0),
+                    }
+                }
+            }
+        }),
+    )
+}
+
 #[test]
 fn ipc_deadlock_is_detected() {
     let mut k = free_kernel();
@@ -540,28 +567,7 @@ fn ipc_deadlock_is_detected() {
     // Both sides fill their direction and then block on a second send;
     // neither ever receives: the §6 supervisor/worker deadlock in miniature.
     for side in [Side::A, Side::B] {
-        let mut step = 0;
-        let mut fd = Fd(0);
-        k.spawn(
-            h,
-            Nice::NORMAL,
-            format!("peer-{side:?}"),
-            Box::new(move |_: &mut ResumeCtx, last: SysResult| {
-                step += 1;
-                match step {
-                    1 => Syscall::IpcAttach { chan, side },
-                    _ => {
-                        if step == 2 {
-                            fd = last.expect_fd();
-                        }
-                        Syscall::IpcSend {
-                            fd,
-                            msg: IpcMsg::new(step, 0, 0),
-                        }
-                    }
-                }
-            }),
-        );
+        spawn_stuck_sender(&mut k, h, chan, side);
     }
 
     let outcome = k.run_until(secs(1));
@@ -569,6 +575,27 @@ fn ipc_deadlock_is_detected() {
     let cycle = k.find_ipc_deadlock().expect("deadlock should be detected");
     assert_eq!(cycle.len(), 2);
     assert_eq!(k.blocked_summary().len(), 2);
+}
+
+#[test]
+fn ipc_deadlock_report_is_deterministic() {
+    let mut k = free_kernel();
+    let h = k.add_host(2);
+    let first = k.create_ipc_pair(1);
+    let second = k.create_ipc_pair(1);
+    // Two disjoint deadlocks with interleaved pids: {0, 2} and {1, 3}.
+    let pids = [
+        spawn_stuck_sender(&mut k, h, first, Side::B),
+        spawn_stuck_sender(&mut k, h, second, Side::A),
+        spawn_stuck_sender(&mut k, h, first, Side::A),
+        spawn_stuck_sender(&mut k, h, second, Side::B),
+    ];
+    assert!(matches!(k.run_until(secs(1)), RunOutcome::Quiescent { .. }));
+    assert_eq!(k.blocked_summary().len(), 4);
+    // The lowest pid's cycle, starting at that pid, on every call.
+    for _ in 0..20 {
+        assert_eq!(k.find_ipc_deadlock(), Some(vec![pids[0], pids[2]]));
+    }
 }
 
 #[test]
