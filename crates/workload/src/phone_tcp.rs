@@ -118,6 +118,9 @@ impl TcpPhone {
         let mut fds = Vec::with_capacity(2 + self.framers.len());
         fds.push(self.listener);
         fds.extend(self.framers.keys().copied());
+        // Poll order decides which ready connection is served first; sort
+        // so it does not depend on HashMap iteration order.
+        fds[1..].sort_unstable();
         Syscall::Poll { fds, timeout }
     }
 
