@@ -9,13 +9,13 @@
 
 use siperf::faults::{Fault, FaultSchedule};
 use siperf::overload::OverloadConfig;
-use siperf::proxy::config::{Arch, ProxyConfig, Transport};
+use siperf::proxy::config::{Arch, IdleStrategy, ProxyConfig, Transport};
 use siperf::simcore::time::SimDuration;
 use siperf::simnet::HostId;
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 9] = [
+const GOLDEN: [(&str, u64); 12] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -25,6 +25,9 @@ const GOLDEN: [(&str, u64); 9] = [
     ("udp-cancel", 0xe2ab_5f37_80fe_ed11),
     ("tcp-reset", 0xe876_ef4c_4bc8_1be5),
     ("open-loop-tcp", 0x7ad8_423a_607d_0341),
+    ("tcp-idle-expiry", 0x9cdf_c617_9150_5871),
+    ("threaded-linear-expiry", 0x971c_b0c5_32e2_d03f),
+    ("sctp-kill-worker", 0x320d_2111_222e_42f7),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -49,6 +52,16 @@ fn scenario(name: &str) -> Scenario {
         ProxyConfig::paper(Transport::Tcp)
             .with_fd_cache()
             .with_priority_queue()
+    };
+    // A short idle timeout, so connections expire inside the call phase:
+    // worker return, supervisor destroy and outbound connects all run.
+    // (100 ms would idle everything out before the first call.)
+    let expiring = |arch| {
+        let mut proxy = ProxyConfig::paper(Transport::Tcp);
+        proxy.arch = arch;
+        proxy.idle_strategy = IdleStrategy::LinearScan;
+        proxy.idle_timeout = SimDuration::from_millis(250);
+        proxy
     };
     let b = Scenario::builder(name);
     short(match name {
@@ -95,6 +108,21 @@ fn scenario(name: &str) -> Scenario {
             .client_pairs(20)
             .arrival_rate(8_000.0)
             .setup_deadline(SimDuration::from_millis(200)),
+        "tcp-idle-expiry" => b
+            .proxy(expiring(Arch::MultiProcess))
+            .client_pairs(10)
+            .ops_per_conn(3),
+        "threaded-linear-expiry" => b
+            .proxy(expiring(Arch::MultiThread))
+            .client_pairs(10)
+            .ops_per_conn(3),
+        "sctp-kill-worker" => b
+            .transport(Transport::Sctp)
+            .client_pairs(10)
+            .fault_schedule(FaultSchedule::new().at(
+                SimDuration::from_millis(800),
+                Fault::KillWorker { index: 1 },
+            )),
         other => panic!("no golden scenario named {other}"),
     })
 }
@@ -112,6 +140,13 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
             "udp-cancel" => p.cancels_relayed > 0,
             "tcp-reset" => r.recovered_calls > 0 && r.workers_respawned > 0,
             "open-loop-tcp" => r.open_calls_peak > 1,
+            "tcp-idle-expiry" => {
+                p.conns_returned > 0 && p.conns_destroyed > 0 && p.outbound_connects > 0
+            }
+            "threaded-linear-expiry" => {
+                p.conns_destroyed > 0 && p.outbound_connects > 0 && p.fd_requests == 0
+            }
+            "sctp-kill-worker" => r.workers_respawned > 0,
             _ => true,
         }
 }
