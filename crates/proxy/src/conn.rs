@@ -170,18 +170,18 @@ impl ConnTable {
         }
     }
 
-    /// Connections currently owned (not yet returned) by `worker`, in id
-    /// order — the supervisor uses this to re-assign a respawned worker's
-    /// orphaned connections deterministically.
-    pub fn owned_by(&self, worker: usize) -> Vec<ConnId> {
-        let mut ids: Vec<ConnId> = self
+    /// Connections currently owned (not yet returned) by `worker`, with
+    /// their peers, in id order — a manager uses this to re-announce a
+    /// respawned worker's orphaned connections deterministically.
+    pub fn owned_by(&self, worker: usize) -> Vec<(ConnId, SockAddr)> {
+        let mut owned: Vec<_> = self
             .by_id
             .values()
             .filter(|o| o.owner == worker && o.returned_at.is_none())
-            .map(|o| o.id)
+            .map(|o| (o.id, o.peer))
             .collect();
-        ids.sort();
-        ids
+        owned.sort();
+        owned
     }
 
     /// Destroys a connection object.

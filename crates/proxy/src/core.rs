@@ -263,11 +263,6 @@ impl ProxyCore {
         self.registrar.get(user).map(|b| b.contact)
     }
 
-    /// Looks up a user's full binding.
-    pub fn binding_of(&self, user: &str) -> Option<Binding> {
-        self.registrar.get(user).copied()
-    }
-
     fn fresh_branch(&mut self) -> String {
         let n = self.next_branch;
         self.next_branch += 1;

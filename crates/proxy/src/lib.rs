@@ -4,17 +4,20 @@
 //! §3 of *"Explaining the Impact of Network Transport Protocols on SIP
 //! Proxy Performance"* (ISPASS 2008), running on the simulated kernel.
 //!
-//! Three transports, two architectures, and the paper's two fixes:
+//! Three transports, two architectures, and the paper's two fixes — run
+//! by two kinds of worker:
 //!
-//! * [`udp`] — symmetric worker processes on one inherited socket (§3.2).
-//! * [`tcp`] — the supervisor/worker architecture: descriptor ownership,
-//!   blocking fd-request IPC, close-after-send, and the two-step idle
-//!   shutdown (§3.1) — plus the §5.2 **fd cache** and §5.3 **priority
-//!   queue** fixes, both off by default (the Figure 3 baseline).
-//! * [`sctp`] — the §6 alternative: UDP's architecture on a reliable,
-//!   kernel-managed, message-oriented transport.
-//! * [`threaded`] — the §6 multi-threaded proposal: shared descriptor
-//!   table, no fd-passing IPC.
+//! * [`datagram`] — the symmetric worker processes of UDP (§3.2) and SCTP
+//!   (§6): one inherited socket, no connection management.
+//! * [`stream`] — the TCP connection worker, shared by both TCP
+//!   architectures and generic over how it reaches a descriptor:
+//!   * [`tcp`] — the supervisor/worker architecture: descriptor
+//!     ownership, blocking fd-request IPC, close-after-send, and the
+//!     two-step idle shutdown (§3.1) — plus the §5.2 **fd cache** and §5.3
+//!     **priority queue** fixes, both off by default (the Figure 3
+//!     baseline).
+//!   * [`threaded`] — the §6 multi-threaded proposal: shared descriptor
+//!     table, no fd-passing IPC.
 //! * [`timer`] — the retransmission/reaping process (essential for UDP,
 //!   superfluous-but-present for TCP, as the paper notes).
 //! * [`core`] — the pure routing/transaction engine all modes share.
@@ -42,13 +45,13 @@
 pub mod config;
 pub mod conn;
 pub mod core;
+pub mod datagram;
 pub mod plumbing;
-pub mod sctp;
 pub mod spawn;
+pub mod stream;
 pub mod tcp;
 pub mod threaded;
 pub mod timer;
-pub mod udp;
 pub mod util;
 
 pub use config::{AppCostModel, Arch, IdleStrategy, ProxyConfig, Transport};

@@ -12,13 +12,19 @@
 //! mutation happens a few virtual microseconds earlier than the lock
 //! window it is charged under.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
+use siperf_simcore::time::SimTime;
+use siperf_simnet::SockAddr;
 use siperf_simos::lock::LockId;
-use siperf_simos::syscall::Syscall;
+use siperf_simos::syscall::{Fd, IpcMsg, Syscall};
+use siperf_sip::parse::parse_message;
 
-use crate::config::{AppCostModel, Transport};
-use crate::core::Plan;
+use crate::config::{AppCostModel, IdleStrategy, ProxyConfig, Transport};
+use crate::conn::{ConnId, ConnTable, IdleHunt};
+use crate::core::{FastAdmission, Outgoing, Plan, ProxyCore};
 
 /// The proxy's shared-memory locks, created once at spawn time.
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +68,167 @@ pub mod tags {
     pub const FD_CACHE: &str = "user/fd_cache_lookup";
 }
 
+/// Charges `ns` of work under `lock`: one acquire → `Compute` → release.
+pub fn locked(script: &mut VecDeque<Syscall>, lock: LockId, ns: u64, tag: &'static str) {
+    script.push_back(Syscall::LockAcquire { lock });
+    script.push_back(Syscall::Compute { ns, tag });
+    script.push_back(Syscall::LockRelease { lock });
+}
+
+/// Out-of-band notifications from the spawner's fault-injection path to the
+/// connection manager (the supervisor or the acceptor), delivered through
+/// shared memory: the manager observes `SIGCHLD`-style events on its next
+/// loop pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ManagerCtl {
+    /// Worker `idx` was killed and respawned; its owned connections must be
+    /// re-announced to the replacement.
+    WorkerRespawned(usize),
+}
+
+/// State shared by every process of a proxy. Under UDP/SCTP the
+/// connection table stays empty and no crash notice has a reader.
+#[derive(Clone)]
+pub struct ConnShared {
+    /// Routing engine + stats.
+    pub core: Rc<RefCell<ProxyCore>>,
+    /// The shared connection table.
+    pub conns: Rc<RefCell<ConnTable>>,
+    /// Proxy configuration.
+    pub cfg: Rc<ProxyConfig>,
+    /// The shared-memory locks.
+    pub locks: Locks,
+    /// Crash/respawn notifications for the connection manager.
+    pub ctl: Rc<RefCell<VecDeque<ManagerCtl>>>,
+}
+
+impl ConnShared {
+    /// Charges one connection-table operation under the table lock.
+    pub fn table_op(&self, script: &mut VecDeque<Syscall>) {
+        let ns = self.cfg.app_costs.conn_table_op;
+        locked(script, self.locks.conn, ns, tags::CONN_HASH);
+    }
+
+    /// Records a connection accepted from `peer`, owned by the next of
+    /// `workers` round robin, and charges the table operation; returns the
+    /// owner and the connection.
+    pub fn accept(
+        &self,
+        script: &mut VecDeque<Syscall>,
+        now: SimTime,
+        peer: SockAddr,
+        rr: &mut usize,
+        workers: usize,
+    ) -> (usize, ConnId) {
+        let worker = *rr % workers;
+        *rr += 1;
+        let timeout = self.cfg.idle_timeout;
+        let id = self.conns.borrow_mut().insert(now, peer, worker, timeout);
+        self.core.borrow_mut().stats.conns_assigned += 1;
+        self.table_op(script);
+        (worker, id)
+    }
+
+    /// The next crash notification for the manager, if any.
+    pub fn next_ctl(&self) -> Option<ManagerCtl> {
+        self.ctl.borrow_mut().pop_front()
+    }
+
+    /// Runs one manager-side idle hunt over the whole table with the
+    /// configured strategy, and returns it with the CPU it costs under the
+    /// table lock (§5.2: "a lock is held on the shared hash table
+    /// throughout").
+    pub fn idle_hunt(&self, now: SimTime) -> (IdleHunt, u64) {
+        let timeout = self.cfg.idle_timeout;
+        let costs = &self.cfg.app_costs;
+        let mut conns = self.conns.borrow_mut();
+        let (hunt, ns) = match self.cfg.idle_strategy {
+            IdleStrategy::LinearScan => {
+                let hunt = conns.hunt_linear(now, timeout);
+                let ns = costs.idle_scan_entry * hunt.examined.max(1);
+                (hunt, ns)
+            }
+            IdleStrategy::PriorityQueue => {
+                let hunt = conns.hunt_priority_queue(now, timeout);
+                let ns = costs.pq_pop * hunt.examined + 400;
+                (hunt, ns)
+            }
+        };
+        self.core.borrow_mut().stats.idle_scan_entries += hunt.examined;
+        (hunt, ns.max(400))
+    }
+
+    /// Re-announces one connection to a respawned worker over `to`: one
+    /// table operation, then `msg` (the manager's `MSG_NEW_CONN`).
+    pub fn reannounce(&self, script: &mut VecDeque<Syscall>, to: Fd, msg: IpcMsg) {
+        self.core.borrow_mut().stats.conns_reassigned += 1;
+        self.table_op(script);
+        script.push_back(Syscall::IpcSend { fd: to, msg });
+    }
+
+    pub(crate) fn pq_mode(&self) -> bool {
+        self.cfg.idle_strategy == IdleStrategy::PriorityQueue
+    }
+
+    /// Parses and routes one received message, charging its work to
+    /// `script`, and returns the sends for the caller to put on the wire
+    /// its own way.
+    ///
+    /// `backlog` is the caller's `(worker index, framed-but-unrouted
+    /// messages)`, reported to the overload policy before admission so it
+    /// decides on this worker's fresh depth. Datagram workers hold at most
+    /// one message — their backlog sits in the kernel socket buffer where
+    /// OpenSER cannot see it — and pass `None`.
+    pub fn route(
+        &self,
+        script: &mut VecDeque<Syscall>,
+        now: SimTime,
+        raw: &[u8],
+        src: SockAddr,
+        backlog: Option<(usize, usize)>,
+    ) -> Vec<Outgoing> {
+        let parse_ns = self.cfg.app_costs.parse_cost(raw.len());
+        let msg = match parse_message(raw) {
+            Ok(msg) => msg,
+            Err(_) => {
+                self.core.borrow_mut().stats.parse_errors += 1;
+                script.push_back(Syscall::Compute {
+                    ns: parse_ns,
+                    tag: tags::PARSE,
+                });
+                return Vec::new();
+            }
+        };
+        let was_request = msg.is_request();
+        let mut core = self.core.borrow_mut();
+        if let Some((idx, depth)) = backlog {
+            core.note_worker_backlog(idx, depth);
+        }
+        if let FastAdmission::Shed(plan) = core.fast_admission(now, &msg, src) {
+            // Shed fast path: the request line alone identified a refusable
+            // INVITE, so skip the parse/route/build pipeline and charge only
+            // the sniff + canned 503.
+            script.push_back(Syscall::Compute {
+                ns: self.cfg.app_costs.shed_fast,
+                tag: tags::SHED_FAST,
+            });
+            return plan.out;
+        }
+        let plan = core.handle_message(now, msg, src);
+        drop(core);
+        routing_script(
+            script,
+            &self.cfg.app_costs,
+            &self.locks,
+            self.cfg.transport,
+            parse_ns,
+            was_request,
+            &plan,
+        );
+        plan.out
+    }
+}
+
 /// Builds the lock/compute script that charges a routed message's
 /// transaction-table and location-service work, shared by every transport.
 ///
@@ -79,23 +246,14 @@ pub fn routing_script(
         ns: parse_ns,
         tag: tags::PARSE,
     });
-    script.push_back(Syscall::LockAcquire { lock: locks.txn });
-    script.push_back(Syscall::Compute {
-        ns: if was_request {
-            costs.route_request
-        } else {
-            costs.route_response
-        },
-        tag: tags::ROUTE,
-    });
-    script.push_back(Syscall::LockRelease { lock: locks.txn });
+    let route_ns = if was_request {
+        costs.route_request
+    } else {
+        costs.route_response
+    };
+    locked(script, locks.txn, route_ns, tags::ROUTE);
     if was_request && !plan.absorbed {
-        script.push_back(Syscall::LockAcquire { lock: locks.usrloc });
-        script.push_back(Syscall::Compute {
-            ns: costs.usrloc_lookup,
-            tag: tags::USRLOC,
-        });
-        script.push_back(Syscall::LockRelease { lock: locks.usrloc });
+        locked(script, locks.usrloc, costs.usrloc_lookup, tags::USRLOC);
     }
     // Building each outgoing message is charged here; putting it on the
     // wire is transport-specific.
@@ -107,12 +265,7 @@ pub fn routing_script(
     }
     if plan.txn_created && !transport.is_reliable() {
         // UDP: arm the retransmission timer on the shared list (§3.2).
-        script.push_back(Syscall::LockAcquire { lock: locks.timer });
-        script.push_back(Syscall::Compute {
-            ns: costs.timer_insert,
-            tag: tags::TIMER_INSERT,
-        });
-        script.push_back(Syscall::LockRelease { lock: locks.timer });
+        locked(script, locks.timer, costs.timer_insert, tags::TIMER_INSERT);
     }
 }
 

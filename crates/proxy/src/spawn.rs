@@ -5,25 +5,25 @@
 //! acceptor, timer), and hands back a [`ProxyHandle`] for observing the run.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use siperf_simnet::addr::{HostId, SockAddr};
-use siperf_simnet::SIP_PORT;
+use siperf_simnet::{Errno, SIP_PORT};
+use siperf_simos::ipc::ChanId;
 use siperf_simos::kernel::Kernel;
 use siperf_simos::process::ProcId;
 use siperf_simos::syscall::Fd;
 
-use siperf_simos::ipc::ChanId;
-
 use crate::config::{Arch, IdleStrategy, ProxyConfig, Transport};
 use crate::conn::ConnTable;
 use crate::core::{ProxyCore, ProxyStats};
-use crate::plumbing::Locks;
-use crate::sctp::SctpWorker;
-use crate::tcp::{Supervisor, SupervisorCtl, TcpShared, TcpWorker};
-use crate::threaded::{Acceptor, ThreadShared, ThreadWorker};
+use crate::datagram::MsgWorker;
+use crate::plumbing::{ConnShared, Locks, ManagerCtl};
+use crate::stream::ConnWorker;
+use crate::tcp::{IpcAccess, Supervisor};
+use crate::threaded::{Acceptor, SharedAccess};
 use crate::timer::TimerProc;
-use crate::udp::UdpWorker;
 use crate::util::addr_to_host_str;
 
 /// Number of striped per-connection write locks in the threaded mode.
@@ -36,18 +36,28 @@ enum RespawnCtx {
     /// slot (SCTP keeps one extra trailing slot for the timer process,
     /// which then doubles as a donor descriptor).
     Msg { slots: Vec<Rc<Cell<Option<Fd>>>> },
-    /// TCP multi-process: everything a `TcpWorker`/`Supervisor` is built
-    /// from.
+    /// TCP multi-process: the channels a worker and the `Supervisor` are
+    /// built on.
     TcpMulti {
-        shared: TcpShared,
         assign_chans: Vec<ChanId>,
         req_chans: Vec<ChanId>,
     },
-    /// TCP multi-thread: worker threads hang off the acceptor.
-    TcpThread {
-        shared: ThreadShared,
-        notify_chans: Vec<ChanId>,
-    },
+    /// TCP multi-thread: each thread's access path, unattached.
+    TcpThread { access: Vec<SharedAccess> },
+}
+
+/// Binds the proxy's shared datagram socket on `host` and installs it in
+/// every one of `pids`.
+fn bind_shared(
+    kernel: &mut Kernel,
+    transport: Transport,
+    host: HostId,
+    pids: &[ProcId],
+) -> Result<Vec<Fd>, Errno> {
+    match transport {
+        Transport::Udp => kernel.setup_shared_udp(host, SIP_PORT, pids),
+        _ => kernel.setup_shared_sctp(host, SIP_PORT, pids),
+    }
 }
 
 /// Observer handle over a spawned proxy.
@@ -70,6 +80,8 @@ pub struct ProxyHandle {
     pub timer: Option<ProcId>,
     /// The configuration the proxy was spawned with.
     pub cfg: Rc<ProxyConfig>,
+    /// What the proxy's processes share, for respawns.
+    shared: ConnShared,
     respawn: RespawnCtx,
 }
 
@@ -84,6 +96,47 @@ impl ProxyHandle {
         self.conns.borrow().len()
     }
 
+    /// Spawns worker `idx` (a process, or a thread of the acceptor) — at
+    /// start and on respawn alike.
+    fn spawn_worker(&mut self, kernel: &mut Kernel, idx: usize) -> ProcId {
+        let cfg = &self.cfg;
+        match &mut self.respawn {
+            RespawnCtx::Msg { slots } => {
+                let slot = Rc::new(Cell::new(None));
+                let worker = MsgWorker::new(self.shared.clone(), slot.clone());
+                if idx < slots.len() {
+                    slots[idx] = slot;
+                } else {
+                    slots.push(slot);
+                }
+                let name = format!("{}_worker{idx}", cfg.transport.token().to_lowercase());
+                kernel.spawn(self.host, cfg.worker_nice, name, Box::new(worker))
+            }
+            RespawnCtx::TcpMulti {
+                assign_chans,
+                req_chans,
+            } => {
+                let access = IpcAccess::new(assign_chans[idx], req_chans[idx]);
+                kernel.spawn(
+                    self.host,
+                    cfg.worker_nice,
+                    format!("tcp_worker{idx}"),
+                    Box::new(ConnWorker::new(idx, self.shared.clone(), access)),
+                )
+            }
+            RespawnCtx::TcpThread { access } => kernel.spawn_thread(
+                cfg.worker_nice,
+                format!("worker_thread{idx}"),
+                Box::new(ConnWorker::new(
+                    idx,
+                    self.shared.clone(),
+                    access[idx].clone(),
+                )),
+                self.supervisor.expect("threaded proxy has an acceptor"),
+            ),
+        }
+    }
+
     /// Crashes worker `idx` (wrapping) and respawns a replacement in place,
     /// exactly as OpenSER's main process re-forks a dead child.
     ///
@@ -95,98 +148,38 @@ impl ProxyHandle {
     pub fn respawn_worker(&mut self, kernel: &mut Kernel, idx: usize) -> ProcId {
         let idx = idx % self.workers.len();
         kernel.kill(self.workers[idx]);
-        let pid = match &mut self.respawn {
+        let pid = self.spawn_worker(kernel, idx);
+        match &self.respawn {
             RespawnCtx::Msg { slots } => {
-                let slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-                let (proc_box, name): (Box<dyn siperf_simos::process::Process>, String) =
-                    match self.cfg.transport {
-                        Transport::Udp => (
-                            Box::new(UdpWorker::new(
-                                self.core.clone(),
-                                self.cfg.app_costs.clone(),
-                                self.locks,
-                                slot.clone(),
-                            )),
-                            format!("udp_worker{idx}"),
-                        ),
-                        _ => (
-                            Box::new(SctpWorker::new(
-                                self.core.clone(),
-                                self.cfg.app_costs.clone(),
-                                self.locks,
-                                slot.clone(),
-                            )),
-                            format!("sctp_worker{idx}"),
-                        ),
-                    };
-                let pid = kernel.spawn(self.host, self.cfg.worker_nice, name, proc_box);
                 // Donor search: any surviving process holding the shared
                 // socket (siblings first, then the SCTP timer's slot).
-                let mut donor = None;
-                for (j, &wpid) in self.workers.iter().enumerate() {
-                    if j != idx && kernel.alive(wpid) {
-                        if let Some(fd) = slots[j].get() {
-                            donor = Some((wpid, fd));
-                            break;
-                        }
-                    }
-                }
-                if donor.is_none() && slots.len() > self.workers.len() {
-                    if let (Some(tpid), Some(fd)) = (self.timer, slots[self.workers.len()].get()) {
-                        if kernel.alive(tpid) {
-                            donor = Some((tpid, fd));
-                        }
-                    }
-                }
+                let timer = self.timer.filter(|_| slots.len() > self.workers.len());
+                let donor = self
+                    .workers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != idx)
+                    .chain(timer.iter().map(|t| (self.workers.len(), t)))
+                    .find_map(|(j, &dpid)| {
+                        let fd = slots[j].get().filter(|_| kernel.alive(dpid))?;
+                        Some((dpid, fd))
+                    });
                 let fd = match donor {
                     Some((dpid, dfd)) => kernel
                         .dup_to(dpid, dfd, pid)
                         .expect("donor descriptor is live"),
-                    None => {
-                        // Every holder died: the socket is gone, bind anew.
-                        let fds = match self.cfg.transport {
-                            Transport::Udp => kernel.setup_shared_udp(self.host, SIP_PORT, &[pid]),
-                            _ => kernel.setup_shared_sctp(self.host, SIP_PORT, &[pid]),
-                        };
-                        fds.expect("rebind proxy socket")[0]
-                    }
+                    // Every holder died: the socket is gone, bind anew.
+                    None => bind_shared(kernel, self.cfg.transport, self.host, &[pid])
+                        .expect("rebind proxy socket")[0],
                 };
-                slot.set(Some(fd));
-                slots[idx] = slot;
-                pid
+                slots[idx].set(Some(fd));
             }
-            RespawnCtx::TcpMulti {
-                shared,
-                assign_chans,
-                req_chans,
-            } => {
-                let pid = kernel.spawn(
-                    self.host,
-                    self.cfg.worker_nice,
-                    format!("tcp_worker{idx}"),
-                    Box::new(TcpWorker::new(
-                        idx,
-                        shared.clone(),
-                        assign_chans[idx],
-                        req_chans[idx],
-                    )),
-                );
-                shared
-                    .ctl
-                    .borrow_mut()
-                    .push_back(SupervisorCtl::WorkerRespawned(idx));
-                pid
+            RespawnCtx::TcpMulti { .. } => {
+                let respawned = ManagerCtl::WorkerRespawned(idx);
+                self.shared.ctl.borrow_mut().push_back(respawned);
             }
-            RespawnCtx::TcpThread {
-                shared,
-                notify_chans,
-            } => kernel.spawn_thread(
-                self.cfg.worker_nice,
-                format!("worker_thread{idx}"),
-                Box::new(ThreadWorker::new(idx, shared.clone(), notify_chans[idx])),
-                self.supervisor.expect("threaded proxy has an acceptor"),
-            ),
-        };
+            RespawnCtx::TcpThread { .. } => {}
+        }
         self.workers[idx] = pid;
         self.core.borrow_mut().stats.workers_respawned += 1;
         pid
@@ -201,7 +194,6 @@ impl ProxyHandle {
     /// architectures without a supervisor process.
     pub fn respawn_supervisor(&mut self, kernel: &mut Kernel) -> Option<ProcId> {
         let RespawnCtx::TcpMulti {
-            shared,
             assign_chans,
             req_chans,
         } = &self.respawn
@@ -215,7 +207,7 @@ impl ProxyHandle {
             self.cfg.supervisor_nice,
             "tcp_main",
             Box::new(Supervisor::new(
-                shared.clone(),
+                self.shared.clone(),
                 assign_chans.clone(),
                 req_chans.clone(),
             )),
@@ -252,86 +244,18 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
         timer: kernel.create_lock("timer_list"),
         conn: kernel.create_lock("tcpconn_hash"),
     };
+    let shared = ConnShared {
+        core: core.clone(),
+        conns: conns.clone(),
+        cfg: cfg.clone(),
+        locks,
+        ctl: Rc::new(RefCell::new(Default::default())),
+    };
     let n = cfg.worker_count();
-    let mut workers = Vec::with_capacity(n);
-    let mut supervisor = None;
-    let timer;
-    let respawn;
-
-    match (cfg.transport, cfg.arch) {
-        (Transport::Udp, _) => {
-            let mut slots = Vec::with_capacity(n);
-            for i in 0..n {
-                let slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-                let worker =
-                    UdpWorker::new(core.clone(), cfg.app_costs.clone(), locks, slot.clone());
-                workers.push(kernel.spawn(
-                    host,
-                    cfg.worker_nice,
-                    format!("udp_worker{i}"),
-                    Box::new(worker),
-                ));
-                slots.push(slot);
-            }
-            timer = Some(kernel.spawn(
-                host,
-                cfg.worker_nice,
-                "timer",
-                Box::new(TimerProc::new(
-                    core.clone(),
-                    cfg.app_costs.clone(),
-                    locks,
-                    cfg.timer_tick,
-                    Transport::Udp,
-                    None,
-                )),
-            ));
-            let fds = kernel
-                .setup_shared_udp(host, SIP_PORT, &workers)
-                .expect("bind proxy UDP socket");
-            for (slot, fd) in slots.iter().zip(fds) {
-                slot.set(Some(fd));
-            }
-            respawn = RespawnCtx::Msg { slots };
-        }
-        (Transport::Sctp, _) => {
-            let mut slots = Vec::with_capacity(n + 1);
-            for i in 0..n {
-                let slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-                let worker =
-                    SctpWorker::new(core.clone(), cfg.app_costs.clone(), locks, slot.clone());
-                workers.push(kernel.spawn(
-                    host,
-                    cfg.worker_nice,
-                    format!("sctp_worker{i}"),
-                    Box::new(worker),
-                ));
-                slots.push(slot);
-            }
-            let timer_slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-            timer = Some(kernel.spawn(
-                host,
-                cfg.worker_nice,
-                "timer",
-                Box::new(TimerProc::new(
-                    core.clone(),
-                    cfg.app_costs.clone(),
-                    locks,
-                    cfg.timer_tick,
-                    Transport::Sctp,
-                    Some(timer_slot.clone()),
-                )),
-            ));
-            slots.push(timer_slot);
-            let mut pids = workers.clone();
-            pids.push(timer.expect("just spawned"));
-            let fds = kernel
-                .setup_shared_sctp(host, SIP_PORT, &pids)
-                .expect("bind proxy SCTP endpoint");
-            for (slot, fd) in slots.iter().zip(fds) {
-                slot.set(Some(fd));
-            }
-            respawn = RespawnCtx::Msg { slots };
+    let (respawn, supervisor) = match (cfg.transport, cfg.arch) {
+        (Transport::Udp | Transport::Sctp, _) => {
+            let slots = Vec::with_capacity(n + 1);
+            (RespawnCtx::Msg { slots }, None)
         }
         (Transport::Tcp, Arch::MultiProcess) => {
             let assign_chans: Vec<_> = (0..n)
@@ -340,14 +264,7 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
             let req_chans: Vec<_> = (0..n)
                 .map(|_| kernel.create_ipc_pair(cfg.ipc_capacity))
                 .collect();
-            let shared = TcpShared {
-                core: core.clone(),
-                conns: conns.clone(),
-                cfg: cfg.clone(),
-                locks,
-                ctl: Rc::new(RefCell::new(Default::default())),
-            };
-            supervisor = Some(kernel.spawn(
+            let supervisor = kernel.spawn(
                 host,
                 cfg.supervisor_nice,
                 "tcp_main",
@@ -356,99 +273,74 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
                     assign_chans.clone(),
                     req_chans.clone(),
                 )),
-            ));
-            for i in 0..n {
-                workers.push(kernel.spawn(
-                    host,
-                    cfg.worker_nice,
-                    format!("tcp_worker{i}"),
-                    Box::new(TcpWorker::new(
-                        i,
-                        shared.clone(),
-                        assign_chans[i],
-                        req_chans[i],
-                    )),
-                ));
-            }
-            timer = Some(kernel.spawn(
-                host,
-                cfg.worker_nice,
-                "timer",
-                Box::new(TimerProc::new(
-                    core.clone(),
-                    cfg.app_costs.clone(),
-                    locks,
-                    cfg.timer_tick,
-                    Transport::Tcp,
-                    None,
-                )),
-            ));
-            respawn = RespawnCtx::TcpMulti {
-                shared,
+            );
+            let respawn = RespawnCtx::TcpMulti {
                 assign_chans,
                 req_chans,
             };
+            (respawn, Some(supervisor))
         }
         (Transport::Tcp, Arch::MultiThread) => {
             let notify_chans: Vec<_> = (0..n)
                 .map(|_| kernel.create_ipc_pair(cfg.ipc_capacity))
                 .collect();
-            let write_locks: Vec<_> = (0..WRITE_LOCK_STRIPES)
+            let stripes: Vec<_> = (0..WRITE_LOCK_STRIPES)
                 .map(|_| kernel.create_lock("conn_write"))
                 .collect();
-            let shared = ThreadShared {
-                core: core.clone(),
-                conns: conns.clone(),
-                cfg: cfg.clone(),
-                locks,
-                write_locks: Rc::new(write_locks),
-                fd_registry: Rc::new(RefCell::new(Default::default())),
-            };
+            let (registry, stripes) = (Rc::new(RefCell::new(HashMap::new())), Rc::new(stripes));
+            let acceptor = Acceptor::new(shared.clone(), registry.clone(), notify_chans.clone());
             let acceptor = kernel.spawn(
                 host,
                 cfg.supervisor_nice,
                 "acceptor_thread",
-                Box::new(Acceptor::new(shared.clone(), notify_chans.clone())),
+                Box::new(acceptor),
             );
-            supervisor = Some(acceptor);
-            for (i, &chan) in notify_chans.iter().enumerate() {
-                workers.push(kernel.spawn_thread(
-                    cfg.worker_nice,
-                    format!("worker_thread{i}"),
-                    Box::new(ThreadWorker::new(i, shared.clone(), chan)),
-                    acceptor,
-                ));
-            }
-            timer = Some(kernel.spawn(
-                host,
-                cfg.worker_nice,
-                "timer",
-                Box::new(TimerProc::new(
-                    core.clone(),
-                    cfg.app_costs.clone(),
-                    locks,
-                    cfg.timer_tick,
-                    Transport::Tcp,
-                    None,
-                )),
-            ));
-            respawn = RespawnCtx::TcpThread {
-                shared,
-                notify_chans,
-            };
+            let access = notify_chans
+                .into_iter()
+                .map(|chan| SharedAccess::new(registry.clone(), stripes.clone(), chan))
+                .collect();
+            (RespawnCtx::TcpThread { access }, Some(acceptor))
         }
-    }
-
-    ProxyHandle {
+    };
+    let mut proxy = ProxyHandle {
         core,
         conns,
         host,
         addr,
         locks,
-        workers,
+        workers: Vec::with_capacity(n),
         supervisor,
-        timer,
+        timer: None,
         cfg,
+        shared,
         respawn,
+    };
+    for i in 0..n {
+        let pid = proxy.spawn_worker(kernel, i);
+        proxy.workers.push(pid);
     }
+    // The SCTP timer retransmits on the shared endpoint, so it holds one
+    // more slot (and can donate it on respawn); the UDP timer binds a
+    // socket of its own, and the TCP timer has none.
+    let transport = proxy.cfg.transport;
+    let timer_slot = (transport == Transport::Sctp).then(|| Rc::new(Cell::new(None)));
+    let timer = kernel.spawn(
+        host,
+        proxy.cfg.worker_nice,
+        "timer",
+        Box::new(TimerProc::new(proxy.shared.clone(), timer_slot.clone())),
+    );
+    proxy.timer = Some(timer);
+    if let RespawnCtx::Msg { slots } = &mut proxy.respawn {
+        let mut pids = proxy.workers.clone();
+        if let Some(slot) = timer_slot {
+            slots.push(slot);
+            pids.push(timer);
+        }
+        let fds = bind_shared(kernel, transport, host, &pids).expect("bind proxy socket");
+        for (slot, fd) in slots.iter().zip(fds) {
+            slot.set(Some(fd));
+        }
+    }
+    proxy
 }

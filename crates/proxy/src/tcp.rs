@@ -16,25 +16,21 @@
 //! destroys the object. The hunt is a full walk of the table under its lock
 //! in the baseline (the §5.2 bottleneck) or a priority-queue pop in the
 //! §5.3 fix.
+//!
+//! The workers are [`ConnWorker`](crate::stream::ConnWorker)s reaching
+//! descriptors through [`IpcAccess`].
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::rc::Rc;
 
 use siperf_simcore::time::{SimDuration, SimTime};
-use siperf_simnet::addr::SockAddr;
 use siperf_simos::ipc::{ChanId, Side};
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
-use siperf_sip::framer::StreamFramer;
-use siperf_sip::parse::parse_message;
 
-use crate::config::ProxyConfig;
-use crate::config::{IdleStrategy, Transport};
-use crate::conn::{ConnId, ConnTable};
-use crate::core::{FastAdmission, Outgoing, ProxyCore};
-use crate::plumbing::{decode_addr, encode_addr, routing_script, tags, Locks};
+use crate::conn::ConnId;
+use crate::plumbing::{decode_addr, encode_addr, locked, tags, ConnShared, ManagerCtl};
+use crate::stream::{attach_next, ConnAccess, ConnState, SendJob, Step};
 
 /// Supervisor → worker: a new connection with its descriptor.
 pub const MSG_NEW_CONN: u32 = 1;
@@ -49,62 +45,12 @@ pub const MSG_CONN_DEAD: u32 = 5;
 /// Worker → supervisor: a worker-opened outbound connection (with fd).
 pub const MSG_NEW_OUTBOUND: u32 = 6;
 
-const RECV_CHUNK: usize = 16 * 1024;
-
-/// Out-of-band notifications from the spawner's fault-injection path to the
-/// supervisor, delivered through shared memory (the supervisor observes
-/// `SIGCHLD`-style events on its next loop pass).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupervisorCtl {
-    /// Worker `idx` was killed and respawned; its owned connections must be
-    /// re-assigned (the supervisor still holds their descriptors).
-    WorkerRespawned(usize),
-}
-
-/// Everything a TCP-side process needs a handle on.
-#[derive(Clone)]
-pub struct TcpShared {
-    /// Routing engine + stats.
-    pub core: Rc<RefCell<ProxyCore>>,
-    /// The shared connection table.
-    pub conns: Rc<RefCell<ConnTable>>,
-    /// Proxy configuration.
-    pub cfg: Rc<ProxyConfig>,
-    /// The shared-memory locks.
-    pub locks: Locks,
-    /// Crash/respawn notifications for the supervisor.
-    pub ctl: Rc<RefCell<VecDeque<SupervisorCtl>>>,
-}
-
-impl TcpShared {
-    fn idle_timeout(&self) -> SimDuration {
-        self.cfg.idle_timeout
-    }
-
-    /// Pushes the lock/compute/unlock triple for one connection-table
-    /// operation.
-    fn conn_table_script(&self, script: &mut VecDeque<Syscall>, extra_ns: u64, tag: &'static str) {
-        script.push_back(Syscall::LockAcquire {
-            lock: self.locks.conn,
-        });
-        script.push_back(Syscall::Compute {
-            ns: self.cfg.app_costs.conn_table_op + extra_ns,
-            tag,
-        });
-        script.push_back(Syscall::LockRelease {
-            lock: self.locks.conn,
-        });
-    }
-}
-
 // ===================================================================
 // Supervisor
 // ===================================================================
 
 enum SupPhase {
-    Start,
-    AttachAssign(usize),
-    AttachReq(usize),
+    Attach,
     Listen,
     Poll,
     Accept,
@@ -119,11 +65,11 @@ enum SupReady {
 
 /// The connection-management supervisor process (OpenSER's `tcp_main`).
 pub struct Supervisor {
-    shared: TcpShared,
-    assign_chans: Vec<ChanId>,
-    req_chans: Vec<ChanId>,
-    assign_fds: Vec<Fd>,
-    req_fds: Vec<Fd>,
+    shared: ConnShared,
+    /// Every worker's assign channel, then every worker's request channel.
+    chans: Vec<ChanId>,
+    /// The supervisor's ends of `chans`, in the same order.
+    chan_fds: Vec<Fd>,
     listener: Fd,
     /// The supervisor's own descriptor for every connection it knows.
     fd_of_conn: HashMap<u64, Fd>,
@@ -140,20 +86,18 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Creates the supervisor; channels are created by the spawner.
-    pub fn new(shared: TcpShared, assign_chans: Vec<ChanId>, req_chans: Vec<ChanId>) -> Self {
+    pub fn new(shared: ConnShared, assign_chans: Vec<ChanId>, req_chans: Vec<ChanId>) -> Self {
         assert_eq!(assign_chans.len(), req_chans.len());
         Supervisor {
             shared,
-            assign_chans,
-            req_chans,
-            assign_fds: Vec::new(),
-            req_fds: Vec::new(),
+            chans: [assign_chans, req_chans].concat(),
+            chan_fds: Vec::new(),
             listener: Fd(u32::MAX),
             fd_of_conn: HashMap::new(),
             rr: 0,
             pending: VecDeque::new(),
             script: VecDeque::new(),
-            phase: SupPhase::Start,
+            phase: SupPhase::Attach,
             last_scan: SimTime::ZERO,
             worked_since_scan: false,
         }
@@ -163,55 +107,35 @@ impl Supervisor {
     const HOUSEKEEPING: SimDuration = SimDuration::from_millis(500);
 
     fn workers(&self) -> usize {
-        self.assign_chans.len()
+        self.chans.len() / 2
     }
 
-    fn handle_accept(&mut self, now: SimTime, fd: Fd, peer: SockAddr) {
-        let timeout = self.shared.idle_timeout();
-        let worker = self.rr % self.workers();
-        self.rr += 1;
-        let id = self
-            .shared
-            .conns
-            .borrow_mut()
-            .insert(now, peer, worker, timeout);
-        self.fd_of_conn.insert(id.0, fd);
-        self.shared.core.borrow_mut().stats.conns_assigned += 1;
-        self.shared
-            .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
-        // Assign ownership: pass our descriptor (the kernel dups it; we
-        // keep our copy, as OpenSER does). This send BLOCKS when the
-        // worker's queue is full — the §6 deadlock ingredient.
-        self.script.push_back(Syscall::IpcSend {
-            fd: self.assign_fds[worker],
-            msg: IpcMsg::with_fd(MSG_NEW_CONN, id.0, encode_addr(peer), fd),
-        });
+    fn req_fds(&self) -> &[Fd] {
+        &self.chan_fds[self.workers()..]
     }
 
     fn handle_req(&mut self, now: SimTime, worker: usize, msg: IpcMsg) {
         match msg.kind {
             MSG_FD_REQ => {
                 let conn = msg.a;
-                self.shared
-                    .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
+                self.shared.table_op(&mut self.script);
                 let reply = match self.fd_of_conn.get(&conn) {
                     Some(&fd) => IpcMsg::with_fd(MSG_FD_RESP, conn, 1, fd),
                     None => IpcMsg::new(MSG_FD_RESP, conn, 0),
                 };
                 self.script.push_back(Syscall::IpcSend {
-                    fd: self.req_fds[worker],
+                    fd: self.req_fds()[worker],
                     msg: reply,
                 });
             }
             MSG_CONN_RETURN => {
-                let timeout = self.shared.idle_timeout();
+                let timeout = self.shared.cfg.idle_timeout;
                 self.shared
                     .conns
                     .borrow_mut()
                     .mark_returned(ConnId(msg.a), now, timeout);
                 self.shared.core.borrow_mut().stats.conns_returned += 1;
-                self.shared
-                    .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
+                self.shared.table_op(&mut self.script);
             }
             MSG_CONN_DEAD => {
                 self.destroy_conn(msg.a);
@@ -233,21 +157,13 @@ impl Supervisor {
     /// Connections whose descriptor the supervisor no longer holds cannot
     /// be handed over and are destroyed.
     fn reassign_worker(&mut self, worker: usize) {
-        let ids = self.shared.conns.borrow().owned_by(worker);
-        for id in ids {
-            let peer = match self.shared.conns.borrow().get(id) {
-                Some(obj) => obj.peer,
-                None => continue,
-            };
+        let owned = self.shared.conns.borrow().owned_by(worker);
+        for (id, peer) in owned {
             match self.fd_of_conn.get(&id.0).copied() {
                 Some(fd) => {
-                    self.shared.core.borrow_mut().stats.conns_reassigned += 1;
-                    self.shared
-                        .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
-                    self.script.push_back(Syscall::IpcSend {
-                        fd: self.assign_fds[worker],
-                        msg: IpcMsg::with_fd(MSG_NEW_CONN, id.0, encode_addr(peer), fd),
-                    });
+                    let msg = IpcMsg::with_fd(MSG_NEW_CONN, id.0, encode_addr(peer), fd);
+                    let to = self.chan_fds[worker];
+                    self.shared.reannounce(&mut self.script, to, msg);
                 }
                 None => self.destroy_conn(id.0),
             }
@@ -256,8 +172,7 @@ impl Supervisor {
 
     fn destroy_conn(&mut self, conn: u64) {
         self.shared.conns.borrow_mut().remove(ConnId(conn));
-        self.shared
-            .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
+        self.shared.table_op(&mut self.script);
         if let Some(fd) = self.fd_of_conn.remove(&conn) {
             self.script.push_back(Syscall::Close { fd });
         }
@@ -265,39 +180,8 @@ impl Supervisor {
     }
 
     fn idle_pass(&mut self, now: SimTime) {
-        let timeout = self.shared.idle_timeout();
-        let costs = &self.shared.cfg.app_costs;
-        let (hunt, cost) = {
-            let mut conns = self.shared.conns.borrow_mut();
-            match self.shared.cfg.idle_strategy {
-                IdleStrategy::LinearScan => {
-                    let hunt = conns.hunt_linear(now, timeout);
-                    let cost = costs.idle_scan_entry * hunt.examined.max(1);
-                    (hunt, cost)
-                }
-                IdleStrategy::PriorityQueue => {
-                    let hunt = conns.hunt_priority_queue(now, timeout);
-                    let cost = costs.pq_pop * hunt.examined + 400;
-                    (hunt, cost)
-                }
-            }
-        };
-        {
-            let mut core = self.shared.core.borrow_mut();
-            core.stats.idle_scan_entries += hunt.examined;
-        }
-        // The whole hunt runs under the connection-table lock (§5.2: "a
-        // lock is held on the shared hash table throughout").
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.shared.locks.conn,
-        });
-        self.script.push_back(Syscall::Compute {
-            ns: cost.max(400),
-            tag: tags::IDLE,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.shared.locks.conn,
-        });
+        let (hunt, ns) = self.shared.idle_hunt(now);
+        locked(&mut self.script, self.shared.locks.conn, ns, tags::IDLE);
         // `to_return` is the workers' job; the supervisor destroys what has
         // been returned for a full further timeout.
         for id in hunt.to_destroy {
@@ -312,15 +196,9 @@ impl Supervisor {
     fn next_action(&mut self, now: SimTime) -> Syscall {
         // Crash notifications first: a respawned worker must get its
         // connections back before they can starve to their idle timeout.
-        loop {
-            let ctl = self.shared.ctl.borrow_mut().pop_front();
-            match ctl {
-                Some(SupervisorCtl::WorkerRespawned(w)) => {
-                    self.worked_since_scan = true;
-                    self.reassign_worker(w);
-                }
-                None => break,
-            }
+        while let Some(ManagerCtl::WorkerRespawned(w)) = self.shared.next_ctl() {
+            self.worked_since_scan = true;
+            self.reassign_worker(w);
         }
         if let Some(s) = self.script.pop_front() {
             self.phase = SupPhase::Script;
@@ -336,7 +214,7 @@ impl Supervisor {
                 self.worked_since_scan = true;
                 self.phase = SupPhase::ReqRecv(w);
                 return Syscall::IpcRecv {
-                    fd: self.req_fds[w],
+                    fd: self.req_fds()[w],
                 };
             }
             None => {}
@@ -354,9 +232,9 @@ impl Supervisor {
             self.phase = SupPhase::Script;
             return self.script.pop_front().expect("idle pass emits syscalls");
         }
-        let mut fds = Vec::with_capacity(1 + self.req_fds.len());
+        let mut fds = Vec::with_capacity(1 + self.workers());
         fds.push(self.listener);
-        fds.extend_from_slice(&self.req_fds);
+        fds.extend_from_slice(self.req_fds());
         self.phase = SupPhase::Poll;
         let wake = if self.worked_since_scan {
             (self.last_scan + self.shared.cfg.supervisor_scan_interval).max(now)
@@ -372,46 +250,15 @@ impl Supervisor {
 
 impl Process for Supervisor {
     fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
-        match std::mem::replace(&mut self.phase, SupPhase::Script) {
-            SupPhase::Start => {
-                self.phase = SupPhase::AttachAssign(0);
-                Syscall::IpcAttach {
-                    chan: self.assign_chans[0],
-                    side: Side::A,
-                }
-            }
-            SupPhase::AttachAssign(i) => {
-                self.assign_fds.push(last.expect_fd());
-                if i + 1 < self.workers() {
-                    self.phase = SupPhase::AttachAssign(i + 1);
-                    Syscall::IpcAttach {
-                        chan: self.assign_chans[i + 1],
-                        side: Side::A,
-                    }
-                } else {
-                    self.phase = SupPhase::AttachReq(0);
-                    Syscall::IpcAttach {
-                        chan: self.req_chans[0],
-                        side: Side::A,
-                    }
-                }
-            }
-            SupPhase::AttachReq(i) => {
-                self.req_fds.push(last.expect_fd());
-                if i + 1 < self.workers() {
-                    self.phase = SupPhase::AttachReq(i + 1);
-                    Syscall::IpcAttach {
-                        chan: self.req_chans[i + 1],
-                        side: Side::A,
-                    }
-                } else {
+        match std::mem::replace(&mut self.phase, SupPhase::Attach) {
+            SupPhase::Attach => attach_next(&self.chans, Side::A, &mut self.chan_fds, &last)
+                .unwrap_or_else(|| {
                     self.phase = SupPhase::Listen;
                     Syscall::TcpListen {
                         port: siperf_simnet::SIP_PORT,
                         backlog: 1024,
                     }
-                }
-            }
+                }),
             SupPhase::Listen => {
                 self.listener = last.expect_fd();
                 self.last_scan = ctx.now;
@@ -423,7 +270,7 @@ impl Process for Supervisor {
                         for fd in fds {
                             if fd == self.listener {
                                 self.pending.push_back(SupReady::Listener);
-                            } else if let Some(w) = self.req_fds.iter().position(|&r| r == fd) {
+                            } else if let Some(w) = self.req_fds().iter().position(|&r| r == fd) {
                                 self.pending.push_back(SupReady::Req(w));
                             }
                         }
@@ -435,7 +282,20 @@ impl Process for Supervisor {
             }
             SupPhase::Accept => {
                 match last {
-                    SysResult::Accepted { fd, peer } => self.handle_accept(ctx.now, fd, peer),
+                    SysResult::Accepted { fd, peer } => {
+                        let (script, rr) = (&mut self.script, &mut self.rr);
+                        let workers = self.chans.len() / 2;
+                        let (worker, id) = self.shared.accept(script, ctx.now, peer, rr, workers);
+                        self.fd_of_conn.insert(id.0, fd);
+                        // Assign ownership: pass our descriptor (the kernel
+                        // dups it; we keep our copy, as OpenSER does). This
+                        // send BLOCKS when the worker's queue is full — the
+                        // §6 deadlock ingredient.
+                        self.script.push_back(Syscall::IpcSend {
+                            fd: self.chan_fds[worker],
+                            msg: IpcMsg::with_fd(MSG_NEW_CONN, id.0, encode_addr(peer), fd),
+                        });
+                    }
                     SysResult::Err(_) => {
                         // Out of descriptors (the §4.3 starvation scenario):
                         // count and move on.
@@ -463,30 +323,18 @@ impl Process for Supervisor {
 }
 
 // ===================================================================
-// Worker
+// Worker access path
 // ===================================================================
 
-struct OwnedConn {
-    fd: Fd,
-    peer: SockAddr,
-    framer: StreamFramer,
-    stamp: u64,
-}
-
-enum SendState {
-    /// Acquire the connection-table lock.
-    LockTable,
-    /// Table work done host-side; compute charged.
-    TableWork,
-    /// Release the lock; afterwards decide the send path.
-    Unlock,
+/// [`IpcAccess`]'s send steps after the table lookup.
+pub enum IpcStep {
     /// The `tcpconn_get_fd` marker compute before the IPC round trip.
     GetFdMarker,
-    /// fd request sent; awaiting the blocking receive.
+    /// Send the fd request.
     FdReqSent,
-    /// Blocking receive issued.
+    /// Request sent; block for the answer.
     AwaitFdResp,
-    /// Outbound connect issued.
+    /// Connect outbound: no usable connection to the destination.
     Connecting,
     /// Post-connect table registration (lock).
     PostConnLock,
@@ -496,95 +344,53 @@ enum SendState {
     PostConnUnlock,
     /// Announce the outbound connection to the supervisor.
     Announce,
-    /// TcpSend issued.
-    Sending,
-    /// Baseline: closing the requested descriptor after one send.
-    Closing,
+    /// Send the message; `from_request` when the descriptor came over IPC.
+    Sending {
+        /// The descriptor came from the supervisor.
+        from_request: bool,
+    },
+    /// The send's result is in; maybe close the descriptor.
+    Closing {
+        /// The descriptor came from the supervisor.
+        from_request: bool,
+    },
 }
 
-struct SendJob {
-    out: Outgoing,
-    state: SendState,
-    conn: Option<ConnId>,
-    fd: Option<Fd>,
-    fd_from_request: bool,
-}
-
-enum WkrReady {
-    Assign,
-    Conn(u64),
-}
-
-enum WkrPhase {
-    Start,
-    AttachAssign,
-    AttachReq,
-    Poll,
-    AssignRecv,
-    ConnRecv(u64),
-    Send,
-    Script,
-}
-
-/// One TCP worker process (OpenSER's `tcp_receiver` children).
-pub struct TcpWorker {
-    idx: usize,
-    shared: TcpShared,
-    assign_chan: ChanId,
-    req_chan: ChanId,
-    assign_fd: Fd,
-    req_fd: Fd,
-    owned: HashMap<u64, OwnedConn>,
-    conn_by_fd: HashMap<Fd, u64>,
+/// The multi-process server's access path (OpenSER's `tcp_receiver`
+/// children): connections arrive over an assign channel with their
+/// descriptors, and a descriptor the worker does not own is requested from
+/// the supervisor over blocking IPC — through the §5.2 fd cache when it is
+/// on. The worker also hunts its own idle connections and returns them.
+pub struct IpcAccess {
+    /// The assign channel, then the request channel.
+    chans: [ChanId; 2],
     /// The §5.2 per-worker descriptor cache.
     cache: HashMap<u64, Fd>,
     /// The §5.3 worker-local priority queue over owned connections.
     local_heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    pending: VecDeque<WkrReady>,
-    msg_q: VecDeque<(Vec<u8>, SockAddr)>,
-    out_q: VecDeque<Outgoing>,
-    send: Option<SendJob>,
-    script: VecDeque<Syscall>,
-    phase: WkrPhase,
-    next_idle_check: SimTime,
+    /// When the next idle hunt is due; set at start-up.
+    next_idle_check: Option<SimTime>,
 }
 
-impl TcpWorker {
-    /// Creates worker `idx` speaking over its two channels.
-    pub fn new(idx: usize, shared: TcpShared, assign_chan: ChanId, req_chan: ChanId) -> Self {
-        TcpWorker {
-            idx,
-            shared,
-            assign_chan,
-            req_chan,
-            assign_fd: Fd(u32::MAX),
-            req_fd: Fd(u32::MAX),
-            owned: HashMap::new(),
-            conn_by_fd: HashMap::new(),
+impl IpcAccess {
+    /// Creates the access path over a worker's assign and request channels.
+    pub fn new(assign_chan: ChanId, req_chan: ChanId) -> Self {
+        IpcAccess {
+            chans: [assign_chan, req_chan],
             cache: HashMap::new(),
             local_heap: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            msg_q: VecDeque::new(),
-            out_q: VecDeque::new(),
-            send: None,
-            script: VecDeque::new(),
-            phase: WkrPhase::Start,
-            next_idle_check: SimTime::ZERO,
+            next_idle_check: None,
         }
     }
 
-    fn costs(&self) -> &crate::config::AppCostModel {
-        &self.shared.cfg.app_costs
+    fn req_fd(st: &ConnState) -> Fd {
+        st.chan_fds[1]
     }
 
-    fn pq_mode(&self) -> bool {
-        self.shared.cfg.idle_strategy == IdleStrategy::PriorityQueue
-    }
-
-    fn touch_local(&mut self, now: SimTime, conn: u64) {
-        let timeout = self.shared.idle_timeout();
-        let pq = self.pq_mode();
-        if let Some(owned) = self.owned.get_mut(&conn) {
+    fn touch_local(&mut self, st: &mut ConnState, now: SimTime, conn: u64) {
+        let timeout = st.shared.cfg.idle_timeout;
+        let pq = st.shared.pq_mode();
+        if let Some(owned) = st.owned.get_mut(&conn) {
             owned.stamp += 1;
             if pq {
                 self.local_heap
@@ -593,282 +399,11 @@ impl TcpWorker {
         }
     }
 
-    /// Processes one framed message: parse, route, queue the sends.
-    fn process_message(&mut self, now: SimTime, raw: Vec<u8>, src: SockAddr) {
-        let parse_ns = self.costs().parse_cost(raw.len());
-        match parse_message(&raw) {
-            Err(_) => {
-                self.shared.core.borrow_mut().stats.parse_errors += 1;
-                self.script.push_back(Syscall::Compute {
-                    ns: parse_ns,
-                    tag: tags::PARSE,
-                });
-            }
-            Ok(msg) => {
-                let was_request = msg.is_request();
-                let mut core = self.shared.core.borrow_mut();
-                // Overload-signal hook: messages already framed but not
-                // yet routed are backlog the transaction table cannot
-                // see; report before routing so admission decisions use
-                // this worker's fresh depth.
-                core.note_worker_backlog(self.idx, self.msg_q.len() + self.out_q.len());
-                if let FastAdmission::Shed(plan) = core.fast_admission(now, &msg, src) {
-                    // Shed fast path: refuse from the request line, skipping
-                    // the parse/route/build pipeline.
-                    drop(core);
-                    self.script.push_back(Syscall::Compute {
-                        ns: self.costs().shed_fast,
-                        tag: tags::SHED_FAST,
-                    });
-                    self.out_q.extend(plan.out);
-                    return;
-                }
-                let plan = core.handle_message(now, msg, src);
-                drop(core);
-                let costs = self.shared.cfg.app_costs.clone();
-                routing_script(
-                    &mut self.script,
-                    &costs,
-                    &self.shared.locks,
-                    Transport::Tcp,
-                    parse_ns,
-                    was_request,
-                    &plan,
-                );
-                self.out_q.extend(plan.out);
-            }
-        }
-    }
-
-    /// Advances the in-flight send job; `None` means it finished.
-    fn advance_send(&mut self, now: SimTime, last: &SysResult) -> Option<Syscall> {
-        let mut job = self.send.take()?;
-        let timeout = self.shared.idle_timeout();
-        let syscall = loop {
-            match job.state {
-                SendState::LockTable => {
-                    job.state = SendState::TableWork;
-                    break Some(Syscall::LockAcquire {
-                        lock: self.shared.locks.conn,
-                    });
-                }
-                SendState::TableWork => {
-                    // Host-side: resolve the destination to a connection and
-                    // touch it; charge hash (+ heap reposition in PQ mode,
-                    // + cache probe when the fd cache is enabled).
-                    let mut conns = self.shared.conns.borrow_mut();
-                    job.conn = conns
-                        .lookup_peer(job.out.dest)
-                        .or_else(|| job.out.alt.and_then(|a| conns.lookup_peer(a)));
-                    let mut ns = self.costs().conn_table_op;
-                    if let Some(id) = job.conn {
-                        conns.touch(id, now, timeout);
-                        if self.pq_mode() {
-                            ns += self.costs().pq_update;
-                        }
-                    }
-                    drop(conns);
-                    if let Some(id) = job.conn {
-                        self.touch_local(now, id.0);
-                    }
-                    if self.shared.cfg.fd_cache {
-                        ns += self.costs().fd_cache_lookup;
-                    }
-                    job.state = SendState::Unlock;
-                    break Some(Syscall::Compute {
-                        ns,
-                        tag: tags::CONN_HASH,
-                    });
-                }
-                SendState::Unlock => {
-                    job.state = match job.conn {
-                        Some(id) => {
-                            if let Some(owned) = self.owned.get(&id.0) {
-                                // We own it: send directly on our fd.
-                                job.fd = Some(owned.fd);
-                                SendState::Sending
-                            } else if let Some(&fd) = self
-                                .shared
-                                .cfg
-                                .fd_cache
-                                .then(|| self.cache.get(&id.0))
-                                .flatten()
-                            {
-                                // §5.2: cache hit avoids the IPC round trip
-                                // and the wait on the supervisor entirely.
-                                job.fd = Some(fd);
-                                self.shared.core.borrow_mut().stats.fd_cache_hits += 1;
-                                SendState::Sending
-                            } else {
-                                SendState::GetFdMarker
-                            }
-                        }
-                        None => SendState::Connecting,
-                    };
-                    break Some(Syscall::LockRelease {
-                        lock: self.shared.locks.conn,
-                    });
-                }
-                SendState::GetFdMarker => {
-                    // The famous function: tcpconn_get_fd, where the worker
-                    // blocks on the supervisor (§5.1: 12% of CPU time).
-                    job.state = SendState::FdReqSent;
-                    self.shared.core.borrow_mut().stats.fd_requests += 1;
-                    break Some(Syscall::Compute {
-                        ns: 800,
-                        tag: tags::GET_FD,
-                    });
-                }
-                SendState::FdReqSent => {
-                    job.state = SendState::AwaitFdResp;
-                    break Some(Syscall::IpcSend {
-                        fd: self.req_fd,
-                        msg: IpcMsg::new(MSG_FD_REQ, job.conn.expect("have conn").0, 0),
-                    });
-                }
-                SendState::AwaitFdResp => {
-                    match last {
-                        SysResult::Done => {
-                            // The send completed; now block for the answer.
-                            break Some(Syscall::IpcRecv { fd: self.req_fd });
-                        }
-                        SysResult::Ipc(msg) => {
-                            assert_eq!(msg.kind, MSG_FD_RESP);
-                            if msg.b == 1 {
-                                let fd = msg.fd.expect("fd attached");
-                                job.fd = Some(fd);
-                                job.fd_from_request = true;
-                                if self.shared.cfg.fd_cache {
-                                    self.cache.insert(job.conn.expect("conn").0, fd);
-                                }
-                                job.state = SendState::Sending;
-                            } else {
-                                // Connection destroyed meanwhile: fall back
-                                // to an outbound connect.
-                                job.conn = None;
-                                job.state = SendState::Connecting;
-                            }
-                            continue;
-                        }
-                        other => panic!("fd response expected, got {other:?}"),
-                    }
-                }
-                SendState::Connecting => {
-                    let target = job.out.alt.unwrap_or(job.out.dest);
-                    job.state = SendState::PostConnLock;
-                    self.shared.core.borrow_mut().stats.outbound_connects += 1;
-                    break Some(Syscall::TcpConnect { to: target });
-                }
-                SendState::PostConnLock => {
-                    match last {
-                        SysResult::NewFd(fd) => {
-                            job.fd = Some(*fd);
-                            job.state = SendState::PostConnWork;
-                            break Some(Syscall::LockAcquire {
-                                lock: self.shared.locks.conn,
-                            });
-                        }
-                        SysResult::Err(_) => {
-                            self.shared.core.borrow_mut().stats.send_errors += 1;
-                            return None; // connect refused; drop the message
-                        }
-                        other => panic!("connect result expected, got {other:?}"),
-                    }
-                }
-                SendState::PostConnWork => {
-                    let target = job.out.alt.unwrap_or(job.out.dest);
-                    let id = self
-                        .shared
-                        .conns
-                        .borrow_mut()
-                        .insert(now, target, self.idx, timeout);
-                    job.conn = Some(id);
-                    let fd = job.fd.expect("connected");
-                    self.owned.insert(
-                        id.0,
-                        OwnedConn {
-                            fd,
-                            peer: target,
-                            framer: StreamFramer::new(),
-                            stamp: 0,
-                        },
-                    );
-                    self.conn_by_fd.insert(fd, id.0);
-                    self.touch_local(now, id.0);
-                    job.state = SendState::PostConnUnlock;
-                    break Some(Syscall::Compute {
-                        ns: self.costs().conn_table_op,
-                        tag: tags::CONN_HASH,
-                    });
-                }
-                SendState::PostConnUnlock => {
-                    job.state = SendState::Announce;
-                    break Some(Syscall::LockRelease {
-                        lock: self.shared.locks.conn,
-                    });
-                }
-                SendState::Announce => {
-                    job.state = SendState::Sending;
-                    break Some(Syscall::IpcSend {
-                        fd: self.req_fd,
-                        msg: IpcMsg::with_fd(
-                            MSG_NEW_OUTBOUND,
-                            job.conn.expect("registered").0,
-                            0,
-                            job.fd.expect("connected"),
-                        ),
-                    });
-                }
-                SendState::Sending => {
-                    let fd = job.fd.expect("resolved fd");
-                    job.state = SendState::Closing;
-                    break Some(Syscall::TcpSend {
-                        fd,
-                        data: job.out.bytes.clone(),
-                    });
-                }
-                SendState::Closing => {
-                    // Terminal state: the send's result is in. The job ends
-                    // here; at most one trailing Close is issued.
-                    self.send = None;
-                    if matches!(last, SysResult::Err(_)) {
-                        // Dead connection: drop the message, invalidate and
-                        // release any descriptor we were holding for it.
-                        self.shared.core.borrow_mut().stats.send_errors += 1;
-                        if let Some(fd) = job.conn.and_then(|id| self.cache.remove(&id.0)) {
-                            return Some(Syscall::Close { fd });
-                        }
-                        if job.fd_from_request {
-                            return Some(Syscall::Close {
-                                fd: job.fd.expect("had fd"),
-                            });
-                        }
-                        return None;
-                    }
-                    // Baseline behaviour: a descriptor obtained through the
-                    // supervisor is closed right after the send (§3.1) —
-                    // unless the fd cache keeps it.
-                    if job.fd_from_request && !self.shared.cfg.fd_cache {
-                        return Some(Syscall::Close {
-                            fd: job.fd.expect("had fd"),
-                        });
-                    }
-                    return None;
-                }
-            }
-        };
-        self.send = Some(job);
-        syscall
-    }
-
-    fn idle_check(&mut self, now: SimTime) {
-        let timeout = self.shared.idle_timeout();
-        let costs_scan = self.costs().idle_scan_entry;
-        let costs_pop = self.costs().pq_pop;
+    fn idle_check(&mut self, st: &mut ConnState, now: SimTime) {
+        let timeout = st.shared.cfg.idle_timeout;
+        let costs = &st.shared.cfg.app_costs;
         let mut expired: Vec<u64> = Vec::new();
-        let cost;
-        let examined;
-        if self.pq_mode() {
+        let (examined, cost) = if st.shared.pq_mode() {
             let mut pops = 0u64;
             while let Some(&Reverse((at, conn, stamp))) = self.local_heap.peek() {
                 if at > now {
@@ -876,274 +411,271 @@ impl TcpWorker {
                 }
                 self.local_heap.pop();
                 pops += 1;
-                if let Some(owned) = self.owned.get(&conn) {
-                    if owned.stamp == stamp {
-                        expired.push(conn);
-                    }
+                if st.owned.get(&conn).is_some_and(|o| o.stamp == stamp) {
+                    expired.push(conn);
                 }
             }
-            cost = pops * costs_pop + 300;
-            examined = pops;
+            (pops, pops * costs.pq_pop + 300)
         } else {
             // Baseline: examine every owned connection, reading the shared
             // objects (under the table lock).
-            let conns = self.shared.conns.borrow();
-            for (&id, _owned) in self.owned.iter() {
-                if let Some(obj) = conns.get(ConnId(id)) {
-                    if obj.expires_at(timeout) <= now {
-                        expired.push(id);
-                    }
-                }
-            }
+            let conns = st.shared.conns.borrow();
+            expired.extend(st.owned.keys().copied().filter(|&id| {
+                conns
+                    .get(ConnId(id))
+                    .is_some_and(|obj| obj.expires_at(timeout) <= now)
+            }));
             expired.sort_unstable();
-            cost = costs_scan * self.owned.len().max(1) as u64;
-            examined = self.owned.len() as u64;
-        }
-        self.shared.core.borrow_mut().stats.idle_scan_entries += examined;
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.shared.locks.conn,
-        });
-        self.script.push_back(Syscall::Compute {
-            ns: cost.max(300),
-            tag: tags::IDLE,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.shared.locks.conn,
-        });
+            let examined = st.owned.len() as u64;
+            (examined, costs.idle_scan_entry * examined.max(1))
+        };
+        st.shared.core.borrow_mut().stats.idle_scan_entries += examined;
+        locked(
+            &mut st.script,
+            st.shared.locks.conn,
+            cost.max(300),
+            tags::IDLE,
+        );
         for conn in expired {
-            if let Some(owned) = self.owned.remove(&conn) {
-                self.conn_by_fd.remove(&owned.fd);
-                self.script.push_back(Syscall::Close { fd: owned.fd });
-                self.script.push_back(Syscall::IpcSend {
-                    fd: self.req_fd,
+            if let Some(owned) = st.forget(conn) {
+                st.script.push_back(Syscall::Close { fd: owned.fd });
+                st.script.push_back(Syscall::IpcSend {
+                    fd: Self::req_fd(st),
                     msg: IpcMsg::new(MSG_CONN_RETURN, conn, 0),
                 });
             }
         }
         // Sweep the fd cache: cached descriptors whose connection object is
         // gone would otherwise pin dead sockets open forever.
-        if !self.cache.is_empty() {
-            let mut dead: Vec<u64> = {
-                let conns = self.shared.conns.borrow();
-                self.cache
-                    .keys()
-                    .filter(|&&c| conns.get(ConnId(c)).is_none())
-                    .copied()
-                    .collect()
-            };
-            // Close in id order, not HashMap order, for reproducibility.
-            dead.sort_unstable();
-            for conn in dead {
-                if let Some(fd) = self.cache.remove(&conn) {
-                    self.script.push_back(Syscall::Close { fd });
-                }
-            }
-        }
-    }
-
-    fn conn_died(&mut self, conn: u64) {
-        if let Some(owned) = self.owned.remove(&conn) {
-            self.conn_by_fd.remove(&owned.fd);
-            self.cache.remove(&conn);
-            self.script.push_back(Syscall::Close { fd: owned.fd });
-            self.script.push_back(Syscall::IpcSend {
-                fd: self.req_fd,
-                msg: IpcMsg::new(MSG_CONN_DEAD, conn, 0),
-            });
-        }
-    }
-
-    fn next_action(&mut self, now: SimTime) -> Syscall {
-        loop {
-            if let Some(s) = self.script.pop_front() {
-                self.phase = WkrPhase::Script;
-                return s;
-            }
-            if self.send.is_some() {
-                // (Re)enter the send machine with a neutral result.
-                if let Some(s) = self.advance_send(now, &SysResult::Done) {
-                    self.phase = WkrPhase::Send;
-                    return s;
-                }
-                continue;
-            }
-            if let Some(out) = self.out_q.pop_front() {
-                self.send = Some(SendJob {
-                    out,
-                    state: SendState::LockTable,
-                    conn: None,
-                    fd: None,
-                    fd_from_request: false,
-                });
-                continue;
-            }
-            if let Some((raw, src)) = self.msg_q.pop_front() {
-                self.process_message(now, raw, src);
-                continue;
-            }
-            match self.pending.pop_front() {
-                Some(WkrReady::Assign) => {
-                    self.phase = WkrPhase::AssignRecv;
-                    return Syscall::IpcRecv { fd: self.assign_fd };
-                }
-                Some(WkrReady::Conn(conn)) => {
-                    if let Some(owned) = self.owned.get(&conn) {
-                        let fd = owned.fd;
-                        self.phase = WkrPhase::ConnRecv(conn);
-                        return Syscall::TcpRecv {
-                            fd,
-                            max: RECV_CHUNK,
-                        };
-                    }
-                    continue;
-                }
-                None => {}
-            }
-            if now >= self.next_idle_check {
-                self.next_idle_check = now + self.shared.cfg.idle_check_interval;
-                self.idle_check(now);
-                continue;
-            }
-            let mut fds = Vec::with_capacity(1 + self.owned.len());
-            fds.push(self.assign_fd);
-            fds.extend(self.owned.values().map(|o| o.fd));
-            // Poll order decides which ready connection is served first;
-            // sort so it does not depend on HashMap iteration order.
-            fds[1..].sort_unstable();
-            self.phase = WkrPhase::Poll;
-            return Syscall::Poll {
-                fds,
-                timeout: Some(self.next_idle_check - now),
-            };
+        let conns = st.shared.conns.borrow();
+        let mut dead: Vec<u64> = self
+            .cache
+            .keys()
+            .copied()
+            .filter(|&c| conns.get(ConnId(c)).is_none())
+            .collect();
+        drop(conns);
+        // Close in id order, not HashMap order, for reproducibility.
+        dead.sort_unstable();
+        for conn in dead {
+            let fd = self.cache.remove(&conn).expect("cached");
+            st.script.push_back(Syscall::Close { fd });
         }
     }
 }
 
-impl Process for TcpWorker {
-    fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
-        match std::mem::replace(&mut self.phase, WkrPhase::Script) {
-            WkrPhase::Start => {
-                self.phase = WkrPhase::AttachAssign;
-                Syscall::IpcAttach {
-                    chan: self.assign_chan,
-                    side: Side::B,
+impl ConnAccess for IpcAccess {
+    type Step = IpcStep;
+
+    fn channels(&self) -> &[ChanId] {
+        &self.chans
+    }
+
+    fn on_ctl(&mut self, st: &mut ConnState, now: SimTime, msg: IpcMsg) {
+        assert_eq!(msg.kind, MSG_NEW_CONN, "assign channel protocol");
+        let fd = msg.fd.expect("new conn carries its fd");
+        st.adopt(msg.a, fd, decode_addr(msg.b));
+        self.touch_local(st, now, msg.a);
+    }
+
+    fn touched(&mut self, st: &mut ConnState, now: SimTime, conn: u64) {
+        self.touch_local(st, now, conn);
+    }
+
+    fn released(&mut self, st: &mut ConnState, conn: u64, fd: Fd) {
+        self.cache.remove(&conn);
+        st.script.push_back(Syscall::Close { fd });
+        st.script.push_back(Syscall::IpcSend {
+            fd: Self::req_fd(st),
+            msg: IpcMsg::new(MSG_CONN_DEAD, conn, 0),
+        });
+    }
+
+    fn housekeep(&mut self, st: &mut ConnState, now: SimTime) -> bool {
+        let interval = st.shared.cfg.idle_check_interval;
+        // The first hunt is due one interval after start-up.
+        if now < *self.next_idle_check.get_or_insert(now + interval) {
+            return false;
+        }
+        self.next_idle_check = Some(now + interval);
+        self.idle_check(st, now);
+        true
+    }
+
+    fn poll_timeout(&self, now: SimTime) -> Option<SimDuration> {
+        self.next_idle_check.map(|due| due - now)
+    }
+
+    fn table_work(&mut self, st: &mut ConnState, now: SimTime, job: &mut SendJob) -> u64 {
+        if let Some(id) = job.conn {
+            self.touch_local(st, now, id.0);
+        }
+        if st.shared.cfg.fd_cache {
+            st.shared.cfg.app_costs.fd_cache_lookup
+        } else {
+            0
+        }
+    }
+
+    fn route(&mut self, st: &mut ConnState, job: &mut SendJob) -> IpcStep {
+        let Some(id) = job.conn else {
+            return IpcStep::Connecting;
+        };
+        if let Some(owned) = st.owned.get(&id.0) {
+            // We own it: send directly on our fd.
+            job.fd = Some(owned.fd);
+        } else if let Some(&fd) = st
+            .shared
+            .cfg
+            .fd_cache
+            .then(|| self.cache.get(&id.0))
+            .flatten()
+        {
+            // §5.2: cache hit avoids the IPC round trip and the wait on the
+            // supervisor entirely.
+            job.fd = Some(fd);
+            st.shared.core.borrow_mut().stats.fd_cache_hits += 1;
+        } else {
+            return IpcStep::GetFdMarker;
+        }
+        IpcStep::Sending {
+            from_request: false,
+        }
+    }
+
+    fn step(
+        &mut self,
+        st: &mut ConnState,
+        now: SimTime,
+        job: &mut SendJob,
+        mut step: IpcStep,
+        last: &SysResult,
+    ) -> Step<IpcStep> {
+        let lock = st.shared.locks.conn;
+        let target = job.out.alt.unwrap_or(job.out.dest);
+        loop {
+            return match step {
+                IpcStep::GetFdMarker => {
+                    // The famous function: tcpconn_get_fd, where the worker
+                    // blocks on the supervisor (§5.1: 12% of CPU time).
+                    st.shared.core.borrow_mut().stats.fd_requests += 1;
+                    let marker = Syscall::Compute {
+                        ns: 800,
+                        tag: tags::GET_FD,
+                    };
+                    Step::Next(IpcStep::FdReqSent, marker)
                 }
-            }
-            WkrPhase::AttachAssign => {
-                self.assign_fd = last.expect_fd();
-                self.phase = WkrPhase::AttachReq;
-                Syscall::IpcAttach {
-                    chan: self.req_chan,
-                    side: Side::B,
-                }
-            }
-            WkrPhase::AttachReq => {
-                self.req_fd = last.expect_fd();
-                self.next_idle_check = ctx.now + self.shared.cfg.idle_check_interval;
-                self.next_action(ctx.now)
-            }
-            WkrPhase::Poll => {
-                match last {
-                    SysResult::Ready(fds) => {
-                        for fd in fds {
-                            if fd == self.assign_fd {
-                                self.pending.push_back(WkrReady::Assign);
-                            } else if let Some(&conn) = self.conn_by_fd.get(&fd) {
-                                self.pending.push_back(WkrReady::Conn(conn));
-                            }
-                        }
-                    }
-                    SysResult::TimedOut => {}
-                    other => panic!("worker poll got {other:?}"),
-                }
-                self.next_action(ctx.now)
-            }
-            WkrPhase::AssignRecv => {
-                match last {
+                IpcStep::FdReqSent => Step::Next(
+                    IpcStep::AwaitFdResp,
+                    Syscall::IpcSend {
+                        fd: Self::req_fd(st),
+                        msg: IpcMsg::new(MSG_FD_REQ, job.conn.expect("have conn").0, 0),
+                    },
+                ),
+                IpcStep::AwaitFdResp => match last {
+                    // The send completed; now block for the answer.
+                    SysResult::Done => Step::Next(
+                        IpcStep::AwaitFdResp,
+                        Syscall::IpcRecv {
+                            fd: Self::req_fd(st),
+                        },
+                    ),
                     SysResult::Ipc(msg) => {
-                        assert_eq!(msg.kind, MSG_NEW_CONN, "assign channel protocol");
-                        let fd = msg.fd.expect("new conn carries its fd");
-                        let peer = decode_addr(msg.b);
-                        self.owned.insert(
-                            msg.a,
-                            OwnedConn {
-                                fd,
-                                peer,
-                                framer: StreamFramer::new(),
-                                stamp: 0,
-                            },
-                        );
-                        self.conn_by_fd.insert(fd, msg.a);
-                        let now = ctx.now;
-                        self.touch_local(now, msg.a);
-                    }
-                    other => panic!("assign recv got {other:?}"),
-                }
-                self.next_action(ctx.now)
-            }
-            WkrPhase::ConnRecv(conn) => {
-                match last {
-                    SysResult::Data(bytes) => {
-                        let timeout = self.shared.idle_timeout();
-                        let pq = self.pq_mode();
-                        // Update the connection's idle clock; in PQ mode
-                        // this repositions it in the shared heap under the
-                        // table lock (§5.3's per-message price).
-                        self.shared
-                            .conns
-                            .borrow_mut()
-                            .touch(ConnId(conn), ctx.now, timeout);
-                        self.touch_local(ctx.now, conn);
-                        if pq {
-                            self.script.push_back(Syscall::LockAcquire {
-                                lock: self.shared.locks.conn,
-                            });
-                            self.script.push_back(Syscall::Compute {
-                                ns: self.costs().pq_update,
-                                tag: tags::CONN_HASH,
-                            });
-                            self.script.push_back(Syscall::LockRelease {
-                                lock: self.shared.locks.conn,
-                            });
-                        }
-                        let (peer, frames) = {
-                            let owned = self.owned.get_mut(&conn).expect("receiving on owned conn");
-                            owned.framer.push(&bytes);
-                            (owned.peer, owned.framer.drain_messages())
-                        };
-                        match frames {
-                            Ok(frames) => {
-                                for raw in frames {
-                                    self.msg_q.push_back((raw, peer));
-                                }
+                        assert_eq!(msg.kind, MSG_FD_RESP);
+                        if msg.b == 1 {
+                            let fd = msg.fd.expect("fd attached");
+                            job.fd = Some(fd);
+                            if st.shared.cfg.fd_cache {
+                                self.cache.insert(job.conn.expect("conn").0, fd);
                             }
-                            Err(_) => {
-                                // Corrupt stream: drop the connection.
-                                self.shared.core.borrow_mut().stats.parse_errors += 1;
-                                self.conn_died(conn);
-                            }
+                            step = IpcStep::Sending { from_request: true };
+                        } else {
+                            // Connection destroyed meanwhile: fall back to
+                            // an outbound connect.
+                            job.conn = None;
+                            step = IpcStep::Connecting;
                         }
+                        continue;
                     }
-                    SysResult::Eof | SysResult::Err(_) => {
-                        self.conn_died(conn);
+                    other => panic!("fd response expected, got {other:?}"),
+                },
+                IpcStep::Connecting => {
+                    st.shared.core.borrow_mut().stats.outbound_connects += 1;
+                    Step::Next(IpcStep::PostConnLock, Syscall::TcpConnect { to: target })
+                }
+                IpcStep::PostConnLock => match last {
+                    SysResult::NewFd(fd) => {
+                        job.fd = Some(*fd);
+                        Step::Next(IpcStep::PostConnWork, Syscall::LockAcquire { lock })
                     }
-                    other => panic!("conn recv got {other:?}"),
+                    SysResult::Err(_) => {
+                        // Connect refused: drop the message.
+                        st.shared.core.borrow_mut().stats.send_errors += 1;
+                        Step::Done(None)
+                    }
+                    other => panic!("connect result expected, got {other:?}"),
+                },
+                IpcStep::PostConnWork => {
+                    // Registered only now, with the lock granted.
+                    let timeout = st.shared.cfg.idle_timeout;
+                    let id = st
+                        .shared
+                        .conns
+                        .borrow_mut()
+                        .insert(now, target, st.idx, timeout);
+                    job.conn = Some(id);
+                    st.adopt(id.0, job.fd.expect("connected"), target);
+                    self.touch_local(st, now, id.0);
+                    let work = Syscall::Compute {
+                        ns: st.shared.cfg.app_costs.conn_table_op,
+                        tag: tags::CONN_HASH,
+                    };
+                    Step::Next(IpcStep::PostConnUnlock, work)
                 }
-                self.next_action(ctx.now)
-            }
-            WkrPhase::Send => {
-                if let Some(s) = self.advance_send(ctx.now, &last) {
-                    self.phase = WkrPhase::Send;
-                    return s;
+                IpcStep::PostConnUnlock => {
+                    Step::Next(IpcStep::Announce, Syscall::LockRelease { lock })
                 }
-                self.next_action(ctx.now)
-            }
-            WkrPhase::Script => {
-                if let SysResult::Err(_) = last {
-                    self.shared.core.borrow_mut().stats.send_errors += 1;
+                IpcStep::Announce => Step::Next(
+                    IpcStep::Sending {
+                        from_request: false,
+                    },
+                    Syscall::IpcSend {
+                        fd: Self::req_fd(st),
+                        msg: IpcMsg::with_fd(
+                            MSG_NEW_OUTBOUND,
+                            job.conn.expect("registered").0,
+                            0,
+                            job.fd.expect("connected"),
+                        ),
+                    },
+                ),
+                IpcStep::Sending { from_request } => Step::Next(
+                    IpcStep::Closing { from_request },
+                    Syscall::TcpSend {
+                        fd: job.fd.expect("resolved fd"),
+                        data: job.out.bytes.clone(),
+                    },
+                ),
+                IpcStep::Closing { from_request } => {
+                    // The send's result is in; at most one trailing Close.
+                    let close = || Syscall::Close {
+                        fd: job.fd.expect("had fd"),
+                    };
+                    if matches!(last, SysResult::Err(_)) {
+                        // Dead connection: drop the message, invalidate and
+                        // release any descriptor we were holding for it.
+                        st.shared.core.borrow_mut().stats.send_errors += 1;
+                        if let Some(fd) = job.conn.and_then(|id| self.cache.remove(&id.0)) {
+                            return Step::Done(Some(Syscall::Close { fd }));
+                        }
+                        return Step::Done(from_request.then(close));
+                    }
+                    // Baseline behaviour: a descriptor obtained through the
+                    // supervisor is closed right after the send (§3.1) —
+                    // unless the fd cache keeps it.
+                    Step::Done((from_request && !st.shared.cfg.fd_cache).then(close))
                 }
-                self.next_action(ctx.now)
-            }
+            };
         }
     }
 }

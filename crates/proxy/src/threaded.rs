@@ -12,57 +12,34 @@
 //! `conn → fd` registry lives in ordinary shared memory; a send takes the
 //! connection-table lock to resolve the route, a striped per-connection
 //! write lock for atomicity, and that's all — no supervisor round trip, no
-//! close-after-send, no two-step idle shutdown.
+//! close-after-send, no two-step idle shutdown. The worker threads are
+//! [`ConnWorker`](crate::stream::ConnWorker)s reaching descriptors through
+//! [`SharedAccess`].
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use siperf_simcore::time::SimTime;
-use siperf_simnet::addr::SockAddr;
 use siperf_simos::ipc::{ChanId, Side};
 use siperf_simos::lock::LockId;
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
-use siperf_sip::framer::StreamFramer;
-use siperf_sip::parse::parse_message;
 
-use crate::config::{IdleStrategy, Transport};
-use crate::conn::{ConnId, ConnTable};
-use crate::core::{FastAdmission, Outgoing, ProxyCore};
-use crate::plumbing::{decode_addr, encode_addr, routing_script, tags, Locks};
+use crate::conn::ConnId;
+use crate::plumbing::{decode_addr, encode_addr, locked, tags, ConnShared};
+use crate::stream::{attach_next, ConnAccess, ConnState, SendJob, Step};
 use crate::tcp::{MSG_CONN_DEAD, MSG_NEW_CONN};
 
-/// State shared by the acceptor and all worker threads.
-#[derive(Clone)]
-pub struct ThreadShared {
-    /// Routing engine + stats.
-    pub core: Rc<RefCell<ProxyCore>>,
-    /// Shared connection table.
-    pub conns: Rc<RefCell<ConnTable>>,
-    /// Configuration.
-    pub cfg: Rc<crate::config::ProxyConfig>,
-    /// Shared-memory locks.
-    pub locks: Locks,
-    /// Striped write locks serializing sends per connection.
-    pub write_locks: Rc<Vec<LockId>>,
-    /// conn id → descriptor, valid in every thread (shared fd table).
-    pub fd_registry: Rc<RefCell<HashMap<u64, Fd>>>,
-}
-
-impl ThreadShared {
-    fn write_lock_for(&self, conn: u64) -> LockId {
-        self.write_locks[(conn as usize) % self.write_locks.len()]
-    }
-}
+/// conn id → descriptor, valid in every thread (shared fd table).
+pub type FdRegistry = Rc<RefCell<HashMap<u64, Fd>>>;
 
 // ===================================================================
 // Acceptor thread
 // ===================================================================
 
 enum AccPhase {
-    Start,
-    Attach(usize),
+    Attach,
     Listen,
     Poll,
     Accept,
@@ -72,7 +49,8 @@ enum AccPhase {
 /// The acceptor thread: accepts, registers, notifies the owning reader,
 /// and centrally closes idle connections (one step, one close).
 pub struct Acceptor {
-    shared: ThreadShared,
+    shared: ConnShared,
+    registry: FdRegistry,
     notify_chans: Vec<ChanId>,
     notify_fds: Vec<Fd>,
     listener: Fd,
@@ -84,46 +62,23 @@ pub struct Acceptor {
 
 impl Acceptor {
     /// Creates the acceptor with one notify channel per worker thread.
-    pub fn new(shared: ThreadShared, notify_chans: Vec<ChanId>) -> Self {
+    pub fn new(shared: ConnShared, registry: FdRegistry, notify_chans: Vec<ChanId>) -> Self {
         Acceptor {
             shared,
+            registry,
             notify_chans,
             notify_fds: Vec::new(),
             listener: Fd(u32::MAX),
             rr: 0,
             script: VecDeque::new(),
-            phase: AccPhase::Start,
+            phase: AccPhase::Attach,
             next_idle_check: SimTime::ZERO,
         }
     }
 
     fn idle_pass(&mut self, now: SimTime) {
-        let timeout = self.shared.cfg.idle_timeout;
-        let costs = &self.shared.cfg.app_costs;
-        let (hunt, cost) = {
-            let mut conns = self.shared.conns.borrow_mut();
-            match self.shared.cfg.idle_strategy {
-                IdleStrategy::LinearScan => {
-                    let hunt = conns.hunt_linear(now, timeout);
-                    (hunt.clone(), costs.idle_scan_entry * hunt.examined.max(1))
-                }
-                IdleStrategy::PriorityQueue => {
-                    let hunt = conns.hunt_priority_queue(now, timeout);
-                    (hunt.clone(), costs.pq_pop * hunt.examined + 400)
-                }
-            }
-        };
-        self.shared.core.borrow_mut().stats.idle_scan_entries += hunt.examined;
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.shared.locks.conn,
-        });
-        self.script.push_back(Syscall::Compute {
-            ns: cost.max(400),
-            tag: tags::IDLE,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.shared.locks.conn,
-        });
+        let (hunt, ns) = self.shared.idle_hunt(now);
+        locked(&mut self.script, self.shared.locks.conn, ns, tags::IDLE);
         // One-step close: no return protocol in a threaded server.
         for id in hunt.to_return.into_iter().chain(hunt.to_destroy) {
             let owner = self
@@ -132,7 +87,7 @@ impl Acceptor {
                 .borrow_mut()
                 .remove(id)
                 .map(|obj| obj.owner);
-            if let Some(fd) = self.shared.fd_registry.borrow_mut().remove(&id.0) {
+            if let Some(fd) = self.registry.borrow_mut().remove(&id.0) {
                 self.script.push_back(Syscall::Close { fd });
             }
             if let Some(owner) = owner {
@@ -166,29 +121,16 @@ impl Acceptor {
 
 impl Process for Acceptor {
     fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
-        match std::mem::replace(&mut self.phase, AccPhase::Script) {
-            AccPhase::Start => {
-                self.phase = AccPhase::Attach(0);
-                Syscall::IpcAttach {
-                    chan: self.notify_chans[0],
-                    side: Side::A,
-                }
-            }
-            AccPhase::Attach(i) => {
-                self.notify_fds.push(last.expect_fd());
-                if i + 1 < self.notify_chans.len() {
-                    self.phase = AccPhase::Attach(i + 1);
-                    Syscall::IpcAttach {
-                        chan: self.notify_chans[i + 1],
-                        side: Side::A,
-                    }
-                } else {
+        match std::mem::replace(&mut self.phase, AccPhase::Attach) {
+            AccPhase::Attach => {
+                let (chans, fds) = (&self.notify_chans, &mut self.notify_fds);
+                attach_next(chans, Side::A, fds, &last).unwrap_or_else(|| {
                     self.phase = AccPhase::Listen;
                     Syscall::TcpListen {
                         port: siperf_simnet::SIP_PORT,
                         backlog: 1024,
                     }
-                }
+                })
             }
             AccPhase::Listen => {
                 self.listener = last.expect_fd();
@@ -209,26 +151,10 @@ impl Process for Acceptor {
             AccPhase::Accept => {
                 match last {
                     SysResult::Accepted { fd, peer } => {
-                        let worker = self.rr % self.notify_chans.len();
-                        self.rr += 1;
-                        let id = self.shared.conns.borrow_mut().insert(
-                            ctx.now,
-                            peer,
-                            worker,
-                            self.shared.cfg.idle_timeout,
-                        );
-                        self.shared.fd_registry.borrow_mut().insert(id.0, fd);
-                        self.shared.core.borrow_mut().stats.conns_assigned += 1;
-                        self.script.push_back(Syscall::LockAcquire {
-                            lock: self.shared.locks.conn,
-                        });
-                        self.script.push_back(Syscall::Compute {
-                            ns: self.shared.cfg.app_costs.conn_table_op,
-                            tag: tags::CONN_HASH,
-                        });
-                        self.script.push_back(Syscall::LockRelease {
-                            lock: self.shared.locks.conn,
-                        });
+                        let (script, rr) = (&mut self.script, &mut self.rr);
+                        let workers = self.notify_chans.len();
+                        let (worker, id) = self.shared.accept(script, ctx.now, peer, rr, workers);
+                        self.registry.borrow_mut().insert(id.0, fd);
                         // Notify the owner — a plain message, no SCM_RIGHTS:
                         // the descriptor is already visible to every thread.
                         self.script.push_back(Syscall::IpcSend {
@@ -254,414 +180,155 @@ impl Process for Acceptor {
 }
 
 // ===================================================================
-// Worker thread
+// Worker access path
 // ===================================================================
 
-struct ThreadConn {
-    fd: Fd,
-    peer: SockAddr,
-    framer: StreamFramer,
-}
-
-enum TSendState {
-    LockTable,
-    TableWork,
-    Unlock,
-    Connecting,
+/// [`SharedAccess`]'s send steps after the table lookup.
+pub enum SharedStep {
+    /// Connect outbound: no usable connection to the destination.
+    Connect,
+    /// Connect issued; register the new connection.
+    Connected,
+    /// Take the connection's striped write lock.
     LockStripe,
+    /// Send the message.
     Sending,
+    /// Release the write lock.
     UnlockStripe,
 }
 
-struct TSendJob {
-    out: Outgoing,
-    state: TSendState,
-    conn: Option<ConnId>,
-    fd: Option<Fd>,
-    failed: bool,
+/// The threaded server's access path: connections are announced by
+/// plain messages on one notify channel, and any descriptor is read from
+/// the registry every thread shares; a striped write lock keeps each
+/// connection's sends atomic.
+#[derive(Clone)]
+pub struct SharedAccess {
+    registry: FdRegistry,
+    stripes: Rc<Vec<LockId>>,
+    notify_chan: [ChanId; 1],
 }
 
-enum TWkrPhase {
-    Start,
-    Attach,
-    Poll,
-    NotifyRecv,
-    ConnRecv(u64),
-    Send,
-    Script,
-}
-
-enum TWkrReady {
-    Notify,
-    Conn(u64),
-}
-
-/// One worker thread.
-pub struct ThreadWorker {
-    idx: usize,
-    shared: ThreadShared,
-    notify_chan: ChanId,
-    notify_fd: Fd,
-    owned: HashMap<u64, ThreadConn>,
-    conn_by_fd: HashMap<Fd, u64>,
-    pending: VecDeque<TWkrReady>,
-    msg_q: VecDeque<(Vec<u8>, SockAddr)>,
-    out_q: VecDeque<Outgoing>,
-    send: Option<TSendJob>,
-    script: VecDeque<Syscall>,
-    phase: TWkrPhase,
-}
-
-impl ThreadWorker {
-    /// Creates worker thread `idx`.
-    pub fn new(idx: usize, shared: ThreadShared, notify_chan: ChanId) -> Self {
-        ThreadWorker {
-            idx,
-            shared,
-            notify_chan,
-            notify_fd: Fd(u32::MAX),
-            owned: HashMap::new(),
-            conn_by_fd: HashMap::new(),
-            pending: VecDeque::new(),
-            msg_q: VecDeque::new(),
-            out_q: VecDeque::new(),
-            send: None,
-            script: VecDeque::new(),
-            phase: TWkrPhase::Start,
+impl SharedAccess {
+    /// Creates the access path over the shared registry, the striped write
+    /// locks and the thread's notify channel.
+    pub fn new(registry: FdRegistry, stripes: Rc<Vec<LockId>>, notify_chan: ChanId) -> Self {
+        SharedAccess {
+            registry,
+            stripes,
+            notify_chan: [notify_chan],
         }
     }
 
-    fn process_message(&mut self, now: SimTime, raw: Vec<u8>, src: SockAddr) {
-        let parse_ns = self.shared.cfg.app_costs.parse_cost(raw.len());
-        match parse_message(&raw) {
-            Err(_) => {
-                self.shared.core.borrow_mut().stats.parse_errors += 1;
-                self.script.push_back(Syscall::Compute {
-                    ns: parse_ns,
-                    tag: tags::PARSE,
-                });
-            }
-            Ok(msg) => {
-                let was_request = msg.is_request();
-                let mut core = self.shared.core.borrow_mut();
-                // Overload-signal hook: as in the process-per-worker TCP
-                // mode, framed-but-unrouted messages are policy-visible
-                // backlog.
-                core.note_worker_backlog(self.idx, self.msg_q.len() + self.out_q.len());
-                if let FastAdmission::Shed(plan) = core.fast_admission(now, &msg, src) {
-                    // Shed fast path: refuse from the request line, skipping
-                    // the parse/route/build pipeline.
-                    drop(core);
-                    self.script.push_back(Syscall::Compute {
-                        ns: self.shared.cfg.app_costs.shed_fast,
-                        tag: tags::SHED_FAST,
-                    });
-                    self.out_q.extend(plan.out);
-                    return;
+    fn stripe(&self, job: &SendJob) -> LockId {
+        let conn = job.conn.expect("resolved").0;
+        self.stripes[(conn as usize) % self.stripes.len()]
+    }
+}
+
+impl ConnAccess for SharedAccess {
+    type Step = SharedStep;
+
+    fn channels(&self) -> &[ChanId] {
+        &self.notify_chan
+    }
+
+    fn on_ctl(&mut self, st: &mut ConnState, _now: SimTime, msg: IpcMsg) {
+        match msg.kind {
+            MSG_NEW_CONN => {
+                let fd = self.registry.borrow().get(&msg.a).copied();
+                if let Some(fd) = fd {
+                    st.adopt(msg.a, fd, decode_addr(msg.b));
                 }
-                let plan = core.handle_message(now, msg, src);
-                drop(core);
-                routing_script(
-                    &mut self.script,
-                    &self.shared.cfg.app_costs,
-                    &self.shared.locks,
-                    Transport::Tcp,
-                    parse_ns,
-                    was_request,
-                    &plan,
-                );
-                self.out_q.extend(plan.out);
             }
+            MSG_CONN_DEAD => {
+                // Acceptor already closed the shared fd.
+                st.forget(msg.a);
+            }
+            other => panic!("thread worker got ipc kind {other}"),
         }
     }
 
-    fn conn_died(&mut self, conn: u64) {
-        if let Some(tc) = self.owned.remove(&conn) {
-            self.conn_by_fd.remove(&tc.fd);
-            // Single close: the descriptor table is shared, so this is the
-            // only copy to release.
-            if self.shared.fd_registry.borrow_mut().remove(&conn).is_some() {
-                self.script.push_back(Syscall::Close { fd: tc.fd });
-            }
-            self.shared.conns.borrow_mut().remove(ConnId(conn));
+    fn released(&mut self, st: &mut ConnState, conn: u64, fd: Fd) {
+        // Single close: the descriptor table is shared, so this is the only
+        // copy to release.
+        if self.registry.borrow_mut().remove(&conn).is_some() {
+            st.script.push_back(Syscall::Close { fd });
+        }
+        st.shared.conns.borrow_mut().remove(ConnId(conn));
+    }
+
+    fn table_work(&mut self, _st: &mut ConnState, _now: SimTime, job: &mut SendJob) -> u64 {
+        // The registry is read under the table lock.
+        job.fd = job
+            .conn
+            .and_then(|id| self.registry.borrow().get(&id.0).copied());
+        0
+    }
+
+    fn route(&mut self, _st: &mut ConnState, job: &mut SendJob) -> SharedStep {
+        if job.fd.is_some() {
+            SharedStep::LockStripe
+        } else {
+            SharedStep::Connect
         }
     }
 
-    fn advance_send(&mut self, now: SimTime, last: &SysResult) -> Option<Syscall> {
-        let mut job = self.send.take()?;
-        let timeout = self.shared.cfg.idle_timeout;
-        let syscall = loop {
-            match job.state {
-                TSendState::LockTable => {
-                    job.state = TSendState::TableWork;
-                    break Some(Syscall::LockAcquire {
-                        lock: self.shared.locks.conn,
-                    });
+    fn step(
+        &mut self,
+        st: &mut ConnState,
+        now: SimTime,
+        job: &mut SendJob,
+        mut step: SharedStep,
+        last: &SysResult,
+    ) -> Step<SharedStep> {
+        let target = job.out.alt.unwrap_or(job.out.dest);
+        loop {
+            return match step {
+                SharedStep::Connect => {
+                    st.shared.core.borrow_mut().stats.outbound_connects += 1;
+                    Step::Next(SharedStep::Connected, Syscall::TcpConnect { to: target })
                 }
-                TSendState::TableWork => {
-                    let mut conns = self.shared.conns.borrow_mut();
-                    job.conn = conns
-                        .lookup_peer(job.out.dest)
-                        .or_else(|| job.out.alt.and_then(|a| conns.lookup_peer(a)));
-                    let mut ns = self.shared.cfg.app_costs.conn_table_op;
-                    if let Some(id) = job.conn {
-                        conns.touch(id, now, timeout);
-                        if self.shared.cfg.idle_strategy == IdleStrategy::PriorityQueue {
-                            ns += self.shared.cfg.app_costs.pq_update;
-                        }
+                SharedStep::Connected => match last {
+                    SysResult::NewFd(fd) => {
+                        let timeout = st.shared.cfg.idle_timeout;
+                        let id = st
+                            .shared
+                            .conns
+                            .borrow_mut()
+                            .insert(now, target, st.idx, timeout);
+                        self.registry.borrow_mut().insert(id.0, *fd);
+                        st.adopt(id.0, *fd, target);
+                        job.conn = Some(id);
+                        job.fd = Some(*fd);
+                        step = SharedStep::LockStripe;
+                        continue;
                     }
-                    drop(conns);
-                    job.fd = job
-                        .conn
-                        .and_then(|id| self.shared.fd_registry.borrow().get(&id.0).copied());
-                    job.state = TSendState::Unlock;
-                    break Some(Syscall::Compute {
-                        ns,
-                        tag: tags::CONN_HASH,
-                    });
-                }
-                TSendState::Unlock => {
-                    job.state = if job.fd.is_some() {
-                        TSendState::LockStripe
-                    } else {
-                        TSendState::Connecting
-                    };
-                    break Some(Syscall::LockRelease {
-                        lock: self.shared.locks.conn,
-                    });
-                }
-                TSendState::Connecting => {
-                    if !job.failed {
-                        job.failed = true; // marks the connect as issued
-                        let target = job.out.alt.unwrap_or(job.out.dest);
-                        self.shared.core.borrow_mut().stats.outbound_connects += 1;
-                        break Some(Syscall::TcpConnect { to: target });
+                    SysResult::Err(_) => {
+                        st.shared.core.borrow_mut().stats.send_errors += 1;
+                        Step::Done(None)
                     }
-                    match last {
-                        SysResult::NewFd(fd) => {
-                            let target = job.out.alt.unwrap_or(job.out.dest);
-                            let id = self
-                                .shared
-                                .conns
-                                .borrow_mut()
-                                .insert(now, target, self.idx, timeout);
-                            self.shared.fd_registry.borrow_mut().insert(id.0, *fd);
-                            self.owned.insert(
-                                id.0,
-                                ThreadConn {
-                                    fd: *fd,
-                                    peer: target,
-                                    framer: StreamFramer::new(),
-                                },
-                            );
-                            self.conn_by_fd.insert(*fd, id.0);
-                            job.conn = Some(id);
-                            job.fd = Some(*fd);
-                            job.state = TSendState::LockStripe;
-                            continue;
-                        }
-                        SysResult::Err(_) => {
-                            self.shared.core.borrow_mut().stats.send_errors += 1;
-                            self.send = None;
-                            return None;
-                        }
-                        other => panic!("connect result expected, got {other:?}"),
-                    }
+                    other => panic!("connect result expected, got {other:?}"),
+                },
+                SharedStep::LockStripe => {
+                    let lock = self.stripe(job);
+                    Step::Next(SharedStep::Sending, Syscall::LockAcquire { lock })
                 }
-                TSendState::LockStripe => {
-                    job.state = TSendState::Sending;
-                    let lock = self.shared.write_lock_for(job.conn.expect("resolved").0);
-                    break Some(Syscall::LockAcquire { lock });
-                }
-                TSendState::Sending => {
-                    job.state = TSendState::UnlockStripe;
-                    break Some(Syscall::TcpSend {
+                SharedStep::Sending => Step::Next(
+                    SharedStep::UnlockStripe,
+                    Syscall::TcpSend {
                         fd: job.fd.expect("resolved"),
                         data: job.out.bytes.clone(),
-                    });
-                }
-                TSendState::UnlockStripe => {
-                    if matches!(last, SysResult::Err(_)) {
-                        self.shared.core.borrow_mut().stats.send_errors += 1;
-                    }
-                    let lock = self.shared.write_lock_for(job.conn.expect("resolved").0);
-                    self.send = None;
-                    return Some(Syscall::LockRelease { lock });
-                }
-            }
-        };
-        self.send = Some(job);
-        syscall
-    }
-
-    fn next_action(&mut self, now: SimTime) -> Syscall {
-        loop {
-            if let Some(s) = self.script.pop_front() {
-                self.phase = TWkrPhase::Script;
-                return s;
-            }
-            if self.send.is_some() {
-                if let Some(s) = self.advance_send(now, &SysResult::Done) {
-                    self.phase = TWkrPhase::Send;
-                    return s;
-                }
-                continue;
-            }
-            if let Some(out) = self.out_q.pop_front() {
-                self.send = Some(TSendJob {
-                    out,
-                    state: TSendState::LockTable,
-                    conn: None,
-                    fd: None,
-                    failed: false,
-                });
-                continue;
-            }
-            if let Some((raw, src)) = self.msg_q.pop_front() {
-                self.process_message(now, raw, src);
-                continue;
-            }
-            match self.pending.pop_front() {
-                Some(TWkrReady::Notify) => {
-                    self.phase = TWkrPhase::NotifyRecv;
-                    return Syscall::IpcRecv { fd: self.notify_fd };
-                }
-                Some(TWkrReady::Conn(conn)) => {
-                    if let Some(tc) = self.owned.get(&conn) {
-                        let fd = tc.fd;
-                        self.phase = TWkrPhase::ConnRecv(conn);
-                        return Syscall::TcpRecv { fd, max: 16 * 1024 };
-                    }
-                    continue;
-                }
-                None => {}
-            }
-            let mut fds = Vec::with_capacity(1 + self.owned.len());
-            fds.push(self.notify_fd);
-            fds.extend(self.owned.values().map(|c| c.fd));
-            // Poll order decides which ready connection is served first;
-            // sort so it does not depend on HashMap iteration order.
-            fds[1..].sort_unstable();
-            self.phase = TWkrPhase::Poll;
-            return Syscall::Poll { fds, timeout: None };
-        }
-    }
-}
-
-impl Process for ThreadWorker {
-    fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
-        match std::mem::replace(&mut self.phase, TWkrPhase::Script) {
-            TWkrPhase::Start => {
-                self.phase = TWkrPhase::Attach;
-                Syscall::IpcAttach {
-                    chan: self.notify_chan,
-                    side: Side::B,
-                }
-            }
-            TWkrPhase::Attach => {
-                self.notify_fd = last.expect_fd();
-                self.next_action(ctx.now)
-            }
-            TWkrPhase::Poll => {
-                match last {
-                    SysResult::Ready(fds) => {
-                        for fd in fds {
-                            if fd == self.notify_fd {
-                                self.pending.push_back(TWkrReady::Notify);
-                            } else if let Some(&conn) = self.conn_by_fd.get(&fd) {
-                                self.pending.push_back(TWkrReady::Conn(conn));
-                            }
-                        }
-                    }
-                    SysResult::TimedOut => {}
-                    other => panic!("thread worker poll got {other:?}"),
-                }
-                self.next_action(ctx.now)
-            }
-            TWkrPhase::NotifyRecv => {
-                match last {
-                    SysResult::Ipc(msg) => match msg.kind {
-                        MSG_NEW_CONN => {
-                            let fd = self.shared.fd_registry.borrow().get(&msg.a).copied();
-                            if let Some(fd) = fd {
-                                self.owned.insert(
-                                    msg.a,
-                                    ThreadConn {
-                                        fd,
-                                        peer: decode_addr(msg.b),
-                                        framer: StreamFramer::new(),
-                                    },
-                                );
-                                self.conn_by_fd.insert(fd, msg.a);
-                            }
-                        }
-                        MSG_CONN_DEAD => {
-                            // Acceptor already closed the shared fd.
-                            if let Some(tc) = self.owned.remove(&msg.a) {
-                                self.conn_by_fd.remove(&tc.fd);
-                            }
-                        }
-                        other => panic!("thread worker got ipc kind {other}"),
                     },
-                    other => panic!("notify recv got {other:?}"),
-                }
-                self.next_action(ctx.now)
-            }
-            TWkrPhase::ConnRecv(conn) => {
-                match last {
-                    SysResult::Data(bytes) => {
-                        self.shared.conns.borrow_mut().touch(
-                            ConnId(conn),
-                            ctx.now,
-                            self.shared.cfg.idle_timeout,
-                        );
-                        if self.shared.cfg.idle_strategy == IdleStrategy::PriorityQueue {
-                            self.script.push_back(Syscall::LockAcquire {
-                                lock: self.shared.locks.conn,
-                            });
-                            self.script.push_back(Syscall::Compute {
-                                ns: self.shared.cfg.app_costs.pq_update,
-                                tag: tags::CONN_HASH,
-                            });
-                            self.script.push_back(Syscall::LockRelease {
-                                lock: self.shared.locks.conn,
-                            });
-                        }
-                        let (peer, frames) = {
-                            let tc = self.owned.get_mut(&conn).expect("owned conn");
-                            tc.framer.push(&bytes);
-                            (tc.peer, tc.framer.drain_messages())
-                        };
-                        match frames {
-                            Ok(frames) => {
-                                for raw in frames {
-                                    self.msg_q.push_back((raw, peer));
-                                }
-                            }
-                            Err(_) => {
-                                self.shared.core.borrow_mut().stats.parse_errors += 1;
-                                self.conn_died(conn);
-                            }
-                        }
+                ),
+                SharedStep::UnlockStripe => {
+                    if matches!(last, SysResult::Err(_)) {
+                        st.shared.core.borrow_mut().stats.send_errors += 1;
                     }
-                    SysResult::Eof | SysResult::Err(_) => self.conn_died(conn),
-                    other => panic!("thread conn recv got {other:?}"),
+                    Step::Done(Some(Syscall::LockRelease {
+                        lock: self.stripe(job),
+                    }))
                 }
-                self.next_action(ctx.now)
-            }
-            TWkrPhase::Send => {
-                if let Some(s) = self.advance_send(ctx.now, &last) {
-                    self.phase = TWkrPhase::Send;
-                    return s;
-                }
-                self.next_action(ctx.now)
-            }
-            TWkrPhase::Script => {
-                if let SysResult::Err(_) = last {
-                    self.shared.core.borrow_mut().stats.send_errors += 1;
-                }
-                self.next_action(ctx.now)
-            }
+            };
         }
     }
 }

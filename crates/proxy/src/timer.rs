@@ -13,140 +13,90 @@
 //! lacks a connection and drops them, which only matters when a phone dies
 //! mid-call.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
-use crate::config::{AppCostModel, Transport};
-use crate::core::ProxyCore;
-use crate::plumbing::{tags, Locks};
-
-/// How the timer process puts retransmissions on the wire.
-enum TimerSocket {
-    /// Needs its own ephemeral UDP socket.
-    Udp(Option<Fd>),
-    /// Shares the inherited SCTP endpoint.
-    Sctp(Rc<Cell<Option<Fd>>>, Option<Fd>),
-    /// TCP: no socket; retransmissions never happen, timeouts are dropped.
-    None,
-}
+use crate::config::Transport;
+use crate::datagram::datagram_send;
+use crate::plumbing::{locked, tags, ConnShared};
 
 /// The retransmission/reaping timer process.
 pub struct TimerProc {
-    core: Rc<RefCell<ProxyCore>>,
-    costs: AppCostModel,
-    locks: Locks,
-    tick: siperf_simcore::time::SimDuration,
-    socket: TimerSocket,
+    shared: ConnShared,
+    /// The shared SCTP endpoint's slot, filled by the spawner.
+    sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>,
+    /// Where retransmissions go out: an ephemeral UDP socket of its own,
+    /// the shared SCTP endpoint, or none under TCP (retransmissions never
+    /// happen there and timeouts are dropped).
+    fd: Option<Fd>,
     script: VecDeque<Syscall>,
     started: bool,
 }
 
 impl TimerProc {
-    /// Creates the timer process for the given transport.
-    pub fn new(
-        core: Rc<RefCell<ProxyCore>>,
-        costs: AppCostModel,
-        locks: Locks,
-        tick: siperf_simcore::time::SimDuration,
-        transport: Transport,
-        sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>,
-    ) -> Self {
-        let socket = match transport {
-            Transport::Udp => TimerSocket::Udp(None),
-            Transport::Sctp => {
-                TimerSocket::Sctp(sctp_fd_slot.expect("sctp slot for sctp proxy"), None)
-            }
-            Transport::Tcp => TimerSocket::None,
-        };
+    /// Creates the timer process for the configured transport; an SCTP
+    /// proxy's timer also needs the shared endpoint's slot.
+    pub fn new(shared: ConnShared, sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>) -> Self {
         TimerProc {
-            core,
-            costs,
-            locks,
-            tick,
-            socket,
+            shared,
+            sctp_fd_slot,
+            fd: None,
             script: VecDeque::new(),
             started: false,
         }
     }
 
     fn run_pass(&mut self, ctx: &ResumeCtx) {
+        let (locks, cfg) = (self.shared.locks, &self.shared.cfg);
         // Lock ordering per OpenSER: timer list first, then transactions.
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.locks.timer,
-        });
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.locks.txn,
-        });
-        let pass = self.core.borrow_mut().timer_pass(ctx.now);
-        let scan_ns = self
-            .costs
+        let timer = locks.timer;
+        self.script.push_back(Syscall::LockAcquire { lock: timer });
+        let pass = self.shared.core.borrow_mut().timer_pass(ctx.now);
+        let scan_ns = cfg
+            .app_costs
             .timer_scan_entry
             .saturating_mul(pass.examined.max(1));
-        self.script.push_back(Syscall::Compute {
-            ns: scan_ns,
-            tag: tags::TIMER_SCAN,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.locks.txn,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.locks.timer,
-        });
-        let send_fd = match &self.socket {
-            TimerSocket::Udp(fd) => *fd,
-            TimerSocket::Sctp(_, fd) => *fd,
-            TimerSocket::None => None,
-        };
+        locked(&mut self.script, locks.txn, scan_ns, tags::TIMER_SCAN);
+        self.script.push_back(Syscall::LockRelease { lock: timer });
         for out in pass.retransmits.into_iter().chain(pass.timeouts) {
-            match (&self.socket, send_fd) {
-                (TimerSocket::Udp(_), Some(fd)) => {
-                    self.script.push_back(Syscall::UdpSend {
-                        fd,
-                        to: out.dest,
-                        data: out.bytes,
-                    });
+            match self.fd {
+                Some(fd) => {
+                    let send = datagram_send(cfg.transport, fd, out.dest, out.bytes);
+                    self.script.push_back(send);
                 }
-                (TimerSocket::Sctp(..), Some(fd)) => {
-                    self.script.push_back(Syscall::SctpSend {
-                        fd,
-                        to: out.dest,
-                        data: out.bytes,
-                    });
-                }
-                _ => {
-                    // TCP timer has no connection to send on; see module
-                    // docs.
-                    self.core.borrow_mut().stats.send_errors += 1;
-                }
+                // TCP timer has no connection to send on; see module docs.
+                None => self.shared.core.borrow_mut().stats.send_errors += 1,
             }
         }
-        self.script.push_back(Syscall::Sleep(self.tick));
+        self.script.push_back(Syscall::Sleep(cfg.timer_tick));
     }
 }
 
 impl Process for TimerProc {
     fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
         if let SysResult::Err(_) = last {
-            self.core.borrow_mut().stats.send_errors += 1;
+            self.shared.core.borrow_mut().stats.send_errors += 1;
         }
+        let (transport, tick) = (self.shared.cfg.transport, self.shared.cfg.timer_tick);
         if !self.started {
             self.started = true;
-            match &mut self.socket {
-                TimerSocket::Udp(_) => return Syscall::UdpBindEphemeral,
-                TimerSocket::Sctp(slot, fd) => {
-                    *fd = Some(slot.get().expect("shared SCTP endpoint installed"));
+            match transport {
+                Transport::Udp => return Syscall::UdpBindEphemeral,
+                Transport::Sctp => {
+                    let slot = self.sctp_fd_slot.as_ref().expect("sctp slot");
+                    self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
                 }
-                TimerSocket::None => {}
+                Transport::Tcp => {}
             }
-            return Syscall::Sleep(self.tick);
+            return Syscall::Sleep(tick);
         }
-        if let TimerSocket::Udp(fd @ None) = &mut self.socket {
-            *fd = Some(last.expect_fd());
-            return Syscall::Sleep(self.tick);
+        if transport == Transport::Udp && self.fd.is_none() {
+            self.fd = Some(last.expect_fd());
+            return Syscall::Sleep(tick);
         }
         if let Some(next) = self.script.pop_front() {
             return next;
