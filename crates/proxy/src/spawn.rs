@@ -141,8 +141,8 @@ impl ProxyHandle {
     /// exactly as OpenSER's main process re-forks a dead child.
     ///
     /// Under UDP/SCTP the replacement inherits the shared SIP socket from a
-    /// surviving sibling (or rebinds it if none survived). Under the TCP
-    /// multi-process architecture the supervisor is notified and re-assigns
+    /// surviving sibling (or rebinds it if none survived). Under TCP the
+    /// supervisor (or, threaded, the acceptor) is notified and re-announces
     /// the dead worker's connections to the replacement over IPC. Returns
     /// the new worker's pid.
     pub fn respawn_worker(&mut self, kernel: &mut Kernel, idx: usize) -> ProcId {
@@ -174,11 +174,10 @@ impl ProxyHandle {
                 };
                 slots[idx].set(Some(fd));
             }
-            RespawnCtx::TcpMulti { .. } => {
+            RespawnCtx::TcpMulti { .. } | RespawnCtx::TcpThread { .. } => {
                 let respawned = ManagerCtl::WorkerRespawned(idx);
                 self.shared.ctl.borrow_mut().push_back(respawned);
             }
-            RespawnCtx::TcpThread { .. } => {}
         }
         self.workers[idx] = pid;
         self.core.borrow_mut().stats.workers_respawned += 1;

@@ -27,7 +27,7 @@ use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
 use crate::conn::ConnId;
-use crate::plumbing::{decode_addr, encode_addr, locked, tags, ConnShared};
+use crate::plumbing::{decode_addr, encode_addr, locked, tags, ConnShared, ManagerCtl};
 use crate::stream::{attach_next, ConnAccess, ConnState, SendJob, Step};
 use crate::tcp::{MSG_CONN_DEAD, MSG_NEW_CONN};
 
@@ -47,7 +47,8 @@ enum AccPhase {
 }
 
 /// The acceptor thread: accepts, registers, notifies the owning reader,
-/// and centrally closes idle connections (one step, one close).
+/// centrally closes idle connections (one step, one close), and hands a
+/// crashed thread's connections to its replacement.
 pub struct Acceptor {
     shared: ConnShared,
     registry: FdRegistry,
@@ -101,6 +102,17 @@ impl Acceptor {
     }
 
     fn next_action(&mut self, now: SimTime) -> Syscall {
+        // Crash notifications first: a respawned thread starts with nothing
+        // to read, so hand it the dead thread's connections before they
+        // starve. The descriptors stay valid in the shared table.
+        while let Some(ManagerCtl::WorkerRespawned(w)) = self.shared.next_ctl() {
+            let owned = self.shared.conns.borrow().owned_by(w);
+            for (id, peer) in owned {
+                let msg = IpcMsg::new(MSG_NEW_CONN, id.0, encode_addr(peer));
+                self.shared
+                    .reannounce(&mut self.script, self.notify_fds[w], msg);
+            }
+        }
         if let Some(s) = self.script.pop_front() {
             self.phase = AccPhase::Script;
             return s;

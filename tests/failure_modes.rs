@@ -3,7 +3,7 @@
 //! recovery on a lossy network.
 
 use siperf::faults::{Fault, FaultSchedule};
-use siperf::proxy::config::{ProxyConfig, Transport};
+use siperf::proxy::config::{Arch, ProxyConfig, Transport};
 use siperf::simcore::time::{SimDuration, SimTime};
 use siperf::simnet::{HostId, NetConfig};
 use siperf::workload::Scenario;
@@ -220,6 +220,45 @@ fn tcp_tolerates_a_mid_call_worker_crash() {
 fn sctp_tolerates_a_mid_call_worker_crash() {
     let report = worker_crash_run(Transport::Sctp);
     assert_crash_tolerated(&report, Transport::Sctp);
+}
+
+/// One pair against the threaded server over a 2–4 s window, with worker
+/// thread 0 killed at 1.5 s or left alone.
+fn threaded_crash_run(crash: bool) -> siperf::workload::ScenarioReport {
+    let mut proxy = ProxyConfig::paper(Transport::Tcp);
+    proxy.arch = Arch::MultiThread;
+    let mut faults = FaultSchedule::new();
+    if crash {
+        let at = SimDuration::from_millis(1500);
+        faults = faults.at(at, Fault::KillWorker { index: 0 });
+    }
+    let mut s = Scenario::builder(format!("threaded-crash-{crash}"))
+        .proxy(proxy)
+        .client_pairs(1)
+        .fault_schedule(faults)
+        .build();
+    s.measure_from = SimDuration::from_secs(2);
+    s.measure = SimDuration::from_secs(2);
+    s.run()
+}
+
+/// A respawned worker thread starts with nothing to read; the acceptor
+/// must hand it the dead thread's connections, or every call routed over
+/// them stalls.
+#[test]
+fn threaded_worker_crash_hands_connections_to_the_replacement() {
+    let clean = threaded_crash_run(false);
+    let crashed = threaded_crash_run(true);
+    assert_eq!(crashed.workers_respawned, 1, "crash not applied");
+    assert!(
+        crashed.proxy.conns_reassigned > 0,
+        "acceptor re-announced no connections"
+    );
+    let (before, after) = (clean.throughput.per_sec(), crashed.throughput.per_sec());
+    assert!(
+        after >= 0.8 * before,
+        "throughput after the crash: {after:.0} ops/s vs {before:.0} without it"
+    );
 }
 
 /// A datagram phone whose REGISTER never gets through hits Timer F and

@@ -15,7 +15,7 @@ use siperf::simnet::HostId;
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 12] = [
+const GOLDEN: [(&str, u64); 13] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -28,6 +28,7 @@ const GOLDEN: [(&str, u64); 12] = [
     ("tcp-idle-expiry", 0x9cdf_c617_9150_5871),
     ("threaded-linear-expiry", 0x971c_b0c5_32e2_d03f),
     ("sctp-kill-worker", 0x320d_2111_222e_42f7),
+    ("threaded-kill-worker", 0x9b06_6687_9a77_ec5d),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -123,6 +124,16 @@ fn scenario(name: &str) -> Scenario {
                 SimDuration::from_millis(800),
                 Fault::KillWorker { index: 1 },
             )),
+        "threaded-kill-worker" => {
+            let mut proxy = ProxyConfig::paper(Transport::Tcp);
+            proxy.arch = Arch::MultiThread;
+            b.proxy(proxy)
+                .client_pairs(10)
+                .fault_schedule(FaultSchedule::new().at(
+                    SimDuration::from_millis(800),
+                    Fault::KillWorker { index: 1 },
+                ))
+        }
         other => panic!("no golden scenario named {other}"),
     })
 }
@@ -147,6 +158,7 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
                 p.conns_destroyed > 0 && p.outbound_connects > 0 && p.fd_requests == 0
             }
             "sctp-kill-worker" => r.workers_respawned > 0,
+            "threaded-kill-worker" => r.workers_respawned > 0 && p.conns_reassigned > 0,
             _ => true,
         }
 }
