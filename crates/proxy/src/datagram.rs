@@ -28,7 +28,7 @@ use crate::plumbing::ConnShared;
 
 /// One symmetric datagram worker process, speaking UDP or SCTP per the
 /// configured transport.
-pub struct MsgWorker {
+pub(crate) struct MsgWorker {
     shared: ConnShared,
     /// Filled by the spawner after fork-inheritance of the shared socket.
     fd_slot: Rc<Cell<Option<Fd>>>,
@@ -62,7 +62,7 @@ impl MsgWorker {
 }
 
 /// A datagram send of `data` to `to` on `fd`, UDP or SCTP per `transport`.
-pub fn datagram_send(transport: Transport, fd: Fd, to: SockAddr, data: Bytes) -> Syscall {
+pub(crate) fn datagram_send(transport: Transport, fd: Fd, to: SockAddr, data: Bytes) -> Syscall {
     match transport {
         Transport::Udp => Syscall::UdpSend { fd, to, data },
         _ => Syscall::SctpSend { fd, to, data },

@@ -69,7 +69,7 @@ pub mod tags {
 }
 
 /// Charges `ns` of work under `lock`: one acquire → `Compute` → release.
-pub fn locked(script: &mut VecDeque<Syscall>, lock: LockId, ns: u64, tag: &'static str) {
+pub(crate) fn locked(script: &mut VecDeque<Syscall>, lock: LockId, ns: u64, tag: &'static str) {
     script.push_back(Syscall::LockAcquire { lock });
     script.push_back(Syscall::Compute { ns, tag });
     script.push_back(Syscall::LockRelease { lock });
@@ -80,7 +80,7 @@ pub fn locked(script: &mut VecDeque<Syscall>, lock: LockId, ns: u64, tag: &'stat
 /// shared memory: the manager observes `SIGCHLD`-style events on its next
 /// loop pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManagerCtl {
+pub(crate) enum ManagerCtl {
     /// Worker `idx` was killed and respawned; its owned connections must be
     /// re-announced to the replacement.
     WorkerRespawned(usize),
@@ -89,7 +89,7 @@ pub enum ManagerCtl {
 /// State shared by every process of a proxy. Under UDP/SCTP the
 /// connection table stays empty and no crash notice has a reader.
 #[derive(Clone)]
-pub struct ConnShared {
+pub(crate) struct ConnShared {
     /// Routing engine + stats.
     pub core: Rc<RefCell<ProxyCore>>,
     /// The shared connection table.

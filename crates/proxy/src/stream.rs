@@ -7,13 +7,12 @@
 //! routes each message, and sends each result after resolving the
 //! destination in the shared connection table under its lock. What the
 //! paper varies is the one step after that lookup — how the worker gets
-//! the destination's descriptor — and that sits behind [`ConnAccess`]:
+//! the destination's descriptor — and that sits behind `ConnAccess`:
 //!
-//! * [`IpcAccess`](crate::tcp::IpcAccess) — the multi-process server asks
-//!   the supervisor over blocking IPC, optionally through the §5.2 fd
-//!   cache (§3.1).
-//! * [`SharedAccess`](crate::threaded::SharedAccess) — the threaded server
-//!   reads a descriptor table every thread shares (§6).
+//! * `tcp::IpcAccess` — the multi-process server asks the supervisor over
+//!   blocking IPC, optionally through the §5.2 fd cache (§3.1).
+//! * `threaded::SharedAccess` — the threaded server reads a descriptor
+//!   table every thread shares (§6).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -33,7 +32,7 @@ const RECV_CHUNK: usize = 16 * 1024;
 /// Attaches each of `chans` on `side` in turn, collecting the descriptors
 /// in `fds` (`last` is the previous attach's result): the next attach, or
 /// `None` once all are attached.
-pub fn attach_next(
+pub(crate) fn attach_next(
     chans: &[ChanId],
     side: Side,
     fds: &mut Vec<Fd>,
@@ -47,7 +46,7 @@ pub fn attach_next(
 }
 
 /// A connection a worker reads.
-pub struct OwnedConn {
+pub(crate) struct OwnedConn {
     /// The worker's descriptor for it.
     pub fd: Fd,
     /// The remote end.
@@ -60,7 +59,7 @@ pub struct OwnedConn {
 
 /// The state every connection worker keeps whatever its access path,
 /// lent to the [`ConnAccess`] hooks.
-pub struct ConnState {
+pub(crate) struct ConnState {
     /// This worker's index.
     pub idx: usize,
     /// State shared with the other workers and the manager.
@@ -99,7 +98,7 @@ impl ConnState {
 }
 
 /// One outgoing message on its way to a descriptor.
-pub struct SendJob {
+pub(crate) struct SendJob {
     /// The message.
     pub out: Outgoing,
     /// The connection it resolved to, once known.
@@ -109,7 +108,7 @@ pub struct SendJob {
 }
 
 /// What one access-path send step produced.
-pub enum Step<S> {
+pub(crate) enum Step<S> {
     /// Issue this syscall, then continue at step `S` with its result.
     Next(S, Syscall),
     /// The job is finished, with at most one trailing syscall.
@@ -118,7 +117,7 @@ pub enum Step<S> {
 
 /// How a connection worker reaches descriptors: the one thing the paper
 /// varies between the multi-process and the threaded server.
-pub trait ConnAccess {
+pub(crate) trait ConnAccess {
     /// The access path's own send steps, after the shared lookup.
     type Step;
 
@@ -191,7 +190,7 @@ enum Phase {
 }
 
 /// One TCP worker (a process or a thread, per `A`).
-pub struct ConnWorker<A: ConnAccess> {
+pub(crate) struct ConnWorker<A: ConnAccess> {
     st: ConnState,
     access: A,
     pending: VecDeque<Ready>,

@@ -17,8 +17,8 @@
 //! in the baseline (the §5.2 bottleneck) or a priority-queue pop in the
 //! §5.3 fix.
 //!
-//! The workers are [`ConnWorker`](crate::stream::ConnWorker)s reaching
-//! descriptors through [`IpcAccess`].
+//! The workers are `stream::ConnWorker`s reaching descriptors through
+//! `IpcAccess`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -86,7 +86,11 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Creates the supervisor; channels are created by the spawner.
-    pub fn new(shared: ConnShared, assign_chans: Vec<ChanId>, req_chans: Vec<ChanId>) -> Self {
+    pub(crate) fn new(
+        shared: ConnShared,
+        assign_chans: Vec<ChanId>,
+        req_chans: Vec<ChanId>,
+    ) -> Self {
         assert_eq!(assign_chans.len(), req_chans.len());
         Supervisor {
             shared,
@@ -327,7 +331,7 @@ impl Process for Supervisor {
 // ===================================================================
 
 /// [`IpcAccess`]'s send steps after the table lookup.
-pub enum IpcStep {
+pub(crate) enum IpcStep {
     /// The `tcpconn_get_fd` marker compute before the IPC round trip.
     GetFdMarker,
     /// Send the fd request.
@@ -361,7 +365,7 @@ pub enum IpcStep {
 /// descriptors, and a descriptor the worker does not own is requested from
 /// the supervisor over blocking IPC — through the §5.2 fd cache when it is
 /// on. The worker also hunts its own idle connections and returns them.
-pub struct IpcAccess {
+pub(crate) struct IpcAccess {
     /// The assign channel, then the request channel.
     chans: [ChanId; 2],
     /// The §5.2 per-worker descriptor cache.

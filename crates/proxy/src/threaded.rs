@@ -13,8 +13,7 @@
 //! connection-table lock to resolve the route, a striped per-connection
 //! write lock for atomicity, and that's all — no supervisor round trip, no
 //! close-after-send, no two-step idle shutdown. The worker threads are
-//! [`ConnWorker`](crate::stream::ConnWorker)s reaching descriptors through
-//! [`SharedAccess`].
+//! `stream::ConnWorker`s reaching descriptors through `SharedAccess`.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -32,7 +31,7 @@ use crate::stream::{attach_next, ConnAccess, ConnState, SendJob, Step};
 use crate::tcp::{MSG_CONN_DEAD, MSG_NEW_CONN};
 
 /// conn id → descriptor, valid in every thread (shared fd table).
-pub type FdRegistry = Rc<RefCell<HashMap<u64, Fd>>>;
+pub(crate) type FdRegistry = Rc<RefCell<HashMap<u64, Fd>>>;
 
 // ===================================================================
 // Acceptor thread
@@ -63,7 +62,7 @@ pub struct Acceptor {
 
 impl Acceptor {
     /// Creates the acceptor with one notify channel per worker thread.
-    pub fn new(shared: ConnShared, registry: FdRegistry, notify_chans: Vec<ChanId>) -> Self {
+    pub(crate) fn new(shared: ConnShared, registry: FdRegistry, notify_chans: Vec<ChanId>) -> Self {
         Acceptor {
             shared,
             registry,
@@ -196,7 +195,7 @@ impl Process for Acceptor {
 // ===================================================================
 
 /// [`SharedAccess`]'s send steps after the table lookup.
-pub enum SharedStep {
+pub(crate) enum SharedStep {
     /// Connect outbound: no usable connection to the destination.
     Connect,
     /// Connect issued; register the new connection.
@@ -214,7 +213,7 @@ pub enum SharedStep {
 /// the registry every thread shares; a striped write lock keeps each
 /// connection's sends atomic.
 #[derive(Clone)]
-pub struct SharedAccess {
+pub(crate) struct SharedAccess {
     registry: FdRegistry,
     stripes: Rc<Vec<LockId>>,
     notify_chan: [ChanId; 1],

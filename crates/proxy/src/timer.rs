@@ -40,7 +40,7 @@ pub struct TimerProc {
 impl TimerProc {
     /// Creates the timer process for the configured transport; an SCTP
     /// proxy's timer also needs the shared endpoint's slot.
-    pub fn new(shared: ConnShared, sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>) -> Self {
+    pub(crate) fn new(shared: ConnShared, sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>) -> Self {
         TimerProc {
             shared,
             sctp_fd_slot,
