@@ -3,6 +3,7 @@
 use siperf_overload::OverloadConfig;
 use siperf_simcore::time::SimDuration;
 use siperf_simos::process::Nice;
+use siperf_simos::syscall::MsgProto;
 
 /// The network transport the proxy speaks with its phones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,6 +31,17 @@ impl Transport {
     /// Whether the transport retransmits for us.
     pub fn is_reliable(self) -> bool {
         !matches!(self, Transport::Udp)
+    }
+
+    /// The message-socket protocol the transport binds, or `None` for
+    /// TCP's streams. Every later send and receive on the socket follows
+    /// the protocol fixed here.
+    pub fn msg_proto(self) -> Option<MsgProto> {
+        match self {
+            Transport::Udp => Some(MsgProto::Udp),
+            Transport::Sctp => Some(MsgProto::Sctp),
+            Transport::Tcp => None,
+        }
     }
 }
 

@@ -113,25 +113,9 @@ pub struct Plan {
     pub txn_created: bool,
     /// The message updated the location service.
     pub registered: bool,
-    /// The message was an INVITE shed by the overload policy.
+    /// The message was an INVITE shed by the overload policy; `out` holds
+    /// only its 503.
     pub rejected: bool,
-}
-
-/// The outcome of offering a message to the pre-parse shed fast path
-/// ([`ProxyCore::fast_admission`]).
-#[derive(Debug)]
-pub enum FastAdmission {
-    /// Not a sheddable new INVITE (or it cannot be routed); run the full
-    /// path — the policy was not consulted.
-    NotEligible,
-    /// Admitted. The caller must immediately route the same message
-    /// through [`ProxyCore::handle_message`], which consumes the stored
-    /// grant instead of consulting the policy a second time.
-    Admitted,
-    /// Shed: send the 503 and charge only the fast-path cost
-    /// (`AppCostModel::shed_fast`) instead of the parse/route/build
-    /// pipeline.
-    Shed(Plan),
 }
 
 /// What the timer process must do after one pass.
@@ -190,11 +174,6 @@ pub struct ProxyCore {
     policy: Box<dyn OverloadPolicy>,
     active_txns: usize,
     worker_backlog: Vec<usize>,
-    /// A [`Self::fast_admission`] grant awaiting its `handle_message` call.
-    /// Consumed (and cleared) by the very next request routed, so the
-    /// policy's admit/complete bookkeeping stays exactly 1:1 even though
-    /// admission moved ahead of parsing.
-    preadmitted: bool,
 }
 
 impl ProxyCore {
@@ -214,7 +193,6 @@ impl ProxyCore {
             policy: Box::new(NoControl),
             active_txns: 0,
             worker_backlog: Vec::new(),
-            preadmitted: false,
         }
     }
 
@@ -279,67 +257,6 @@ impl ProxyCore {
         }
     }
 
-    /// Offers an inbound message to the overload shed fast path *before*
-    /// the worker charges parse and routing costs. Servers in the SER
-    /// lineage refuse new work from the request line alone while
-    /// shedding, because rejection must cost far less than service: the
-    /// full-pipeline 503 (parse, transaction match, location lookup,
-    /// build) runs near 20% of a served call, which mathematically caps
-    /// the goodput any admission policy can hold at 2× overload around
-    /// 80% of its peak no matter how it decides.
-    ///
-    /// The eligibility filters mirror `handle_request`'s pre-admission
-    /// sequence exactly — retransmissions, spent hop budgets, and unknown
-    /// callees all fall through to the full path for their usual
-    /// treatment — so the policy still sees each sheddable INVITE exactly
-    /// once, and an [`FastAdmission::Admitted`] grant is guaranteed to
-    /// reach the transaction-creation point when the caller immediately
-    /// routes the same message through [`Self::handle_message`].
-    pub fn fast_admission(
-        &mut self,
-        now: SimTime,
-        msg: &SipMessage,
-        src: SockAddr,
-    ) -> FastAdmission {
-        if !self.stateful || msg.method() != Some(Method::Invite) {
-            return FastAdmission::NotEligible;
-        }
-        // Retransmissions of already-admitted INVITEs must be absorbed by
-        // their transaction, not answered 503.
-        if let Some(key) = TxnKey::of(msg) {
-            if self.txn_index.contains_key(&key) {
-                return FastAdmission::NotEligible;
-            }
-        }
-        // Unroutable requests get their diagnostic (500/404) from the full
-        // path; admission only governs calls the proxy could serve.
-        if msg.max_forwards == 0 || !self.registrar.contains_key(&msg.to.uri.user) {
-            return FastAdmission::NotEligible;
-        }
-        let load = self.load_signals();
-        match self.policy.admit(now, src, &load) {
-            Verdict::Admit => {
-                self.preadmitted = true;
-                FastAdmission::Admitted
-            }
-            Verdict::Reject { retry_after } => {
-                self.stats.requests += 1;
-                self.stats.overload_rejections += 1;
-                self.stats.local_replies += 1;
-                let resp = gen::service_unavailable(msg, retry_after);
-                FastAdmission::Shed(Plan {
-                    out: vec![Outgoing {
-                        bytes: bytes_from(resp.to_bytes()),
-                        dest: src,
-                        alt: None,
-                    }],
-                    rejected: true,
-                    ..Plan::default()
-                })
-            }
-        }
-    }
-
     /// Routes one parsed message. The caller must hold the transaction
     /// lock, per OpenSER's discipline.
     pub fn handle_message(&mut self, now: SimTime, msg: SipMessage, src: SockAddr) -> Plan {
@@ -352,7 +269,6 @@ impl ProxyCore {
 
     fn handle_request(&mut self, now: SimTime, msg: SipMessage, src: SockAddr) -> Plan {
         self.stats.requests += 1;
-        let preadmitted = std::mem::take(&mut self.preadmitted);
         let mut plan = Plan::default();
         let method = msg.method().expect("checked is_request");
 
@@ -456,10 +372,11 @@ impl ProxyCore {
         // Overload admission: only new calls (stateful INVITEs) are
         // sheddable — BYE/ACK/CANCEL complete already-accepted calls, and
         // shedding them would destroy the goodput the policy defends. The
-        // check sits after the retransmission and registrar filters so the
+        // check sits after the retransmission, hop and registrar filters so
+        // those requests get their usual treatment, never a 503, and the
         // policy's admit/complete bookkeeping pairs 1:1 with transactions.
         let policy_tracked = self.stateful && method == Method::Invite;
-        if policy_tracked && !preadmitted {
+        if policy_tracked {
             let load = self.load_signals();
             if let Verdict::Reject { retry_after } = self.policy.admit(now, src, &load) {
                 self.stats.overload_rejections += 1;
@@ -1226,46 +1143,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_sheds_from_the_request_line() {
-        use siperf_overload::QueueThreshold;
-        let mut c = registered_core(Transport::Udp, true);
-        c.set_overload_policy(Box::new(QueueThreshold::new(0, 0, 5)));
-        let inv = gen::invite(&alice(), &bob(), "sip.lab", "c1", "z9hG4bKa1", "UDP");
-        let FastAdmission::Shed(plan) = c.fast_admission(t(0), &inv, a_src()) else {
-            panic!("shed-everything policy must refuse on the fast path");
-        };
-        assert!(plan.rejected && !plan.txn_created);
-        let resp = parse_message(&plan.out[0].bytes).unwrap();
-        assert_eq!(resp.status(), Some(StatusCode::SERVICE_UNAVAILABLE));
-        assert_eq!(resp.retry_after, Some(5));
-        assert_eq!(plan.out[0].dest, a_src());
-        assert_eq!(c.stats.overload_rejections, 1);
-        assert_eq!(c.live_txns(), 0, "no transaction for a shed call");
-    }
-
-    #[test]
-    fn fast_path_skips_retransmissions_and_unroutable_requests() {
+    fn retransmissions_and_unknown_callees_bypass_shedding() {
         use siperf_overload::QueueThreshold;
         let mut c = registered_core(Transport::Udp, true);
         c.set_overload_policy(Box::new(QueueThreshold::new(1, 0, 3)));
-
-        // First INVITE: admitted on the fast path, then routed.
         let inv = gen::invite(&alice(), &bob(), "sip.lab", "c1", "z9hG4bKa1", "UDP");
-        assert!(matches!(
-            c.fast_admission(t(0), &inv, a_src()),
-            FastAdmission::Admitted
-        ));
         assert!(c.handle_message(t(0), inv.clone(), a_src()).txn_created);
 
-        // Its retransmission must be absorbed, never 503'd — even though
-        // the policy is now shedding (level 1 ≥ high 1).
-        assert!(matches!(
-            c.fast_admission(t(1), &inv, a_src()),
-            FastAdmission::NotEligible
-        ));
-        assert!(c.handle_message(t(1), inv, a_src()).absorbed);
+        // The policy now sheds (level 1 ≥ high 1), yet the retransmission
+        // is absorbed by its transaction, never 503'd.
+        let plan = c.handle_message(t(1), inv, a_src());
+        assert!(plan.absorbed && !plan.rejected);
 
-        // Unknown callees fall through for their 404.
+        // An unknown callee gets its 404, not a 503.
         let nobody = gen::invite(
             &alice(),
             &CallParty::new("nobody", "h9:29999"),
@@ -1274,43 +1164,23 @@ mod tests {
             "z9hG4bKa2",
             "UDP",
         );
-        assert!(matches!(
-            c.fast_admission(t(2), &nobody, a_src()),
-            FastAdmission::NotEligible
-        ));
+        let plan = c.handle_message(t(2), nobody, a_src());
+        assert!(!plan.rejected);
+        let resp = parse_message(&plan.out[0].bytes).unwrap();
+        assert_eq!(resp.status(), Some(StatusCode::NOT_FOUND));
+        assert_eq!(c.stats.overload_rejections, 0);
 
-        // Non-INVITEs are never policy business.
-        let bye = gen::bye(&alice(), &bob(), "sip.lab", "c0", "bt", "z9hG4bKb", "UDP");
-        assert!(matches!(
-            c.fast_admission(t(3), &bye, a_src()),
-            FastAdmission::NotEligible
-        ));
+        // …while a new routable call is shed.
+        let inv = gen::invite(&bob(), &alice(), "sip.lab", "c3", "z9hG4bKa3", "UDP");
+        assert!(c.handle_message(t(3), inv, b_src()).rejected);
     }
 
     #[test]
-    fn fast_path_grant_is_consumed_exactly_once() {
-        use siperf_overload::QueueThreshold;
-        let mut c = registered_core(Transport::Udp, true);
-        c.set_overload_policy(Box::new(QueueThreshold::new(1, 0, 3)));
-        let inv1 = gen::invite(&alice(), &bob(), "sip.lab", "c1", "z9hG4bKa1", "UDP");
-        assert!(matches!(
-            c.fast_admission(t(0), &inv1, a_src()),
-            FastAdmission::Admitted
-        ));
-        assert!(c.handle_message(t(0), inv1, a_src()).txn_created);
-        // The grant died with that call: a second INVITE routed without
-        // the fast path still faces the (now shedding) policy.
-        let inv2 = gen::invite(&bob(), &alice(), "sip.lab", "c2", "z9hG4bKa2", "UDP");
-        let plan = c.handle_message(t(1), inv2, b_src());
-        assert!(plan.rejected && !plan.txn_created);
-    }
-
-    #[test]
-    fn fast_path_admissions_count_once_against_a_window() {
+    fn each_invite_counts_once_against_a_window() {
         use siperf_overload::WindowFeedback;
         let mut c = registered_core(Transport::Udp, true);
-        // Window of 8: if the fast path and the full path each charged the
-        // window for the same INVITE, the 5th call would already be shed.
+        // Window of 8: if an INVITE charged the window twice, the 5th call
+        // would already be shed.
         c.set_overload_policy(Box::new(WindowFeedback::new(usize::MAX, 1)));
         for i in 0..8 {
             let inv = gen::invite(
@@ -1321,21 +1191,13 @@ mod tests {
                 &format!("z9hG4bKa{i}"),
                 "UDP",
             );
-            assert!(
-                matches!(
-                    c.fast_admission(t(i), &inv, a_src()),
-                    FastAdmission::Admitted
-                ),
-                "call {i} fits the window of 8"
-            );
-            assert!(c.handle_message(t(i), inv, a_src()).txn_created);
+            let plan = c.handle_message(t(i), inv, a_src());
+            assert!(plan.txn_created, "call {i} fits the window of 8");
         }
         let inv9 = gen::invite(&alice(), &bob(), "sip.lab", "c9", "z9hG4bKa9", "UDP");
+        let plan = c.handle_message(t(9), inv9, a_src());
         assert!(
-            matches!(
-                c.fast_admission(t(9), &inv9, a_src()),
-                FastAdmission::Shed(_)
-            ),
+            plan.rejected && !plan.txn_created,
             "window exhausted only at its true size"
         );
     }

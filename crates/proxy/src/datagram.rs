@@ -9,25 +9,23 @@
 //!
 //! SCTP is connection-oriented and reliable like TCP but message-based like
 //! UDP, and the kernel manages its associations. The proxy can therefore
-//! keep this architecture on it unchanged: only the syscalls differ. The
-//! paper predicts this removes most of the TCP architecture's overheads
-//! while retaining reliable delivery — the `extensions` bench quantifies
-//! it.
+//! keep this architecture on it unchanged: the protocol is fixed when the
+//! spawner binds the socket, and the worker's `MsgSend`/`MsgRecv` are the
+//! same calls on either. The paper predicts this removes most of the TCP
+//! architecture's overheads while retaining reliable delivery — the
+//! `extensions` bench quantifies it.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use siperf_simnet::endpoint::Bytes;
-use siperf_simnet::SockAddr;
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
 use crate::config::Transport;
 use crate::plumbing::ConnShared;
 
-/// One symmetric datagram worker process, speaking UDP or SCTP per the
-/// configured transport.
+/// One symmetric datagram worker process, on a UDP or SCTP socket.
 pub(crate) struct MsgWorker {
     shared: ConnShared,
     /// Filled by the spawner after fork-inheritance of the shared socket.
@@ -38,8 +36,8 @@ pub(crate) struct MsgWorker {
 
 impl MsgWorker {
     /// Creates a worker; `fd_slot` must be filled (via
-    /// [`siperf_simos::kernel::Kernel::setup_shared_udp`] or
-    /// `setup_shared_sctp`) before the simulation runs.
+    /// [`siperf_simos::kernel::Kernel::setup_shared_msg`]) before the
+    /// simulation runs.
     pub fn new(shared: ConnShared, fd_slot: Rc<Cell<Option<Fd>>>) -> Self {
         assert!(
             shared.cfg.transport != Transport::Tcp,
@@ -54,18 +52,7 @@ impl MsgWorker {
     }
 
     fn recv(&self) -> Syscall {
-        match self.shared.cfg.transport {
-            Transport::Udp => Syscall::UdpRecv { fd: self.fd },
-            _ => Syscall::SctpRecv { fd: self.fd },
-        }
-    }
-}
-
-/// A datagram send of `data` to `to` on `fd`, UDP or SCTP per `transport`.
-pub(crate) fn datagram_send(transport: Transport, fd: Fd, to: SockAddr, data: Bytes) -> Syscall {
-    match transport {
-        Transport::Udp => Syscall::UdpSend { fd, to, data },
-        _ => Syscall::SctpSend { fd, to, data },
+        Syscall::MsgRecv { fd: self.fd }
     }
 }
 
@@ -86,14 +73,16 @@ impl Process for MsgWorker {
                     .expect("shared SIP socket installed before run");
                 self.recv()
             }
-            SysResult::Datagram { from, data } | SysResult::SctpMsg { from, data } => {
-                let transport = self.shared.cfg.transport;
+            SysResult::Datagram { from, data } => {
                 for out in self
                     .shared
                     .route(&mut self.script, ctx.now, &data, from, None)
                 {
-                    let send = datagram_send(transport, self.fd, out.dest, out.bytes);
-                    self.script.push_back(send);
+                    self.script.push_back(Syscall::MsgSend {
+                        fd: self.fd,
+                        to: out.dest,
+                        data: out.bytes,
+                    });
                 }
                 self.script.pop_front().expect("script never empty here")
             }

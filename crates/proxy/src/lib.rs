@@ -56,5 +56,5 @@ pub mod util;
 
 pub use config::{AppCostModel, Arch, IdleStrategy, ProxyConfig, Transport};
 pub use conn::{ConnId, ConnTable};
-pub use core::{FastAdmission, Outgoing, Plan, ProxyCore, ProxyStats};
+pub use core::{Outgoing, Plan, ProxyCore, ProxyStats};
 pub use spawn::{spawn_proxy, ProxyHandle};

@@ -24,7 +24,7 @@ use siperf_sip::parse::parse_message;
 
 use crate::config::{AppCostModel, IdleStrategy, ProxyConfig, Transport};
 use crate::conn::{ConnId, ConnTable, IdleHunt};
-use crate::core::{FastAdmission, Outgoing, Plan, ProxyCore};
+use crate::core::{Outgoing, Plan, ProxyCore};
 
 /// The proxy's shared-memory locks, created once at spawn time.
 #[derive(Debug, Clone, Copy)]
@@ -170,9 +170,10 @@ impl ConnShared {
         self.cfg.idle_strategy == IdleStrategy::PriorityQueue
     }
 
-    /// Parses and routes one received message, charging its work to
-    /// `script`, and returns the sends for the caller to put on the wire
-    /// its own way.
+    /// Parses one received message and hands it to
+    /// [`ProxyCore::handle_message`] (admission, then routing), charges its
+    /// work to `script` — only the shed cost if the plan is rejected — and
+    /// returns the sends for the caller to put on the wire its own way.
     ///
     /// `backlog` is the caller's `(worker index, framed-but-unrouted
     /// messages)`, reported to the overload policy before admission so it
@@ -204,18 +205,21 @@ impl ConnShared {
         if let Some((idx, depth)) = backlog {
             core.note_worker_backlog(idx, depth);
         }
-        if let FastAdmission::Shed(plan) = core.fast_admission(now, &msg, src) {
-            // Shed fast path: the request line alone identified a refusable
-            // INVITE, so skip the parse/route/build pipeline and charge only
-            // the sniff + canned 503.
+        let plan = core.handle_message(now, msg, src);
+        drop(core);
+        if plan.rejected {
+            // Shed: servers in the SER lineage refuse new work from the
+            // request line alone while shedding, because rejection must
+            // cost far less than service — a full-pipeline 503 runs near
+            // 20% of a served call, which would cap the goodput any policy
+            // can hold at 2× overload around 80% of peak. So a rejection is
+            // charged only the sniff + canned 503, not parse/route/build.
             script.push_back(Syscall::Compute {
                 ns: self.cfg.app_costs.shed_fast,
                 tag: tags::SHED_FAST,
             });
             return plan.out;
         }
-        let plan = core.handle_message(now, msg, src);
-        drop(core);
         routing_script(
             script,
             &self.cfg.app_costs,
@@ -285,7 +289,10 @@ pub fn decode_addr(word: u64) -> siperf_simnet::SockAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siperf_overload::QueueThreshold;
     use siperf_simnet::{HostId, SockAddr};
+    use siperf_sip::gen::{self, CallParty};
+    use siperf_sip::msg::StatusCode;
 
     #[test]
     fn addr_encoding_roundtrips() {
@@ -296,6 +303,71 @@ mod tests {
         ] {
             assert_eq!(decode_addr(encode_addr(addr)), addr);
         }
+    }
+
+    #[test]
+    fn route_charges_a_shed_invite_only_the_shed_cost() {
+        let cfg = ProxyConfig::paper(Transport::Udp);
+        let shared = ConnShared {
+            core: Rc::new(RefCell::new(ProxyCore::new(
+                "h0:5060".into(),
+                Transport::Udp,
+                true,
+            ))),
+            conns: Rc::new(RefCell::new(ConnTable::new())),
+            locks: Locks {
+                txn: LockId(0),
+                usrloc: LockId(1),
+                timer: LockId(2),
+                conn: LockId(3),
+            },
+            cfg: Rc::new(cfg),
+            ctl: Rc::default(),
+        };
+        // Shed once one transaction is live.
+        let policy = QueueThreshold::new(1, 0, 3);
+        shared
+            .core
+            .borrow_mut()
+            .set_overload_policy(Box::new(policy));
+        let (alice, bob) = (
+            CallParty::new("alice", "h1:5060"),
+            CallParty::new("bob", "h2:5060"),
+        );
+        let (a_src, b_src) = (
+            SockAddr::new(HostId(1), 5060),
+            SockAddr::new(HostId(2), 5060),
+        );
+        let now = SimTime::ZERO;
+        let mut script = VecDeque::new();
+        for (party, src) in [(&alice, a_src), (&bob, b_src)] {
+            let reg = gen::register(party, "sip.lab", 1, "z9hG4bKreg", "UDP");
+            shared.route(&mut script, now, &reg.to_bytes(), src, None);
+        }
+
+        // Admitted: the full pipeline, starting with the parse.
+        script.clear();
+        let inv = gen::invite(&alice, &bob, "sip.lab", "c1", "z9hG4bKa1", "UDP");
+        let out = shared.route(&mut script, now, &inv.to_bytes(), a_src, None);
+        assert_eq!(out.len(), 2, "100 Trying and the forward");
+        assert!(matches!(
+            script.front(),
+            Some(Syscall::Compute { tag, .. }) if *tag == tags::PARSE
+        ));
+
+        // Rejected: one shed-cost burst and the 503, nothing else.
+        script.clear();
+        let inv = gen::invite(&bob, &alice, "sip.lab", "c2", "z9hG4bKa2", "UDP");
+        let out = shared.route(&mut script, now, &inv.to_bytes(), b_src, None);
+        let shed_ns = shared.cfg.app_costs.shed_fast;
+        assert!(matches!(
+            script.make_contiguous(),
+            [Syscall::Compute { ns, tag }] if *ns == shed_ns && *tag == tags::SHED_FAST
+        ));
+        assert_eq!(out.len(), 1);
+        let resp = parse_message(&out[0].bytes).unwrap();
+        assert_eq!(resp.status(), Some(StatusCode::SERVICE_UNAVAILABLE));
+        assert_eq!(out[0].dest, b_src);
     }
 
     #[test]

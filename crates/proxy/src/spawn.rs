@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use siperf_simnet::addr::{HostId, SockAddr};
-use siperf_simnet::{Errno, SIP_PORT};
+use siperf_simnet::SIP_PORT;
 use siperf_simos::ipc::ChanId;
 use siperf_simos::kernel::Kernel;
 use siperf_simos::process::ProcId;
-use siperf_simos::syscall::Fd;
+use siperf_simos::syscall::{Fd, MsgProto};
 
 use crate::config::{Arch, IdleStrategy, ProxyConfig, Transport};
 use crate::conn::ConnTable;
@@ -32,10 +32,13 @@ const WRITE_LOCK_STRIPES: usize = 16;
 /// Architecture-specific state the fault-injection respawn path needs to
 /// rebuild a crashed process in place.
 enum RespawnCtx {
-    /// UDP/SCTP symmetric workers: each worker's shared-socket descriptor
-    /// slot (SCTP keeps one extra trailing slot for the timer process,
-    /// which then doubles as a donor descriptor).
-    Msg { slots: Vec<Rc<Cell<Option<Fd>>>> },
+    /// UDP/SCTP symmetric workers: the shared socket's protocol and each
+    /// worker's descriptor slot for it (SCTP keeps one extra trailing slot
+    /// for the timer process, which then doubles as a donor descriptor).
+    Msg {
+        proto: MsgProto,
+        slots: Vec<Rc<Cell<Option<Fd>>>>,
+    },
     /// TCP multi-process: the channels a worker and the `Supervisor` are
     /// built on.
     TcpMulti {
@@ -44,20 +47,6 @@ enum RespawnCtx {
     },
     /// TCP multi-thread: each thread's access path, unattached.
     TcpThread { access: Vec<SharedAccess> },
-}
-
-/// Binds the proxy's shared datagram socket on `host` and installs it in
-/// every one of `pids`.
-fn bind_shared(
-    kernel: &mut Kernel,
-    transport: Transport,
-    host: HostId,
-    pids: &[ProcId],
-) -> Result<Vec<Fd>, Errno> {
-    match transport {
-        Transport::Udp => kernel.setup_shared_udp(host, SIP_PORT, pids),
-        _ => kernel.setup_shared_sctp(host, SIP_PORT, pids),
-    }
 }
 
 /// Observer handle over a spawned proxy.
@@ -101,7 +90,7 @@ impl ProxyHandle {
     fn spawn_worker(&mut self, kernel: &mut Kernel, idx: usize) -> ProcId {
         let cfg = &self.cfg;
         match &mut self.respawn {
-            RespawnCtx::Msg { slots } => {
+            RespawnCtx::Msg { slots, .. } => {
                 let slot = Rc::new(Cell::new(None));
                 let worker = MsgWorker::new(self.shared.clone(), slot.clone());
                 if idx < slots.len() {
@@ -150,7 +139,7 @@ impl ProxyHandle {
         kernel.kill(self.workers[idx]);
         let pid = self.spawn_worker(kernel, idx);
         match &self.respawn {
-            RespawnCtx::Msg { slots } => {
+            RespawnCtx::Msg { proto, slots } => {
                 // Donor search: any surviving process holding the shared
                 // socket (siblings first, then the SCTP timer's slot).
                 let timer = self.timer.filter(|_| slots.len() > self.workers.len());
@@ -169,7 +158,8 @@ impl ProxyHandle {
                         .dup_to(dpid, dfd, pid)
                         .expect("donor descriptor is live"),
                     // Every holder died: the socket is gone, bind anew.
-                    None => bind_shared(kernel, self.cfg.transport, self.host, &[pid])
+                    None => kernel
+                        .setup_shared_msg(*proto, self.host, SIP_PORT, &[pid])
                         .expect("rebind proxy socket")[0],
                 };
                 slots[idx].set(Some(fd));
@@ -251,12 +241,12 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
         ctl: Rc::new(RefCell::new(Default::default())),
     };
     let n = cfg.worker_count();
-    let (respawn, supervisor) = match (cfg.transport, cfg.arch) {
-        (Transport::Udp | Transport::Sctp, _) => {
+    let (respawn, supervisor) = match (cfg.transport.msg_proto(), cfg.arch) {
+        (Some(proto), _) => {
             let slots = Vec::with_capacity(n + 1);
-            (RespawnCtx::Msg { slots }, None)
+            (RespawnCtx::Msg { proto, slots }, None)
         }
-        (Transport::Tcp, Arch::MultiProcess) => {
+        (None, Arch::MultiProcess) => {
             let assign_chans: Vec<_> = (0..n)
                 .map(|_| kernel.create_ipc_pair(cfg.ipc_capacity))
                 .collect();
@@ -279,7 +269,7 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
             };
             (respawn, Some(supervisor))
         }
-        (Transport::Tcp, Arch::MultiThread) => {
+        (None, Arch::MultiThread) => {
             let notify_chans: Vec<_> = (0..n)
                 .map(|_| kernel.create_ipc_pair(cfg.ipc_capacity))
                 .collect();
@@ -321,8 +311,7 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
     // The SCTP timer retransmits on the shared endpoint, so it holds one
     // more slot (and can donate it on respawn); the UDP timer binds a
     // socket of its own, and the TCP timer has none.
-    let transport = proxy.cfg.transport;
-    let timer_slot = (transport == Transport::Sctp).then(|| Rc::new(Cell::new(None)));
+    let timer_slot = (proxy.cfg.transport == Transport::Sctp).then(|| Rc::new(Cell::new(None)));
     let timer = kernel.spawn(
         host,
         proxy.cfg.worker_nice,
@@ -330,13 +319,15 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
         Box::new(TimerProc::new(proxy.shared.clone(), timer_slot.clone())),
     );
     proxy.timer = Some(timer);
-    if let RespawnCtx::Msg { slots } = &mut proxy.respawn {
+    if let RespawnCtx::Msg { proto, slots } = &mut proxy.respawn {
         let mut pids = proxy.workers.clone();
         if let Some(slot) = timer_slot {
             slots.push(slot);
             pids.push(timer);
         }
-        let fds = bind_shared(kernel, transport, host, &pids).expect("bind proxy socket");
+        let fds = kernel
+            .setup_shared_msg(*proto, host, SIP_PORT, &pids)
+            .expect("bind proxy socket");
         for (slot, fd) in slots.iter().zip(fds) {
             slot.set(Some(fd));
         }

@@ -21,7 +21,6 @@ use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
 use crate::config::Transport;
-use crate::datagram::datagram_send;
 use crate::plumbing::{locked, tags, ConnShared};
 
 /// The retransmission/reaping timer process.
@@ -64,10 +63,11 @@ impl TimerProc {
         self.script.push_back(Syscall::LockRelease { lock: timer });
         for out in pass.retransmits.into_iter().chain(pass.timeouts) {
             match self.fd {
-                Some(fd) => {
-                    let send = datagram_send(cfg.transport, fd, out.dest, out.bytes);
-                    self.script.push_back(send);
-                }
+                Some(fd) => self.script.push_back(Syscall::MsgSend {
+                    fd,
+                    to: out.dest,
+                    data: out.bytes,
+                }),
                 // TCP timer has no connection to send on; see module docs.
                 None => self.shared.core.borrow_mut().stats.send_errors += 1,
             }
@@ -84,13 +84,12 @@ impl Process for TimerProc {
         let (transport, tick) = (self.shared.cfg.transport, self.shared.cfg.timer_tick);
         if !self.started {
             self.started = true;
-            match transport {
-                Transport::Udp => return Syscall::UdpBindEphemeral,
-                Transport::Sctp => {
-                    let slot = self.sctp_fd_slot.as_ref().expect("sctp slot");
-                    self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
-                }
-                Transport::Tcp => {}
+            // SCTP retransmits on the shared endpoint; UDP binds a socket
+            // of its own.
+            if let Some(slot) = &self.sctp_fd_slot {
+                self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
+            } else if let Some(proto) = transport.msg_proto() {
+                return Syscall::MsgBind { proto, port: None };
             }
             return Syscall::Sleep(tick);
         }

@@ -38,7 +38,7 @@ use crate::cost::CostModel;
 use crate::ipc::{ChanId, Channel, Parcel, Side};
 use crate::lock::{Lock, LockId};
 use crate::process::{Nice, ProcId, Process, ResumeCtx};
-use crate::syscall::{Fd, IpcMsg, SysResult, Syscall};
+use crate::syscall::{Fd, IpcMsg, MsgProto, SysResult, Syscall};
 
 /// What a descriptor refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,44 +347,46 @@ impl Kernel {
         pid
     }
 
-    /// Creates a bound UDP socket at world-building time and installs a
-    /// descriptor for it in each of `pids` — the fork-inheritance pattern:
-    /// OpenSER's main process binds the SIP socket once and every forked
-    /// worker inherits it.
+    /// Creates a bound message socket at world-building time and installs
+    /// a descriptor for it in each of `pids` — the fork-inheritance
+    /// pattern: OpenSER's main process binds the SIP socket once and every
+    /// forked worker inherits it.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn setup_shared_udp(
+    pub fn setup_shared_msg(
         &mut self,
+        proto: MsgProto,
         host: HostId,
         port: siperf_simnet::Port,
         pids: &[ProcId],
     ) -> Result<Vec<Fd>, Errno> {
-        let ep = self.net.udp_bind(host, port)?;
-        Ok(pids
-            .iter()
-            .map(|&pid| self.install_fd(pid, FdKind::Udp(ep)))
-            .collect())
+        let (kind, _) = self.msg_bind(host, proto, Some(port))?;
+        Ok(pids.iter().map(|&pid| self.install_fd(pid, kind)).collect())
     }
 
-    /// Creates a bound SCTP endpoint at world-building time and installs a
-    /// descriptor in each of `pids` (fork inheritance, as with UDP).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn setup_shared_sctp(
+    /// Binds a message socket of `proto` on `port` (ephemeral if `None`);
+    /// returns its descriptor kind and the ephemeral port chosen, if any.
+    fn msg_bind(
         &mut self,
         host: HostId,
-        port: siperf_simnet::Port,
-        pids: &[ProcId],
-    ) -> Result<Vec<Fd>, Errno> {
-        let ep = self.net.sctp_bind(host, port)?;
-        Ok(pids
-            .iter()
-            .map(|&pid| self.install_fd(pid, FdKind::Sctp(ep)))
-            .collect())
+        proto: MsgProto,
+        port: Option<siperf_simnet::Port>,
+    ) -> Result<(FdKind, Option<siperf_simnet::Port>), Errno> {
+        let net = &mut self.net;
+        Ok(match (proto, port) {
+            (MsgProto::Udp, Some(port)) => (FdKind::Udp(net.udp_bind(host, port)?), None),
+            (MsgProto::Sctp, Some(port)) => (FdKind::Sctp(net.sctp_bind(host, port)?), None),
+            (MsgProto::Udp, None) => {
+                let (ep, port) = net.udp_bind_ephemeral(host)?;
+                (FdKind::Udp(ep), Some(port))
+            }
+            (MsgProto::Sctp, None) => {
+                let (ep, port) = net.sctp_bind_ephemeral(host)?;
+                (FdKind::Sctp(ep), Some(port))
+            }
+        })
     }
 
     // ----------------------------------------------------- fault injection
@@ -1109,17 +1111,21 @@ impl Kernel {
             Syscall::Sleep(_) | Syscall::SleepUntil(_) => (c.sleep, "kernel/nanosleep"),
             Syscall::Yield => (c.sched_yield, "kernel/sched_yield"),
             Syscall::Exit => (c.compute_min, "kernel/exit"),
-            Syscall::UdpBind { .. } | Syscall::UdpBindEphemeral => (c.bind, "kernel/bind"),
-            Syscall::UdpSend { .. } => (c.udp_send, "kernel/udp_send"),
-            Syscall::UdpRecv { .. } => (c.udp_recv, "kernel/udp_recv"),
+            Syscall::MsgBind { .. } => (c.bind, "kernel/bind"),
+            // The protocol was fixed at bind; the descriptor carries it.
+            Syscall::MsgSend { fd, .. } => match self.fd_kind(pid, *fd) {
+                Ok(FdKind::Sctp(_)) => (c.sctp_send, "kernel/sctp_send"),
+                _ => (c.udp_send, "kernel/udp_send"),
+            },
+            Syscall::MsgRecv { fd } => match self.fd_kind(pid, *fd) {
+                Ok(FdKind::Sctp(_)) => (c.sctp_recv, "kernel/sctp_recv"),
+                _ => (c.udp_recv, "kernel/udp_recv"),
+            },
             Syscall::TcpListen { .. } => (c.bind, "kernel/listen"),
             Syscall::TcpConnect { .. } => (c.tcp_connect, "kernel/tcp_connect"),
             Syscall::TcpAccept { .. } => (c.tcp_accept, "kernel/tcp_accept"),
             Syscall::TcpSend { .. } => (c.tcp_send, "kernel/tcp_send"),
             Syscall::TcpRecv { .. } => (c.tcp_recv, "kernel/tcp_recv"),
-            Syscall::SctpBind { .. } | Syscall::SctpBindEphemeral => (c.bind, "kernel/bind"),
-            Syscall::SctpSend { .. } => (c.sctp_send, "kernel/sctp_send"),
-            Syscall::SctpRecv { .. } => (c.sctp_recv, "kernel/sctp_recv"),
             Syscall::Close { fd } => match self.fd_kind(pid, *fd) {
                 // TCP teardown is costlier than releasing other sockets.
                 Ok(FdKind::Tcp(_)) => (c.tcp_close, "kernel/tcp_close"),
@@ -1175,34 +1181,40 @@ impl Kernel {
                 }
             }
             S::Exit => unreachable!("Exit handled at resume"),
-            S::UdpBind { port } => match self.net.udp_bind(host, *port) {
-                Ok(ep) => Ok(SysResult::NewFd(self.install_fd(pid, FdKind::Udp(ep)))),
+            S::MsgBind { proto, port } => match self.msg_bind(host, *proto, *port) {
+                Ok((kind, chosen)) => {
+                    let fd = self.install_fd(pid, kind);
+                    Ok(match chosen {
+                        Some(port) => SysResult::NewFdPort { fd, port },
+                        None => SysResult::NewFd(fd),
+                    })
+                }
                 Err(e) => Ok(SysResult::Err(e)),
             },
-            S::UdpBindEphemeral => match self.net.udp_bind_ephemeral(host) {
-                Ok((ep, port)) => Ok(SysResult::NewFdPort {
-                    fd: self.install_fd(pid, FdKind::Udp(ep)),
-                    port,
-                }),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::UdpSend { fd, to, data } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Udp(ep)) => match self.net.udp_send(self.now, ep, *to, data.clone()) {
-                    Ok(()) => Ok(SysResult::Done),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
-                Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::UdpRecv { fd } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Udp(ep)) => match self.net.udp_try_recv(ep) {
-                    Ok(d) => Ok(SysResult::Datagram {
-                        from: d.from,
-                        data: d.data,
-                    }),
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
+            S::MsgSend { fd, to, data } => {
+                let sent = match self.fd_kind(pid, *fd) {
+                    Ok(FdKind::Udp(ep)) => self.net.udp_send(self.now, ep, *to, data.clone()),
+                    Ok(FdKind::Sctp(ep)) => self.net.sctp_send(self.now, ep, *to, data.clone()),
+                    Ok(_) => Err(Errno::InvalidOp),
+                    Err(e) => Err(e),
+                };
+                Ok(match sent {
+                    Ok(()) => SysResult::Done,
+                    Err(e) => SysResult::Err(e),
+                })
+            }
+            S::MsgRecv { fd } => match self.fd_kind(pid, *fd) {
+                Ok(kind @ (FdKind::Udp(ep) | FdKind::Sctp(ep))) => {
+                    let got = match kind {
+                        FdKind::Udp(_) => self.net.udp_try_recv(ep).map(|d| (d.from, d.data)),
+                        _ => self.net.sctp_try_recv(ep),
+                    };
+                    match got {
+                        Ok((from, data)) => Ok(SysResult::Datagram { from, data }),
+                        Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
+                        Err(e) => Ok(SysResult::Err(e)),
+                    }
+                }
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
                 Err(e) => Ok(SysResult::Err(e)),
             },
@@ -1249,34 +1261,6 @@ impl Kernel {
                             Ok(SysResult::Data(data))
                         }
                     }
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
-                Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpBind { port } => match self.net.sctp_bind(host, *port) {
-                Ok(ep) => Ok(SysResult::NewFd(self.install_fd(pid, FdKind::Sctp(ep)))),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpBindEphemeral => match self.net.sctp_bind_ephemeral(host) {
-                Ok((ep, port)) => Ok(SysResult::NewFdPort {
-                    fd: self.install_fd(pid, FdKind::Sctp(ep)),
-                    port,
-                }),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpSend { fd, to, data } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Sctp(ep)) => match self.net.sctp_send(self.now, ep, *to, data.clone()) {
-                    Ok(()) => Ok(SysResult::Done),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
-                Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpRecv { fd } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Sctp(ep)) => match self.net.sctp_try_recv(ep) {
-                    Ok((from, data)) => Ok(SysResult::SctpMsg { from, data }),
                     Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
@@ -1497,12 +1481,15 @@ mod tests {
             Nice::NORMAL,
             "poller",
             Box::new(move |ctx: &mut ResumeCtx, last: SysResult| match last {
-                SysResult::Start => Syscall::UdpBind { port },
+                SysResult::Start => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: Some(port),
+                },
                 SysResult::NewFd(f) => {
                     fd = f;
                     poll(fd)
                 }
-                SysResult::Ready(_) => Syscall::UdpRecv { fd },
+                SysResult::Ready(_) => Syscall::MsgRecv { fd },
                 SysResult::Datagram { data, .. } => {
                     let seq = u32::from_le_bytes(data[..4].try_into().expect("4-byte payload"));
                     log.borrow_mut().push((ctx.now, seq));
@@ -1537,7 +1524,7 @@ mod tests {
         const N: u32 = 10_000;
         let ns = SimDuration::from_nanos;
         // Each datagram lands 60 µs after it is sent; the poller then pays
-        // a 10 ns wake burst and a 20 ns `UdpRecv` burst before reading it.
+        // a 10 ns wake burst and a 20 ns `MsgRecv` burst before reading it.
         let expected: Vec<(SimTime, u32)> = (0..N)
             .map(|seq| (ms(1) + SPACING * seq as u64 + ns(60_000 + 30), seq))
             .collect();
@@ -1594,7 +1581,10 @@ mod tests {
             Nice::NORMAL,
             "sleeper",
             Box::new(move |ctx: &mut ResumeCtx, last: SysResult| match last {
-                SysResult::Start => Syscall::UdpBind { port },
+                SysResult::Start => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: Some(port),
+                },
                 SysResult::NewFd(_) => nap.take().expect("naps once"),
                 _ => {
                     *log.borrow_mut() = Some(ctx.now);
@@ -1724,14 +1714,17 @@ mod tests {
         let peer = k.add_host(1);
         let log = Log::default();
         let recv_log = log.clone();
-        // A high-priority receiver blocks in `UdpRecv` long before 1 ms.
+        // A high-priority receiver blocks in `MsgRecv` long before 1 ms.
         k.spawn(
             h,
             Nice::HIGHEST,
             "receiver",
             Box::new(move |ctx: &mut ResumeCtx, last: SysResult| match last {
-                SysResult::Start => Syscall::UdpBind { port: 5060 },
-                SysResult::NewFd(fd) => Syscall::UdpRecv { fd },
+                SysResult::Start => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: Some(5060),
+                },
+                SysResult::NewFd(fd) => Syscall::MsgRecv { fd },
                 SysResult::Datagram { .. } => {
                     recv_log.borrow_mut().push(("receiver", ctx.now));
                     Syscall::Exit

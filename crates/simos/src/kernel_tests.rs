@@ -7,16 +7,24 @@ use std::rc::Rc;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_simnet::endpoint::bytes_from;
+use siperf_simnet::error::Errno;
 use siperf_simnet::NetConfig;
 
 use crate::cost::CostModel;
 use crate::ipc::{ChanId, Side};
 use crate::kernel::{Kernel, RunOutcome};
 use crate::process::{Nice, ProcId, ResumeCtx};
-use crate::syscall::{Fd, IpcMsg, SysResult, Syscall};
+use crate::syscall::{Fd, IpcMsg, MsgProto, SysResult, Syscall};
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
+}
+
+fn udp_bind(port: u16) -> Syscall {
+    Syscall::MsgBind {
+        proto: MsgProto::Udp,
+        port: Some(port),
+    }
 }
 
 fn free_kernel() -> Kernel {
@@ -68,13 +76,13 @@ fn udp_echo_roundtrip_between_hosts() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::UdpBind { port: 5060 },
+                1 => udp_bind(5060),
                 2 => {
                     sfd = last.expect_fd();
-                    Syscall::UdpRecv { fd: sfd }
+                    Syscall::MsgRecv { fd: sfd }
                 }
                 3 => match last {
-                    SysResult::Datagram { from, data } => Syscall::UdpSend {
+                    SysResult::Datagram { from, data } => Syscall::MsgSend {
                         fd: sfd,
                         to: from,
                         data,
@@ -97,16 +105,19 @@ fn udp_echo_roundtrip_between_hosts() {
         Box::new(move |ctx: &mut ResumeCtx, last: SysResult| {
             cstep += 1;
             match cstep {
-                1 => Syscall::UdpBindEphemeral,
+                1 => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: None,
+                },
                 2 => {
                     cfd = last.expect_fd();
-                    Syscall::UdpSend {
+                    Syscall::MsgSend {
                         fd: cfd,
                         to: SockAddr::new(siperf_simnet::HostId(0), 5060),
                         data: bytes_from(b"ping".to_vec()),
                     }
                 }
-                3 => Syscall::UdpRecv { fd: cfd },
+                3 => Syscall::MsgRecv { fd: cfd },
                 4 => {
                     if let SysResult::Datagram { data, .. } = last {
                         got2.borrow_mut().push(data.to_vec());
@@ -277,10 +288,10 @@ fn poll_times_out_then_reports_ready_fd() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 1000 },
+                1 => udp_bind(1000),
                 2 => {
                     fd_a = last.expect_fd();
-                    Syscall::UdpBind { port: 2000 }
+                    udp_bind(2000)
                 }
                 3 => {
                     fd_b = last.expect_fd();
@@ -305,7 +316,7 @@ fn poll_times_out_then_reports_ready_fd() {
                         }
                         other => panic!("expected ready, got {other:?}"),
                     }
-                    Syscall::UdpRecv { fd: fd_b }
+                    Syscall::MsgRecv { fd: fd_b }
                 }
                 _ => Syscall::Exit,
             }
@@ -321,12 +332,15 @@ fn poll_times_out_then_reports_ready_fd() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             cstep += 1;
             match cstep {
-                1 => Syscall::UdpBindEphemeral,
+                1 => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: None,
+                },
                 2 => {
                     cfd = last.expect_fd();
                     Syscall::Sleep(SimDuration::from_millis(20))
                 }
-                3 => Syscall::UdpSend {
+                3 => Syscall::MsgSend {
                     fd: cfd,
                     to: SockAddr::new(siperf_simnet::HostId(0), 2000),
                     data: bytes_from(vec![42]),
@@ -361,8 +375,8 @@ fn ipc_fd_passing_transfers_working_descriptor() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::UdpBind { port: 5060 },
-                2 => Syscall::UdpRecv {
+                1 => udp_bind(5060),
+                2 => Syscall::MsgRecv {
                     fd: last.expect_fd(),
                 },
                 3 => {
@@ -395,7 +409,10 @@ fn ipc_fd_passing_transfers_working_descriptor() {
                 },
                 2 => {
                     ipc_fd = last.expect_fd();
-                    Syscall::UdpBindEphemeral
+                    Syscall::MsgBind {
+                        proto: MsgProto::Udp,
+                        port: None,
+                    }
                 }
                 3 => {
                     if let SysResult::NewFdPort { fd, port } = last {
@@ -432,7 +449,7 @@ fn ipc_fd_passing_transfers_working_descriptor() {
                 3 => match last {
                     SysResult::Ipc(msg) => {
                         assert_eq!(msg.kind, 7);
-                        Syscall::UdpSend {
+                        Syscall::MsgSend {
                             fd: msg.fd.expect("descriptor passed"),
                             to: SockAddr::new(siperf_simnet::HostId(1), 5060),
                             data: bytes_from(b"via passed fd".to_vec()),
@@ -735,11 +752,11 @@ fn identical_seeds_replay_identically() {
             Box::new(move |_: &mut ResumeCtx, last: SysResult| {
                 sstep += 1;
                 match sstep {
-                    1 => Syscall::UdpBind { port: 5060 },
-                    2 => Syscall::UdpRecv {
+                    1 => udp_bind(5060),
+                    2 => Syscall::MsgRecv {
                         fd: last.expect_fd(),
                     },
-                    n if n < 30 => Syscall::UdpRecv { fd: Fd(0) },
+                    n if n < 30 => Syscall::MsgRecv { fd: Fd(0) },
                     _ => Syscall::Exit,
                 }
             }),
@@ -754,12 +771,15 @@ fn identical_seeds_replay_identically() {
                 Box::new(move |_: &mut ResumeCtx, last: SysResult| {
                     cstep += 1;
                     match cstep {
-                        1 => Syscall::UdpBindEphemeral,
+                        1 => Syscall::MsgBind {
+                            proto: MsgProto::Udp,
+                            port: None,
+                        },
                         n if n < 9 => {
                             if n == 2 {
                                 fd = last.expect_fd();
                             }
-                            Syscall::UdpSend {
+                            Syscall::MsgSend {
                                 fd,
                                 to: SockAddr::new(siperf_simnet::HostId(0), 5060),
                                 data: bytes_from(vec![i as u8]),
@@ -793,7 +813,7 @@ fn close_releases_endpoint_budget() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 5060 },
+                1 => udp_bind(5060),
                 2 => {
                     fd = last.expect_fd();
                     Syscall::Close { fd }
@@ -827,8 +847,8 @@ fn exit_closes_leaked_descriptors() {
         Box::new(move |_: &mut ResumeCtx, _| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 5060 },
-                2 => Syscall::UdpBind { port: 5061 },
+                1 => udp_bind(5060),
+                2 => udp_bind(5061),
                 _ => Syscall::Exit,
             }
         }),
@@ -854,21 +874,24 @@ fn sctp_message_roundtrip_via_syscalls() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::SctpBind { port: 5060 },
+                1 => Syscall::MsgBind {
+                    proto: MsgProto::Sctp,
+                    port: Some(5060),
+                },
                 2 => {
                     sfd = last.expect_fd();
-                    Syscall::SctpRecv { fd: sfd }
+                    Syscall::MsgRecv { fd: sfd }
                 }
                 3 => match last {
-                    SysResult::SctpMsg { from, data } => {
+                    SysResult::Datagram { from, data } => {
                         g.borrow_mut().push(data.to_vec());
-                        Syscall::SctpSend {
+                        Syscall::MsgSend {
                             fd: sfd,
                             to: from,
                             data: bytes_from(b"ack".to_vec()),
                         }
                     }
-                    other => panic!("expected sctp msg, got {other:?}"),
+                    other => panic!("expected a message, got {other:?}"),
                 },
                 _ => Syscall::Exit,
             }
@@ -885,18 +908,21 @@ fn sctp_message_roundtrip_via_syscalls() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             cstep += 1;
             match cstep {
-                1 => Syscall::SctpBindEphemeral,
+                1 => Syscall::MsgBind {
+                    proto: MsgProto::Sctp,
+                    port: None,
+                },
                 2 => {
                     cfd = last.expect_fd();
-                    Syscall::SctpSend {
+                    Syscall::MsgSend {
                         fd: cfd,
                         to: SockAddr::new(siperf_simnet::HostId(0), 5060),
                         data: bytes_from(b"hello".to_vec()),
                     }
                 }
-                3 => Syscall::SctpRecv { fd: cfd },
+                3 => Syscall::MsgRecv { fd: cfd },
                 4 => {
-                    if let SysResult::SctpMsg { data, .. } = last {
+                    if let SysResult::Datagram { data, .. } = last {
                         g2.borrow_mut().push(data.to_vec());
                     }
                     Syscall::Exit
@@ -911,6 +937,137 @@ fn sctp_message_roundtrip_via_syscalls() {
         got.borrow().as_slice(),
         &[b"hello".to_vec(), b"ack".to_vec()]
     );
+}
+
+/// One echo over `proto` between two hosts: the server binds a fixed
+/// port, the client an ephemeral one. Returns the kernel, both hosts, and
+/// every result the two processes saw, in order.
+fn msg_echo(proto: MsgProto) -> (Kernel, [HostId; 2], Vec<SysResult>) {
+    let mut k = free_kernel();
+    let hosts = [k.add_host(1), k.add_host(1)];
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let (s_seen, c_seen) = (seen.clone(), seen.clone());
+    let mut fd = Fd(0);
+    k.spawn(
+        hosts[0],
+        Nice::NORMAL,
+        "server",
+        Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+            s_seen.borrow_mut().push(last.clone());
+            match last {
+                SysResult::Start => Syscall::MsgBind {
+                    proto,
+                    port: Some(5060),
+                },
+                SysResult::NewFd(bound) => {
+                    fd = bound;
+                    Syscall::MsgRecv { fd }
+                }
+                SysResult::Datagram { from, data } => Syscall::MsgSend { fd, to: from, data },
+                _ => Syscall::Exit,
+            }
+        }),
+    );
+    let server = SockAddr::new(hosts[0], 5060);
+    let mut fd = Fd(0);
+    k.spawn(
+        hosts[1],
+        Nice::NORMAL,
+        "client",
+        Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+            c_seen.borrow_mut().push(last.clone());
+            match last {
+                SysResult::Start => Syscall::MsgBind { proto, port: None },
+                SysResult::NewFdPort { fd: bound, .. } => {
+                    fd = bound;
+                    Syscall::MsgSend {
+                        fd,
+                        to: server,
+                        data: bytes_from(b"ping".to_vec()),
+                    }
+                }
+                SysResult::Done => Syscall::MsgRecv { fd },
+                _ => Syscall::Exit,
+            }
+        }),
+    );
+    k.run_until(secs(1));
+    let seen = seen.borrow().clone();
+    (k, hosts, seen)
+}
+
+#[test]
+fn msg_syscalls_follow_the_protocol_fixed_at_bind() {
+    for (proto, ours, other) in [
+        (MsgProto::Udp, "udp", "sctp"),
+        (MsgProto::Sctp, "sctp", "udp"),
+    ] {
+        let (k, hosts, seen) = msg_echo(proto);
+        let count = |f: fn(&SysResult) -> bool| seen.iter().filter(|r| f(r)).count();
+        assert_eq!(count(|r| matches!(r, SysResult::NewFdPort { .. })), 1);
+        assert_eq!(count(|r| matches!(r, SysResult::Datagram { .. })), 2);
+        assert_eq!(count(|r| r.is_err()), 0, "{seen:?}");
+        // Each host sent once and received once, charged to the bound
+        // protocol's kernel functions only.
+        for h in hosts {
+            let prof = k.profiler(h);
+            for call in ["send", "recv"] {
+                assert!(prof.ns_for(&format!("kernel/{ours}_{call}")) > 0);
+                assert_eq!(prof.ns_for(&format!("kernel/{other}_{call}")), 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn msg_syscalls_on_a_stream_or_ipc_fd_are_invalid() {
+    let mut k = free_kernel();
+    let h = k.add_host(1);
+    let chan = k.create_ipc_pair(1);
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s = seen.clone();
+    let mut script = vec![
+        Syscall::TcpListen {
+            port: 5060,
+            backlog: 1,
+        },
+        Syscall::IpcAttach {
+            chan,
+            side: Side::A,
+        },
+    ];
+    let mut fds = Vec::new();
+    k.spawn(
+        h,
+        Nice::NORMAL,
+        "confused",
+        Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+            match last {
+                SysResult::NewFd(fd) => fds.push(fd),
+                SysResult::Err(e) => s.borrow_mut().push(e),
+                _ => {}
+            }
+            if let Some(next) = script.pop() {
+                return next;
+            }
+            match fds.pop() {
+                Some(fd) => {
+                    script.push(Syscall::MsgRecv { fd });
+                    Syscall::MsgSend {
+                        fd,
+                        to: SockAddr::new(h, 7000),
+                        data: bytes_from(vec![1]),
+                    }
+                }
+                None => Syscall::Exit,
+            }
+        }),
+    );
+    k.run_until(secs(1));
+    assert_eq!(*seen.borrow(), vec![Errno::InvalidOp; 4]);
+    // A descriptor that is neither protocol is charged as UDP.
+    assert!(k.profiler(h).ns_for("kernel/udp_send") > 0);
+    assert!(k.profiler(h).ns_for("kernel/udp_recv") > 0);
 }
 
 #[test]
@@ -930,8 +1087,8 @@ fn threads_share_one_descriptor_table() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::UdpBind { port: 5060 },
-                2 => Syscall::UdpRecv {
+                1 => udp_bind(5060),
+                2 => Syscall::MsgRecv {
                     fd: last.expect_fd(),
                 },
                 3 => {
@@ -956,7 +1113,10 @@ fn threads_share_one_descriptor_table() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             astep += 1;
             match astep {
-                1 => Syscall::UdpBindEphemeral,
+                1 => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: None,
+                },
                 2 => {
                     *fc.borrow_mut() = Some(last.expect_fd());
                     Syscall::Sleep(SimDuration::from_millis(50))
@@ -978,7 +1138,7 @@ fn threads_share_one_descriptor_table() {
             match bstep {
                 1 => Syscall::Sleep(SimDuration::from_millis(10)),
                 2 => match *fc2.borrow() {
-                    Some(fd) => Syscall::UdpSend {
+                    Some(fd) => Syscall::MsgSend {
                         fd,
                         to: SockAddr::new(siperf_simnet::HostId(1), 5060),
                         data: bytes_from(b"from sibling thread".to_vec()),
@@ -1012,7 +1172,7 @@ fn shared_fd_table_survives_first_thread_exit() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             astep += 1;
             match astep {
-                1 => Syscall::UdpBind { port: 7000 },
+                1 => udp_bind(7000),
                 _ => {
                     *fc.borrow_mut() = Some(last.expect_fd());
                     Syscall::Exit
@@ -1031,7 +1191,7 @@ fn shared_fd_table_survives_first_thread_exit() {
             bstep += 1;
             match bstep {
                 1 => Syscall::Sleep(SimDuration::from_millis(20)),
-                2 => Syscall::UdpSend {
+                2 => Syscall::MsgSend {
                     fd: fd_cell.borrow().expect("bound"),
                     to: SockAddr::new(siperf_simnet::HostId(0), 7000),
                     data: bytes_from(vec![1]),
@@ -1168,7 +1328,7 @@ fn kill_cancels_pending_timers_and_closes_descriptors() {
         Box::new(move |_: &mut ResumeCtx, _| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 6000 },
+                1 => udp_bind(6000),
                 2 => Syscall::Sleep(SimDuration::from_millis(50)),
                 _ => {
                     *woke2.borrow_mut() = true;
@@ -1208,10 +1368,10 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             rstep += 1;
             match rstep {
-                1 => Syscall::UdpBind { port: 7000 },
+                1 => udp_bind(7000),
                 2 => {
                     let fd = last.expect_fd();
-                    Syscall::UdpRecv { fd }
+                    Syscall::MsgRecv { fd }
                 }
                 _ => {
                     if let SysResult::Datagram { data, .. } = last {
@@ -1235,7 +1395,7 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             dstep += 1;
             match dstep {
-                1 => Syscall::UdpBind { port: 6001 },
+                1 => udp_bind(6001),
                 _ => {
                     if dstep == 2 {
                         *donor_fd2.borrow_mut() = Some(last.expect_fd());
@@ -1258,7 +1418,7 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         Box::new(move |_: &mut ResumeCtx, _| {
             hstep += 1;
             match hstep {
-                1 => Syscall::UdpSend {
+                1 => Syscall::MsgSend {
                     fd: heir_fd2.borrow().expect("dup before first run"),
                     to: SockAddr::new(siperf_simnet::HostId(1), 7000),
                     data: bytes_from(b"hi".to_vec()),

@@ -32,7 +32,7 @@
 //! use siperf_simos::cost::CostModel;
 //! use siperf_simos::kernel::Kernel;
 //! use siperf_simos::process::{Nice, ResumeCtx};
-//! use siperf_simos::syscall::{Syscall, SysResult};
+//! use siperf_simos::syscall::{MsgProto, Syscall, SysResult};
 //!
 //! let mut kernel = Kernel::new(NetConfig::lan(), CostModel::free(), 1);
 //! let host = kernel.add_host(1);
@@ -41,8 +41,8 @@
 //!     move |_ctx: &mut ResumeCtx, last: SysResult| {
 //!         step += 1;
 //!         match step {
-//!             1 => Syscall::UdpBind { port: 5060 },
-//!             2 => Syscall::UdpRecv { fd: last.expect_fd() },
+//!             1 => Syscall::MsgBind { proto: MsgProto::Udp, port: Some(5060) },
+//!             2 => Syscall::MsgRecv { fd: last.expect_fd() },
 //!             _ => Syscall::Exit,
 //!         }
 //!     },
@@ -68,4 +68,4 @@ pub use ipc::{ChanId, Side};
 pub use kernel::{FdKind, Kernel, KernelStats, RunOutcome};
 pub use lock::LockId;
 pub use process::{Nice, ProcId, Process, ResumeCtx};
-pub use syscall::{Fd, IpcMsg, SysResult, Syscall};
+pub use syscall::{Fd, IpcMsg, MsgProto, SysResult, Syscall};

@@ -57,6 +57,16 @@ impl IpcMsg {
     }
 }
 
+/// The protocol of a message socket, fixed when it is bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgProto {
+    /// Connectionless, unreliable datagrams.
+    Udp,
+    /// SCTP one-to-many endpoint: reliable messages over associations the
+    /// kernel sets up on first send.
+    Sctp,
+}
+
 /// What a process asks the kernel to do next. Exactly one syscall is
 /// outstanding per process; the kernel charges its CPU cost, performs it
 /// (blocking the process if necessary), and resumes the process with a
@@ -80,24 +90,30 @@ pub enum Syscall {
     Yield,
     /// Terminate; all descriptors are closed.
     Exit,
-    /// Bind a UDP socket on this process's host.
-    UdpBind {
-        /// Port to bind.
-        port: Port,
+    /// Bind a message socket on this process's host. The protocol is fixed
+    /// here: [`Syscall::MsgSend`] and [`Syscall::MsgRecv`] on the returned
+    /// descriptor speak it, as `sendmsg`/`recvmsg` do on a real socket.
+    /// A `None` port binds an ephemeral one and returns
+    /// [`SysResult::NewFdPort`].
+    MsgBind {
+        /// UDP socket or SCTP one-to-many endpoint.
+        proto: MsgProto,
+        /// Port to bind, or `None` for an ephemeral port.
+        port: Option<Port>,
     },
-    /// Bind a UDP socket on an ephemeral port.
-    UdpBindEphemeral,
-    /// Send a datagram.
-    UdpSend {
+    /// Send one message: a datagram on UDP, or an SCTP message whose
+    /// association the kernel manages.
+    MsgSend {
         /// Sending socket.
         fd: Fd,
         /// Destination.
         to: SockAddr,
-        /// Payload.
+        /// Whole message.
         data: Bytes,
     },
-    /// Receive a datagram, blocking until one arrives.
-    UdpRecv {
+    /// Receive one message, blocking until one arrives; both protocols
+    /// return [`SysResult::Datagram`].
+    MsgRecv {
         /// Receiving socket.
         fd: Fd,
     },
@@ -131,27 +147,6 @@ pub enum Syscall {
         fd: Fd,
         /// Maximum bytes to return.
         max: usize,
-    },
-    /// Bind an SCTP one-to-many endpoint.
-    SctpBind {
-        /// Port to bind.
-        port: Port,
-    },
-    /// Bind an SCTP endpoint on an ephemeral port.
-    SctpBindEphemeral,
-    /// Send one SCTP message (association managed by the kernel).
-    SctpSend {
-        /// Sending endpoint.
-        fd: Fd,
-        /// Destination.
-        to: SockAddr,
-        /// Whole message.
-        data: Bytes,
-    },
-    /// Receive one SCTP message, blocking until one arrives.
-    SctpRecv {
-        /// Receiving endpoint.
-        fd: Fd,
     },
     /// Close a descriptor.
     Close {
@@ -215,7 +210,7 @@ pub enum SysResult {
         /// The bound port.
         port: Port,
     },
-    /// A received datagram.
+    /// A received UDP datagram or SCTP message.
     Datagram {
         /// Sender address.
         from: SockAddr,
@@ -232,13 +227,6 @@ pub enum SysResult {
         fd: Fd,
         /// Peer address.
         peer: SockAddr,
-    },
-    /// A received SCTP message.
-    SctpMsg {
-        /// Source association address.
-        from: SockAddr,
-        /// Whole message.
-        data: Bytes,
     },
     /// A received IPC message; `fd` (if any) is receiver-local.
     Ipc(IpcMsg),

@@ -21,15 +21,6 @@ use siperf_sip::txn::{RetransClock, TimerVerdict};
 
 use crate::phone::{callee_answer_timed, is_register_ok, CallEngine, PhoneCfg, Role};
 
-/// Which message-oriented transport the phone speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgTransport {
-    /// Plain datagrams.
-    Udp,
-    /// Kernel-managed associations.
-    Sctp,
-}
-
 // The shared postfix is the point: each variant names which poll loop the
 // process resumes into.
 #[allow(clippy::enum_variant_names)]
@@ -53,7 +44,6 @@ enum Phase {
 /// A UDP/SCTP phone process (caller or callee).
 pub struct MsgPhone {
     cfg: PhoneCfg,
-    mt: MsgTransport,
     fd: Fd,
     engine: Option<CallEngine>,
     reg_msg: Option<Bytes>,
@@ -66,10 +56,9 @@ pub struct MsgPhone {
 
 impl MsgPhone {
     /// Creates the phone process.
-    pub fn new(cfg: PhoneCfg, mt: MsgTransport) -> Self {
+    pub fn new(cfg: PhoneCfg) -> Self {
         MsgPhone {
             cfg,
-            mt,
             fd: Fd(u32::MAX),
             engine: None,
             reg_msg: None,
@@ -80,25 +69,11 @@ impl MsgPhone {
         }
     }
 
-    fn send_syscall(&self, to: SockAddr, data: Bytes) -> Syscall {
-        match self.mt {
-            MsgTransport::Udp => Syscall::UdpSend {
-                fd: self.fd,
-                to,
-                data,
-            },
-            MsgTransport::Sctp => Syscall::SctpSend {
-                fd: self.fd,
-                to,
-                data,
-            },
-        }
-    }
-
-    fn recv_syscall(&self) -> Syscall {
-        match self.mt {
-            MsgTransport::Udp => Syscall::UdpRecv { fd: self.fd },
-            MsgTransport::Sctp => Syscall::SctpRecv { fd: self.fd },
+    fn send(&self, to: SockAddr, data: Bytes) -> Syscall {
+        Syscall::MsgSend {
+            fd: self.fd,
+            to,
+            data,
         }
     }
 
@@ -135,7 +110,7 @@ impl MsgPhone {
                 break;
             }
             let (_, _, bytes) = self.delayed.pop_front().expect("peeked");
-            let s = self.send_syscall(dest, bytes);
+            let s = self.send(dest, bytes);
             self.script.push_back(s);
         }
     }
@@ -153,7 +128,7 @@ impl MsgPhone {
 
     fn queue_sends(&mut self, to: SockAddr, msgs: Vec<Bytes>) {
         for m in msgs {
-            let s = self.send_syscall(to, m);
+            let s = self.send(to, m);
             self.script.push_back(s);
         }
     }
@@ -216,13 +191,9 @@ impl Process for MsgPhone {
         match std::mem::replace(&mut self.phase, Phase::Start) {
             Phase::Start => {
                 self.phase = Phase::Bound;
-                match self.mt {
-                    MsgTransport::Udp => Syscall::UdpBind {
-                        port: self.cfg.port,
-                    },
-                    MsgTransport::Sctp => Syscall::SctpBind {
-                        port: self.cfg.port,
-                    },
+                Syscall::MsgBind {
+                    proto: self.cfg.transport.msg_proto().expect("UDP or SCTP"),
+                    port: Some(self.cfg.port),
                 }
             }
             Phase::Bound => {
@@ -254,7 +225,7 @@ impl Process for MsgPhone {
             Phase::Polling(cont) => match last {
                 SysResult::Ready(_) => {
                     self.phase = Phase::Receiving(cont);
-                    self.recv_syscall()
+                    Syscall::MsgRecv { fd: self.fd }
                 }
                 SysResult::TimedOut => match cont {
                     Cont::RegPoll => {
@@ -288,7 +259,6 @@ impl Process for MsgPhone {
                 SysResult::Datagram { from, data } => {
                     self.handle_message(ctx.now, from, data, cont)
                 }
-                SysResult::SctpMsg { from, data } => self.handle_message(ctx.now, from, data, cont),
                 other => panic!("phone recv got {other:?}"),
             },
             Phase::Script(cont) => {

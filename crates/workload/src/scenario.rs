@@ -21,7 +21,7 @@ use siperf_simos::kernel::{Kernel, KernelStats};
 use siperf_simos::process::Process;
 
 use crate::phone::{Arrivals, PhoneCfg, Role};
-use crate::phone_msg::{MsgPhone, MsgTransport};
+use crate::phone_msg::MsgPhone;
 use crate::phone_tcp::TcpPhone;
 use crate::stats::WorkloadStats;
 
@@ -172,8 +172,7 @@ impl Scenario {
         };
         let spawn = |kernel: &mut Kernel, host, name: String, cfg| {
             let phone: Box<dyn Process> = match transport {
-                Transport::Udp => Box::new(MsgPhone::new(cfg, MsgTransport::Udp)),
-                Transport::Sctp => Box::new(MsgPhone::new(cfg, MsgTransport::Sctp)),
+                Transport::Udp | Transport::Sctp => Box::new(MsgPhone::new(cfg)),
                 Transport::Tcp => Box::new(TcpPhone::new(cfg)),
             };
             kernel.spawn(host, Default::default(), name, phone);
