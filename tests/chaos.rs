@@ -154,7 +154,9 @@ fn chaos_runs_are_deterministic_per_seed() {
 #[test]
 fn tcp_supervisor_crash_recovers() {
     let faults = FaultSchedule::new().at(ms(3000), Fault::KillSupervisor);
-    let report = chaos_scenario(Transport::Tcp, 7, faults).run();
+    let scenario = chaos_scenario(Transport::Tcp, 7, faults);
+    let pairs = scenario.pairs;
+    let report = scenario.run();
     assert_eq!(report.workers_respawned, 1, "supervisor crash not applied");
     assert!(report.ops_total > 0);
     let ratio = report.call_failures as f64 / report.call_attempts.max(1) as f64;
@@ -162,6 +164,18 @@ fn tcp_supervisor_crash_recovers() {
         ratio < 0.2,
         "supervisor crash sank {:.0}% of calls",
         ratio * 100.0
+    );
+    // The fresh supervisor re-learns the workers' descriptors; otherwise
+    // every forward to a phone misses and opens a new connection.
+    assert!(
+        report.proxy.outbound_connects <= 2 * pairs as u64,
+        "connection storm after the restart: {} outbound connects",
+        report.proxy.outbound_connects
+    );
+    assert!(
+        report.open_conns <= 4 * pairs,
+        "{} connections open after the restart",
+        report.open_conns
     );
 }
 
