@@ -160,24 +160,9 @@ pub struct ProxyConfig {
     pub idle_timeout: SimDuration,
     /// Supervisor scheduling priority (§4.3: −20 avoids starvation).
     pub supervisor_nice: Nice,
-    /// Worker scheduling priority.
-    pub worker_nice: Nice,
     /// IPC channel depth (messages per direction) between supervisor and
     /// each worker.
     pub ipc_capacity: usize,
-    /// Minimum gap between a worker's idle hunts. OpenSER checks timeouts
-    /// from the main loop, so hunts happen roughly once per event batch;
-    /// this floor only bounds the pathological case.
-    pub idle_check_interval: SimDuration,
-    /// Minimum gap between the supervisor's walks of the shared table.
-    /// OpenSER's tcp_main re-checks timeouts every loop pass — the
-    /// frequency that makes the §5.2 linear scan explode as the table
-    /// grows.
-    pub supervisor_scan_interval: SimDuration,
-    /// Timer-process tick for retransmissions and transaction reaping.
-    pub timer_tick: SimDuration,
-    /// How long a completed transaction lingers before it is reaped.
-    pub txn_linger: SimDuration,
     /// Application-level cost calibration.
     pub app_costs: AppCostModel,
     /// Overload-control policy consulted before each INVITE transaction.
@@ -198,12 +183,7 @@ impl ProxyConfig {
             idle_strategy: IdleStrategy::LinearScan,
             idle_timeout: SimDuration::from_secs(10),
             supervisor_nice: Nice::HIGHEST,
-            worker_nice: Nice::NORMAL,
             ipc_capacity: 256,
-            idle_check_interval: SimDuration::from_millis(100),
-            supervisor_scan_interval: SimDuration::from_millis(2),
-            timer_tick: SimDuration::from_millis(500),
-            txn_linger: SimDuration::from_secs(5),
             app_costs: AppCostModel::opteron_2006(),
             overload: OverloadConfig::NoControl,
         }

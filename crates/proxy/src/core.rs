@@ -19,6 +19,9 @@ use siperf_sip::parse::parse_message;
 use siperf_sip::txn::{RetransClock, TimerVerdict, TxnKey};
 
 use crate::config::Transport;
+
+/// How long a completed transaction lingers before it is reaped.
+pub(crate) const TXN_LINGER: SimDuration = SimDuration::from_secs(5);
 use crate::util::parse_sim_addr;
 
 /// One location-service binding. For connection-oriented transports the
@@ -159,8 +162,6 @@ pub struct ProxyCore {
     pub transport: Transport,
     /// Stateful (§2) or stateless operation.
     pub stateful: bool,
-    /// How long completed transactions linger before reaping.
-    pub txn_linger: SimDuration,
     registrar: HashMap<String, Binding>,
     txn_index: HashMap<TxnKey, u64>,
     // Ordered by transaction id so `timer_pass` emits retransmissions and
@@ -183,7 +184,6 @@ impl ProxyCore {
             via_sent_by,
             transport,
             stateful,
-            txn_linger: SimDuration::from_secs(5),
             registrar: HashMap::new(),
             txn_index: HashMap::new(),
             txns: BTreeMap::new(),
@@ -527,7 +527,7 @@ impl ProxyCore {
                         .on_complete(now, txn.caller_src, now - txn.started);
                 }
             }
-            txn.reap_at = Some(now + self.txn_linger);
+            txn.reap_at = Some(now + TXN_LINGER);
         }
         self.stats.forwards += 1;
         plan.out.push(Outgoing {
@@ -577,7 +577,7 @@ impl ProxyCore {
             let txn = self.txns.get_mut(&id).expect("looked up above");
             txn.completed = true;
             txn.clock.stop();
-            txn.reap_at = Some(now + self.txn_linger);
+            txn.reap_at = Some(now + TXN_LINGER);
             self.stats.txn_timeouts += 1;
             self.active_txns -= 1;
             if txn.policy_tracked {

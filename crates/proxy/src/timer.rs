@@ -17,11 +17,15 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use siperf_simcore::time::SimDuration;
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
 use crate::config::Transport;
 use crate::plumbing::{locked, tags, ConnShared};
+
+/// The timer process's tick for retransmissions and transaction reaping.
+pub(crate) const TICK: SimDuration = SimDuration::from_millis(500);
 
 /// The retransmission/reaping timer process.
 pub struct TimerProc {
@@ -72,7 +76,7 @@ impl TimerProc {
                 None => self.shared.core.borrow_mut().stats.send_errors += 1,
             }
         }
-        self.script.push_back(Syscall::Sleep(cfg.timer_tick));
+        self.script.push_back(Syscall::Sleep(TICK));
     }
 }
 
@@ -81,7 +85,7 @@ impl Process for TimerProc {
         if let SysResult::Err(_) = last {
             self.shared.core.borrow_mut().stats.send_errors += 1;
         }
-        let (transport, tick) = (self.shared.cfg.transport, self.shared.cfg.timer_tick);
+        let transport = self.shared.cfg.transport;
         if !self.started {
             self.started = true;
             // SCTP retransmits on the shared endpoint; UDP binds a socket
@@ -91,11 +95,11 @@ impl Process for TimerProc {
             } else if let Some(proto) = transport.msg_proto() {
                 return Syscall::MsgBind { proto, port: None };
             }
-            return Syscall::Sleep(tick);
+            return Syscall::Sleep(TICK);
         }
         if transport == Transport::Udp && self.fd.is_none() {
             self.fd = Some(last.expect_fd());
-            return Syscall::Sleep(tick);
+            return Syscall::Sleep(TICK);
         }
         if let Some(next) = self.script.pop_front() {
             return next;
