@@ -250,8 +250,9 @@ impl Network {
 
     /// Sends one datagram from a bound socket to `to`.
     ///
-    /// Delivery (or loss) is resolved now; the receiving socket is resolved
-    /// at delivery time.
+    /// Delivery (or loss) and the receiving socket are both resolved now,
+    /// at send time: a datagram to a port that is bound only after the
+    /// send vanishes, unlike an SCTP message.
     ///
     /// # Errors
     ///

@@ -311,7 +311,8 @@ impl World {
     /// Applies one fault to the running world at the kernel's current
     /// virtual time. Returns whether the fault had anything to act on (a
     /// `TcpReset` with no established connection is a no-op, as is
-    /// `KillSupervisor` under a single-process architecture).
+    /// `KillSupervisor` under UDP, SCTP or `MultiThread`, none of which has
+    /// a supervisor process).
     pub fn apply_fault(&mut self, fault: &Fault) -> bool {
         let applied = match fault {
             Fault::BurstLoss { model, duration } => {

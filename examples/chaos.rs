@@ -61,7 +61,7 @@ fn storm_run(transport: Transport, seed: u64) {
 }
 
 fn supervisor_assassination(seed: u64) {
-    println!("TCP, supervisor crash at t=3 s (fresh supervisor, cold fd cache)");
+    println!("TCP, supervisor crash at t=3 s (fresh supervisor re-learns the workers' fds)");
     let faults = FaultSchedule::new().at(ms(3000), Fault::KillSupervisor);
     let mut s = Scenario::builder("chaos-supervisor")
         .transport(Transport::Tcp)
@@ -76,10 +76,14 @@ fn supervisor_assassination(seed: u64) {
     let failure_ratio = r.call_failures as f64 / r.call_attempts.max(1) as f64;
     println!("  {}", r.summary());
     println!(
-        "  respawns {}  connect errors {}  failure ratio {:.1}%\n",
+        "  respawns {}  connect errors {}  failure ratio {:.1}%",
         r.workers_respawned,
         r.connect_errors,
         100.0 * failure_ratio,
+    );
+    println!(
+        "  outbound connects {}  endpoints {}  (TIME_WAIT {})\n",
+        r.proxy.outbound_connects, r.server_endpoints, r.server_time_wait,
     );
 }
 
