@@ -7,9 +7,10 @@
 //! simulated locks around each call into it, in exactly the order OpenSER
 //! does (§3).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use siperf_overload::{LoadSignals, NoControl, OverloadPolicy, Verdict};
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::{bytes_from, Bytes};
@@ -162,8 +163,9 @@ pub struct ProxyCore {
     pub transport: Transport,
     /// Stateful (§2) or stateless operation.
     pub stateful: bool,
-    registrar: HashMap<String, Binding>,
-    txn_index: HashMap<TxnKey, u64>,
+    // Both are looked up per message and never iterated.
+    registrar: FastMap<String, Binding>,
+    txn_index: FastMap<TxnKey, u64>,
     // Ordered by transaction id so `timer_pass` emits retransmissions and
     // timeouts in a run-independent order (HashMap iteration order would
     // leak the hasher seed into the packet schedule).
@@ -184,8 +186,8 @@ impl ProxyCore {
             via_sent_by,
             transport,
             stateful,
-            registrar: HashMap::new(),
-            txn_index: HashMap::new(),
+            registrar: FastMap::default(),
+            txn_index: FastMap::default(),
             txns: BTreeMap::new(),
             next_txn: 1,
             next_branch: 1,

@@ -14,6 +14,8 @@
 //! * [`profile`] — OProfile-style per-function CPU accounting, used to
 //!   reproduce the paper's §5 execution-profile evidence.
 //! * [`arena`] — generational arenas for entities with small `Copy` handles.
+//! * [`hash`] — a deterministic multiply-rotate hasher for maps that are
+//!   looked up on every event and never iterated unsorted.
 //!
 //! Determinism is the central contract: given identical inputs and seeds,
 //! every simulation built on this crate replays bit-identically, which makes
@@ -35,6 +37,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arena;
+pub mod hash;
 pub mod profile;
 pub mod queue;
 pub mod rng;

@@ -25,13 +25,22 @@
 //! assert_eq!(report.top(1)[0].0, "user/parse_msg");
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::FastMap;
+
 /// Accumulates virtual CPU time per function tag.
+///
+/// Tags are string literals charged on every simulated burst, so a tag's
+/// row is found from the literal's address and length; only the first
+/// charge through an address compares text, which lets equal literals at
+/// different addresses share one row.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    ns_by_tag: HashMap<&'static str, u64>,
+    /// One row per distinct tag text, in order of first charge.
+    rows: Vec<(&'static str, u64)>,
+    /// Row of every tag literal charged so far, by `(address, length)`.
+    row_of: FastMap<(usize, usize), usize>,
     total_ns: u64,
 }
 
@@ -47,8 +56,27 @@ impl Profiler {
         if ns == 0 {
             return;
         }
-        *self.ns_by_tag.entry(tag).or_insert(0) += ns;
+        let row = self.row(tag);
+        self.rows[row].1 += ns;
         self.total_ns += ns;
+    }
+
+    /// The row of `tag`, created empty on the first sight of its text.
+    #[inline]
+    fn row(&mut self, tag: &'static str) -> usize {
+        let key = (tag.as_ptr() as usize, tag.len());
+        if let Some(&row) = self.row_of.get(&key) {
+            return row;
+        }
+        let row = match self.rows.iter().position(|(t, _)| *t == tag) {
+            Some(row) => row,
+            None => {
+                self.rows.push((tag, 0));
+                self.rows.len() - 1
+            }
+        };
+        self.row_of.insert(key, row);
+        row
     }
 
     /// Total CPU time charged across all tags.
@@ -58,13 +86,15 @@ impl Profiler {
 
     /// CPU time charged to one tag.
     pub fn ns_for(&self, tag: &str) -> u64 {
-        self.ns_by_tag.get(tag).copied().unwrap_or(0)
+        self.rows
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .map_or(0, |&(_, ns)| ns)
     }
 
     /// Snapshot suitable for sorting and display.
     pub fn report(&self) -> ProfileReport {
-        let mut rows: Vec<(&'static str, u64)> =
-            self.ns_by_tag.iter().map(|(&t, &ns)| (t, ns)).collect();
+        let mut rows = self.rows.clone();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         ProfileReport {
             rows,
@@ -74,14 +104,16 @@ impl Profiler {
 
     /// Clears all accumulated samples.
     pub fn reset(&mut self) {
-        self.ns_by_tag.clear();
+        self.rows.clear();
+        self.row_of.clear();
         self.total_ns = 0;
     }
 
     /// Merges another profiler's samples into this one.
     pub fn merge(&mut self, other: &Profiler) {
-        for (&tag, &ns) in &other.ns_by_tag {
-            *self.ns_by_tag.entry(tag).or_insert(0) += ns;
+        for &(tag, ns) in &other.rows {
+            let row = self.row(tag);
+            self.rows[row].1 += ns;
         }
         self.total_ns += other.total_ns;
     }

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeMap;
+
 use siperf_simcore::arena::Arena;
+use siperf_simcore::profile::Profiler;
 use siperf_simcore::queue::EventQueue;
 use siperf_simcore::rng::SimRng;
 use siperf_simcore::stats::Histogram;
@@ -197,5 +200,56 @@ proptest! {
             let x = rng.range_u64(lo..lo + span);
             prop_assert!((lo..lo + span).contains(&x));
         }
+    }
+
+    /// Any interleaving of record, merge and reset charges exactly what a
+    /// map keyed by tag *text* would, and a tag text reached through two
+    /// different addresses reports as one row.
+    #[test]
+    fn profiler_matches_a_map_by_tag_text(ops in proptest::collection::vec((0u8..12, 0usize..5, 0u64..1000), 1..300)) {
+        let twin: &'static str = Box::leak(String::from("user/parse").into_boxed_str());
+        let tags: [&'static str; 5] = ["user/parse", twin, "kernel/udp_send", "sched/wakeup", "user/route"];
+        prop_assert!(!std::ptr::eq(tags[0], tags[1]));
+        let (mut a, mut b) = (Profiler::new(), Profiler::new());
+        let (mut ma, mut mb): (BTreeMap<&str, u64>, BTreeMap<&str, u64>) = Default::default();
+        for (op, tag, ns) in ops {
+            let tag = tags[tag];
+            match op {
+                0..=5 => {
+                    a.record(tag, ns);
+                    if ns > 0 {
+                        *ma.entry(tag).or_default() += ns;
+                    }
+                }
+                6..=8 => {
+                    b.record(tag, ns);
+                    if ns > 0 {
+                        *mb.entry(tag).or_default() += ns;
+                    }
+                }
+                9 => {
+                    a.merge(&b);
+                    for (&t, &n) in &mb {
+                        *ma.entry(t).or_default() += n;
+                    }
+                }
+                10 => {
+                    b.reset();
+                    mb.clear();
+                }
+                _ => {
+                    a.reset();
+                    ma.clear();
+                }
+            }
+            prop_assert_eq!(a.total_ns(), ma.values().sum::<u64>());
+            for t in tags {
+                prop_assert_eq!(a.ns_for(t), ma.get(t).copied().unwrap_or(0));
+            }
+        }
+        let mut expected: Vec<(&str, u64)> = ma.into_iter().collect();
+        expected.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(y.0)));
+        let rows: Vec<(&str, u64)> = a.report().rows().to_vec();
+        prop_assert_eq!(rows, expected);
     }
 }

@@ -7,9 +7,8 @@
 //! readiness [`NetOutcome`]s ([`Network::take_outcomes`]) to wake blocked
 //! processes.
 
-use std::collections::HashMap;
-
 use siperf_simcore::arena::Arena;
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::rng::SimRng;
 use siperf_simcore::time::{SimDuration, SimTime};
 
@@ -55,9 +54,10 @@ pub struct NetStats {
 pub struct Network {
     pub(crate) cfg: NetConfig,
     pub(crate) eps: Arena<Endpoint>,
-    pub(crate) udp_bound: HashMap<SockAddr, EpId>,
-    pub(crate) tcp_listeners: HashMap<SockAddr, EpId>,
-    pub(crate) sctp_bound: HashMap<SockAddr, EpId>,
+    // Looked up on every send; `fault.rs::accept_thaw` sorts its one walk.
+    pub(crate) udp_bound: FastMap<SockAddr, EpId>,
+    pub(crate) tcp_listeners: FastMap<SockAddr, EpId>,
+    pub(crate) sctp_bound: FastMap<SockAddr, EpId>,
     pub(crate) ports: Vec<PortPool>,
     pub(crate) ep_count: Vec<usize>,
     pub(crate) rng: SimRng,
@@ -77,9 +77,9 @@ impl Network {
         Network {
             cfg,
             eps: Arena::with_capacity(1024),
-            udp_bound: HashMap::new(),
-            tcp_listeners: HashMap::new(),
-            sctp_bound: HashMap::new(),
+            udp_bound: FastMap::default(),
+            tcp_listeners: FastMap::default(),
+            sctp_bound: FastMap::default(),
             ports: Vec::new(),
             ep_count: Vec::new(),
             rng: SimRng::seed_from_u64(seed ^ 0x6e65_7421),

@@ -5,11 +5,12 @@
 //! runs the single global event queue. The model it implements:
 //!
 //! * **Preemptive priority scheduling** on N cores per host. Ready queues
-//!   are FIFO per nice level; a waking process preempts a strictly
-//!   lower-priority running process; a process that keeps issuing syscalls
-//!   keeps its core until its timeslice expires (Linux 2.6 O(1)-scheduler
-//!   behaviour at the granularity that matters here). This is the machinery
-//!   behind the paper's §4.3 supervisor-starvation finding.
+//!   are FIFO per nice level, found through a priority bitmap; a waking
+//!   process preempts a strictly lower-priority running process; a process
+//!   that keeps issuing syscalls keeps its core until its timeslice expires
+//!   (Linux 2.6 O(1)-scheduler behaviour at the granularity that matters
+//!   here). This is the machinery behind the paper's §4.3
+//!   supervisor-starvation finding.
 //! * **Syscalls cost CPU**: every syscall is a charged burst on a core,
 //!   attributed to a profile tag per host — reproducing the paper's
 //!   OProfile evidence (§5).
@@ -22,8 +23,9 @@
 //! * **Spinlock contention as sched_yield storms**, as OpenSER's userspace
 //!   locks behave (§5.2).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::profile::Profiler;
 use siperf_simcore::queue::EventQueue;
 use siperf_simcore::time::{SimDuration, SimTime};
@@ -69,10 +71,14 @@ impl FdKind {
 enum WaitCond {
     EpRead(EpId),
     EpWrite(EpId),
-    Connect { ep: EpId, fd: Fd },
+    Connect {
+        ep: EpId,
+        fd: Fd,
+    },
     IpcRead(ChanId, Side),
     IpcWrite(ChanId, Side),
-    Poll(Vec<Fd>),
+    /// Waiting on the descriptors of the pending `Syscall::Poll`.
+    Poll,
     Sleep,
 }
 
@@ -135,7 +141,7 @@ struct ProcEntry {
 struct HostSched {
     cores: Vec<Option<ProcId>>,
     last_on_core: Vec<Option<ProcId>>,
-    ready: BTreeMap<i8, VecDeque<ProcId>>,
+    ready: RunQueue,
     busy_ns: u64,
 }
 
@@ -143,18 +149,68 @@ impl HostSched {
     fn idle_core(&self) -> Option<usize> {
         self.cores.iter().position(|c| c.is_none())
     }
+}
 
-    fn pop_ready(&mut self) -> Option<ProcId> {
-        let (&nice, _) = self.ready.iter().find(|(_, q)| !q.is_empty())?;
-        let q = self.ready.get_mut(&nice).unwrap();
-        q.pop_front()
+/// The nice values a process may run at, highest priority first.
+const NICE_RANGE: std::ops::RangeInclusive<i8> = -20..=19;
+const NICE_MIN: i8 = *NICE_RANGE.start();
+
+/// One host's ready processes: a FIFO per nice level and a bitmap of the
+/// levels that hold any, as in the Linux 2.6 O(1) scheduler. Bit `i` stands
+/// for nice `i - 20`, so the lowest set bit is the best level waiting.
+struct RunQueue {
+    levels: [VecDeque<ProcId>; 40],
+    nonempty: u64,
+}
+
+impl RunQueue {
+    fn new() -> Self {
+        RunQueue {
+            levels: std::array::from_fn(|_| VecDeque::new()),
+            nonempty: 0,
+        }
     }
 
-    fn best_ready_nice(&self) -> Option<i8> {
-        self.ready
-            .iter()
-            .find(|(_, q)| !q.is_empty())
-            .map(|(&n, _)| n)
+    fn level(nice: i8) -> usize {
+        debug_assert!(NICE_RANGE.contains(&nice), "nice {nice} out of range");
+        (nice - NICE_MIN) as usize
+    }
+
+    fn push(&mut self, pid: ProcId, nice: i8, front: bool) {
+        let level = Self::level(nice);
+        let q = &mut self.levels[level];
+        if front {
+            q.push_front(pid);
+        } else {
+            q.push_back(pid);
+        }
+        self.nonempty |= 1 << level;
+    }
+
+    /// Takes the first process of the best non-empty level.
+    fn pop(&mut self) -> Option<ProcId> {
+        let level = self.nonempty.trailing_zeros() as usize;
+        let q = self.levels.get_mut(level)?;
+        let pid = q.pop_front();
+        if q.is_empty() {
+            self.nonempty &= !(1 << level);
+        }
+        pid
+    }
+
+    /// The nice value of the best level waiting.
+    fn best_nice(&self) -> Option<i8> {
+        (self.nonempty != 0).then(|| self.nonempty.trailing_zeros() as i8 + NICE_MIN)
+    }
+
+    /// Drops `pid` from its level.
+    fn remove(&mut self, pid: ProcId, nice: i8) {
+        let level = Self::level(nice);
+        let q = &mut self.levels[level];
+        q.retain(|&p| p != pid);
+        if q.is_empty() {
+            self.nonempty &= !(1 << level);
+        }
     }
 }
 
@@ -216,14 +272,19 @@ pub struct Kernel {
     /// `slot_base[host] + c`.
     slot_base: Vec<usize>,
     chans: Vec<Channel<FdKind>>,
-    chan_attach: HashMap<(ChanId, Side), Vec<ProcId>>,
+    chan_attach: FastMap<(ChanId, Side), Vec<ProcId>>,
     locks: Vec<Lock>,
     cost: CostModel,
     profilers: Vec<Profiler>,
-    waiters_one: HashMap<WaitKey, VecDeque<ProcId>>,
-    poll_waiters: HashMap<WaitKey, Vec<ProcId>>,
-    connect_waiters: HashMap<EpId, (ProcId, Fd)>,
-    ep_refs: HashMap<EpId, u32>,
+    waiters_one: FastMap<WaitKey, VecDeque<ProcId>>,
+    /// Pollers watching each key, each pid at most once, in the order of
+    /// their first registration (which is the order they wake in).
+    poll_waiters: FastMap<WaitKey, Vec<ProcId>>,
+    connect_waiters: FastMap<EpId, (ProcId, Fd)>,
+    ep_refs: FastMap<EpId, u32>,
+    /// An empty buffer `wake_polls` swaps with the list it wakes, so the
+    /// list keeps a buffer for the next registration.
+    spare_poll: Vec<ProcId>,
     stats: KernelStats,
     /// Timeslice for SCHED_OTHER processes.
     quantum: u64,
@@ -242,14 +303,15 @@ impl Kernel {
             scheds: Vec::new(),
             slot_base: Vec::new(),
             chans: Vec::new(),
-            chan_attach: HashMap::new(),
+            chan_attach: FastMap::default(),
             locks: Vec::new(),
             cost,
             profilers: Vec::new(),
-            waiters_one: HashMap::new(),
-            poll_waiters: HashMap::new(),
-            connect_waiters: HashMap::new(),
-            ep_refs: HashMap::new(),
+            waiters_one: FastMap::default(),
+            poll_waiters: FastMap::default(),
+            connect_waiters: FastMap::default(),
+            ep_refs: FastMap::default(),
+            spare_poll: Vec::new(),
             stats: KernelStats::default(),
             quantum: 100_000_000, // 100 ms, Linux 2.6 default timeslice
             compact_at: COMPACT_FLOOR,
@@ -267,7 +329,7 @@ impl Kernel {
         self.scheds.push(HostSched {
             cores: vec![None; cores],
             last_on_core: vec![None; cores],
-            ready: BTreeMap::new(),
+            ready: RunQueue::new(),
             busy_ns: 0,
         });
         self.profilers.push(Profiler::new());
@@ -327,6 +389,11 @@ impl Kernel {
         proc: Box<dyn Process>,
         fds: FdTable,
     ) -> ProcId {
+        assert!(
+            NICE_RANGE.contains(&nice.0),
+            "cannot spawn {name:?} at nice {}: nice runs from -20 to 19",
+            nice.0
+        );
         let pid = ProcId(self.procs.len() as u32);
         self.procs.push(ProcEntry {
             proc: Some(proc),
@@ -418,10 +485,8 @@ impl Kernel {
                 self.profilers[host.0 as usize].record(tag, elapsed);
             }
             ProcState::Ready => {
-                let host = self.procs[pid.0 as usize].host;
-                for q in self.scheds[host.0 as usize].ready.values_mut() {
-                    q.retain(|&p| p != pid);
-                }
+                let e = &self.procs[pid.0 as usize];
+                self.scheds[e.host.0 as usize].ready.remove(pid, e.nice.0);
             }
             ProcState::Blocked(WaitCond::Connect { ep, .. }) => {
                 self.connect_waiters.remove(&ep);
@@ -622,14 +687,9 @@ impl Kernel {
     fn enqueue_ready(&mut self, pid: ProcId, front: bool) {
         let e = &mut self.procs[pid.0 as usize];
         e.state = ProcState::Ready;
-        let nice = e.nice.0;
-        let host = e.host;
-        let q = self.scheds[host.0 as usize].ready.entry(nice).or_default();
-        if front {
-            q.push_front(pid);
-        } else {
-            q.push_back(pid);
-        }
+        self.scheds[e.host.0 as usize]
+            .ready
+            .push(pid, e.nice.0, front);
     }
 
     fn dispatch(&mut self, host: HostId) {
@@ -638,7 +698,7 @@ impl Kernel {
             let Some(core) = sched.idle_core() else {
                 break;
             };
-            let Some(pid) = sched.pop_ready() else {
+            let Some(pid) = sched.ready.pop() else {
                 break;
             };
             self.start_burst(pid, core, true);
@@ -651,7 +711,7 @@ impl Kernel {
     fn maybe_preempt(&mut self, host: HostId) {
         loop {
             let sched = &self.scheds[host.0 as usize];
-            let Some(best) = sched.best_ready_nice() else {
+            let Some(best) = sched.ready.best_nice() else {
                 return;
             };
             // Find the running process with the largest nice value.
@@ -671,7 +731,7 @@ impl Kernel {
             self.stats.preemptions += 1;
             // Fill the freed core with the high-priority process.
             let sched = &mut self.scheds[host.0 as usize];
-            let (core, pid) = match (sched.idle_core(), sched.pop_ready()) {
+            let (core, pid) = match (sched.idle_core(), sched.ready.pop()) {
                 (Some(c), Some(p)) => (c, p),
                 _ => return,
             };
@@ -767,7 +827,7 @@ impl Kernel {
         }
         let result = match &self.procs[pid.0 as usize].state {
             ProcState::Blocked(WaitCond::Sleep) => SysResult::Done,
-            ProcState::Blocked(WaitCond::Poll(_)) => SysResult::TimedOut,
+            ProcState::Blocked(WaitCond::Poll) => SysResult::TimedOut,
             other => {
                 debug_assert!(
                     false,
@@ -852,7 +912,7 @@ impl Kernel {
         let sched = &self.scheds[host.0 as usize];
         let core_free =
             core_hint.is_some_and(|c| sched.cores.get(c).is_some_and(|slot| slot.is_none()));
-        let better_waiting = sched.best_ready_nice().is_some_and(|n| n < nice);
+        let better_waiting = sched.ready.best_nice().is_some_and(|n| n < nice);
         let expired = quantum_left == 0;
         if core_free && !better_waiting && !expired {
             self.start_burst(pid, core_hint.expect("checked"), false);
@@ -918,29 +978,36 @@ impl Kernel {
     }
 
     fn block(&mut self, pid: ProcId, syscall: Syscall, cond: WaitCond) {
-        let keys: Vec<WaitKey> = match &cond {
-            WaitCond::EpRead(ep) => vec![WaitKey::EpRead(*ep)],
-            WaitCond::EpWrite(ep) => vec![WaitKey::EpWrite(*ep)],
-            WaitCond::IpcRead(c, s) => vec![WaitKey::IpcRead(*c, *s)],
-            WaitCond::IpcWrite(c, s) => vec![WaitKey::IpcWrite(*c, *s)],
-            WaitCond::Connect { .. } | WaitCond::Poll(_) | WaitCond::Sleep => vec![],
+        let key = match cond {
+            WaitCond::EpRead(ep) => Some(WaitKey::EpRead(ep)),
+            WaitCond::EpWrite(ep) => Some(WaitKey::EpWrite(ep)),
+            WaitCond::IpcRead(c, s) => Some(WaitKey::IpcRead(c, s)),
+            WaitCond::IpcWrite(c, s) => Some(WaitKey::IpcWrite(c, s)),
+            WaitCond::Connect { ep, fd } => {
+                self.connect_waiters.insert(ep, (pid, fd));
+                None
+            }
+            WaitCond::Poll | WaitCond::Sleep => None,
         };
-        for key in keys {
+        if let Some(key) = key {
             self.waiters_one.entry(key).or_default().push_back(pid);
         }
-        if let WaitCond::Poll(fds) = &cond {
+        if let (WaitCond::Poll, Syscall::Poll { fds, .. }) = (&cond, &syscall) {
             for fd in fds {
                 if let Ok(kind) = self.fd_kind(pid, *fd) {
                     let key = match kind {
                         FdKind::Ipc(c, s) => WaitKey::IpcRead(c, s),
                         other => WaitKey::EpRead(other.endpoint().expect("net fd")),
                     };
-                    self.poll_waiters.entry(key).or_default().push(pid);
+                    // A registration from an earlier wait may still stand
+                    // (only the key that fires clears its list); it already
+                    // holds this poller's place.
+                    let list = self.poll_waiters.entry(key).or_default();
+                    if !list.contains(&pid) {
+                        list.push(pid);
+                    }
                 }
             }
-        }
-        if let WaitCond::Connect { ep, fd } = cond {
-            self.connect_waiters.insert(ep, (pid, fd));
         }
         let e = &mut self.procs[pid.0 as usize];
         e.pending = Pending::Apply(syscall);
@@ -997,16 +1064,20 @@ impl Kernel {
         let Some(list) = self.poll_waiters.get_mut(&key) else {
             return;
         };
-        let pids = std::mem::take(list);
-        for pid in pids {
+        // Waking never blocks anyone, so nothing registers under `key`
+        // while the taken list is walked.
+        std::mem::swap(list, &mut self.spare_poll);
+        let mut pids = std::mem::take(&mut self.spare_poll);
+        for pid in pids.drain(..) {
             let valid = matches!(
                 &self.procs[pid.0 as usize].state,
-                ProcState::Blocked(WaitCond::Poll(_))
+                ProcState::Blocked(WaitCond::Poll)
             );
             if valid {
                 self.wake(pid, None);
             }
         }
+        self.spare_poll = pids;
     }
 
     fn drain_net(&mut self) {
@@ -1292,7 +1363,7 @@ impl Kernel {
                     if let Some(d) = timeout {
                         self.arm_timer(pid, self.now + *d);
                     }
-                    Err(WaitCond::Poll(fds.clone()))
+                    Err(WaitCond::Poll)
                 }
             }
             S::IpcAttach { chan, side } => {
@@ -1431,8 +1502,8 @@ impl std::fmt::Debug for Kernel {
 
 #[cfg(test)]
 mod tests {
-    //! Queue compaction, checked against the queue's real length, and
-    //! bursts in their cores' queue slots.
+    //! Queue compaction, checked against the queue's real length; bursts
+    //! in their cores' queue slots; the run queue and poll registrations.
 
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1780,5 +1851,135 @@ mod tests {
         );
         assert_eq!(*woke.borrow(), Some(last));
         assert_eq!(log.borrow().len(), 1, "the doomed process resumed once");
+    }
+
+    #[test]
+    fn run_queue_matches_an_ordered_map_of_fifos() {
+        use siperf_simcore::rng::SimRng;
+
+        let mut rng = SimRng::seed_from_u64(14);
+        let mut q = RunQueue::new();
+        let mut model: BTreeMap<i8, VecDeque<ProcId>> = BTreeMap::new();
+        let mut queued: Vec<(ProcId, i8)> = Vec::new();
+        for step in 0..20_000u32 {
+            match rng.range_u64(0..4) {
+                op @ (0 | 1) => {
+                    // Crowd a few levels, but reach both ends of the range.
+                    let nice = match rng.range_u64(0..4) {
+                        0 => rng.range_u64(0..40) as i8 - 20,
+                        n => [-20, 0, 19][n as usize - 1],
+                    };
+                    let pid = ProcId(step);
+                    q.push(pid, nice, op == 0);
+                    let fifo = model.entry(nice).or_default();
+                    if op == 0 {
+                        fifo.push_front(pid);
+                    } else {
+                        fifo.push_back(pid);
+                    }
+                    queued.push((pid, nice));
+                }
+                2 => {
+                    let expected = model
+                        .values_mut()
+                        .find(|f| !f.is_empty())
+                        .and_then(|f| f.pop_front());
+                    assert_eq!(q.pop(), expected, "pop at step {step}");
+                    queued.retain(|&(p, _)| Some(p) != expected);
+                }
+                _ if !queued.is_empty() => {
+                    let (pid, nice) = queued.swap_remove(rng.range_usize(0..queued.len()));
+                    q.remove(pid, nice);
+                    model.get_mut(&nice).expect("level").retain(|&p| p != pid);
+                }
+                _ => {}
+            }
+            let best = model.iter().find(|(_, f)| !f.is_empty()).map(|(&n, _)| n);
+            assert_eq!(q.best_nice(), best, "best level at step {step}");
+        }
+        while let Some(pid) = q.pop() {
+            let expected = model
+                .values_mut()
+                .find(|f| !f.is_empty())
+                .and_then(|f| f.pop_front());
+            assert_eq!(Some(pid), expected);
+        }
+        assert!(model.values().all(VecDeque::is_empty));
+        assert_eq!(q.nonempty, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "nice runs from -20 to 19")]
+    fn spawning_outside_the_nice_range_panics() {
+        let mut k = exact_kernel();
+        let h = k.add_host(1);
+        k.spawn(
+            h,
+            Nice(20),
+            "too nice",
+            Box::new(|_: &mut ResumeCtx, _: SysResult| Syscall::Exit),
+        );
+    }
+
+    #[test]
+    fn a_poller_registers_once_per_idle_descriptor() {
+        const IDLE: u16 = 50;
+        const ROUNDS: u32 = 1_000;
+        let mut k = exact_kernel();
+        let h = k.add_host(1);
+        let peer = k.add_host(1);
+        // Binds the busy socket on 6000 and idle ones on 6001.., then
+        // polls all of them, reading from whichever becomes ready.
+        let mut fds = Vec::new();
+        let reads = Rc::new(RefCell::new(0u32));
+        let count = reads.clone();
+        let poll = |fds: &Vec<Fd>| Syscall::Poll {
+            fds: fds.clone(),
+            timeout: None,
+        };
+        k.spawn(
+            h,
+            Nice::NORMAL,
+            "poller",
+            Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+                match last {
+                    SysResult::Start => {}
+                    SysResult::NewFd(fd) => fds.push(fd),
+                    SysResult::Ready(ready) => return Syscall::MsgRecv { fd: ready[0] },
+                    SysResult::Datagram { .. } => *count.borrow_mut() += 1,
+                    other => panic!("poller got {other:?}"),
+                }
+                match fds.len() as u16 {
+                    n if n <= IDLE => Syscall::MsgBind {
+                        proto: MsgProto::Udp,
+                        port: Some(6000 + n),
+                    },
+                    _ => poll(&fds),
+                }
+            }),
+        );
+        let from = k.net.udp_bind(peer, 7000).expect("bind");
+        let to = SockAddr::new(h, 6000);
+        for seq in 0..ROUNDS {
+            k.run_until(ms(1) + SPACING * seq as u64);
+            let now = k.now;
+            k.net
+                .udp_send(now, from, to, bytes_from(seq.to_le_bytes().to_vec()))
+                .expect("send");
+            k.drain_net();
+            for list in k.poll_waiters.values() {
+                let mut pids = list.clone();
+                pids.sort();
+                pids.dedup();
+                assert_eq!(pids.len(), list.len(), "a pid registered twice: {list:?}");
+            }
+        }
+        k.run_until(ms(1) + SPACING * ROUNDS as u64);
+        assert_eq!(*reads.borrow(), ROUNDS);
+        // One standing registration per idle socket.
+        assert_eq!(
+            k.poll_waiters.values().map(Vec::len).sum::<usize>(),
+            IDLE as usize + 1
+        );
     }
 }

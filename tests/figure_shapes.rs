@@ -3,13 +3,33 @@
 //! wins, in what order, and that each fix moves the needle the way
 //! Figures 3–5 and §4.3 report.
 
+use std::sync::{Mutex, OnceLock};
+
 use siperf::proxy::config::{Arch, ProxyConfig, Transport};
 use siperf::simos::process::Nice;
 use siperf::workload::experiments::{quick_cell, FigureConfig, TransportWorkload};
 use siperf::workload::Scenario;
 
+/// Throughput of one figure cell. Several tests compare the same cells,
+/// so each is simulated once per test binary; a test that asks for a cell
+/// another test is still simulating waits for that run.
 fn tput(fig: FigureConfig, wl: TransportWorkload) -> f64 {
-    quick_cell(fig, wl, 100, 77).run().throughput.per_sec()
+    type Cells = Vec<((FigureConfig, TransportWorkload), &'static OnceLock<f64>)>;
+    static CELLS: Mutex<Cells> = Mutex::new(Vec::new());
+    let cell = {
+        let mut cells = CELLS
+            .lock()
+            .expect("no test panics while holding the cell list");
+        match cells.iter().find(|(key, _)| *key == (fig, wl)) {
+            Some(&(_, cell)) => cell,
+            None => {
+                let cell: &'static OnceLock<f64> = Box::leak(Box::default());
+                cells.push(((fig, wl), cell));
+                cell
+            }
+        }
+    };
+    *cell.get_or_init(|| quick_cell(fig, wl, 100, 77).run().throughput.per_sec())
 }
 
 #[test]
