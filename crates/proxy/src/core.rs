@@ -18,6 +18,7 @@ use siperf_sip::gen;
 use siperf_sip::msg::{Method, SipMessage, StatusCode, Via};
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::{RetransClock, TimerVerdict, TxnKey};
+use siperf_sip::Text;
 
 use crate::config::Transport;
 
@@ -158,12 +159,14 @@ struct ProxyTxn {
 #[derive(Debug)]
 pub struct ProxyCore {
     /// Our Via sent-by string (`hN:5060`).
-    pub via_sent_by: String,
+    pub via_sent_by: Text,
     /// Transport in use (selects Via token and retransmission policy).
     pub transport: Transport,
     /// Stateful (§2) or stateless operation.
     pub stateful: bool,
-    // Both are looked up per message and never iterated.
+    // Both are looked up per message and never iterated. Their keys are
+    // copied out of the messages so that an entry does not keep a whole
+    // message's header text alive.
     registrar: FastMap<String, Binding>,
     txn_index: FastMap<TxnKey, u64>,
     // Ordered by transaction id so `timer_pass` emits retransmissions and
@@ -183,7 +186,7 @@ impl ProxyCore {
     /// Creates an empty core for a proxy reachable at `via_sent_by`.
     pub fn new(via_sent_by: String, transport: Transport, stateful: bool) -> Self {
         ProxyCore {
-            via_sent_by,
+            via_sent_by: via_sent_by.into(),
             transport,
             stateful,
             registrar: FastMap::default(),
@@ -284,11 +287,11 @@ impl ProxyCore {
                 conn_hint: src,
                 contact,
             };
-            let user = msg.to.uri.user.clone();
+            let user = &*msg.to.uri.user;
             if msg.expires == Some(0) {
-                self.registrar.remove(&user);
+                self.registrar.remove(user);
             } else {
-                self.registrar.insert(user, binding);
+                self.registrar.insert(user.to_string(), binding);
             }
             self.stats.registered += 1;
             plan.registered = true;
@@ -321,7 +324,7 @@ impl ProxyCore {
                 Via::new(
                     self.transport.token(),
                     self.via_sent_by.clone(),
-                    downstream_branch,
+                    downstream_branch.as_str(),
                 ),
             );
             fwd.max_forwards -= 1;
@@ -364,7 +367,7 @@ impl ProxyCore {
 
         // Location-service lookup (the caller holds usrloc's lock around
         // this in the worker code).
-        let Some(binding) = self.registrar.get(&msg.to.uri.user).copied() else {
+        let Some(binding) = self.registrar.get(&*msg.to.uri.user).copied() else {
             self.stats.route_failures += 1;
             plan.out.push(self.reply(StatusCode::NOT_FOUND, &msg, src));
             return plan;
@@ -417,7 +420,7 @@ impl ProxyCore {
             Via::new(
                 self.transport.token(),
                 self.via_sent_by.clone(),
-                branch.clone(),
+                branch.as_str(),
             ),
         );
         fwd.max_forwards -= 1;
@@ -497,7 +500,7 @@ impl ProxyCore {
         }
 
         let key = TxnKey {
-            branch: our_via.branch,
+            branch: our_via.branch.to_string(),
             method: msg.cseq_method,
         };
         let Some(&id) = self.txn_index.get(&key) else {

@@ -1169,7 +1169,10 @@ impl Kernel {
         if *refs == 0 {
             self.ep_refs.remove(&ep);
             self.net.close(self.now, ep);
+            // Wakes the close raises fire first; after them nothing can
+            // become readable on `ep`, so its poll registration goes.
             self.drain_net();
+            self.poll_waiters.remove(&WaitKey::EpRead(ep));
         }
     }
 
@@ -1981,5 +1984,96 @@ mod tests {
             k.poll_waiters.values().map(Vec::len).sum::<usize>(),
             IDLE as usize + 1
         );
+    }
+
+    #[test]
+    fn closed_connections_leave_no_poll_registration() {
+        const CONNS: u32 = 40;
+        let mut k = exact_kernel();
+        let server = k.add_host(1);
+        let client = k.add_host(1);
+        // The server polls its listener and every open connection; it
+        // accepts, reads each connection to EOF, then closes it.
+        let served = Rc::new(RefCell::new(0u32));
+        let done = served.clone();
+        let mut listener = Fd(0);
+        let mut conns: Vec<Fd> = Vec::new();
+        let mut reading = Fd(0);
+        k.spawn(
+            server,
+            Nice::NORMAL,
+            "server",
+            Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+                match last {
+                    SysResult::Start => {
+                        return Syscall::TcpListen {
+                            port: 5060,
+                            backlog: 8,
+                        }
+                    }
+                    SysResult::NewFd(fd) => listener = fd,
+                    SysResult::Ready(ready) if ready[0] == listener => {
+                        return Syscall::TcpAccept { fd: listener }
+                    }
+                    SysResult::Ready(ready) => {
+                        reading = ready[0];
+                        return Syscall::TcpRecv {
+                            fd: reading,
+                            max: 64,
+                        };
+                    }
+                    SysResult::Accepted { fd, .. } => conns.push(fd),
+                    SysResult::Data(_) | SysResult::Done => {}
+                    SysResult::Eof => {
+                        *done.borrow_mut() += 1;
+                        conns.retain(|&fd| fd != reading);
+                        return Syscall::Close { fd: reading };
+                    }
+                    other => panic!("server got {other:?}"),
+                }
+                let mut fds = vec![listener];
+                fds.extend(&conns);
+                Syscall::Poll { fds, timeout: None }
+            }),
+        );
+        // The client opens a connection, sends a byte and closes, again
+        // and again.
+        let mut step = 0u32;
+        let mut fd = Fd(0);
+        k.spawn(
+            client,
+            Nice::NORMAL,
+            "client",
+            Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+                step += 1;
+                match step % 3 {
+                    _ if step > 3 * CONNS => Syscall::Exit,
+                    1 => Syscall::TcpConnect {
+                        to: SockAddr::new(server, 5060),
+                    },
+                    2 => {
+                        fd = last.expect_fd();
+                        Syscall::TcpSend {
+                            fd,
+                            data: bytes_from(b"x".to_vec()),
+                        }
+                    }
+                    _ => Syscall::Close { fd },
+                }
+            }),
+        );
+        k.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+        assert_eq!(*served.borrow(), CONNS);
+        for key in k.poll_waiters.keys() {
+            if let WaitKey::EpRead(ep) = key {
+                assert!(
+                    k.ep_refs.contains_key(ep),
+                    "a poll registration outlived its endpoint: {key:?} of {} keys",
+                    k.poll_waiters.len()
+                );
+            }
+        }
+        // Only the listener stays registered.
+        assert_eq!(k.poll_waiters.len(), 1);
     }
 }

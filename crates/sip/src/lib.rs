@@ -9,14 +9,21 @@
 //!
 //! * [`msg`] — the message model: methods, status codes, URIs, Via stacks
 //!   with branch transaction ids, and wire serialization.
+//! * [`text`] — [`Text`], the model's one string type: an immutable range
+//!   of a shared `Rc<str>`. A parsed message holds one shared copy of its
+//!   header section and every field is a range of it, so cloning a field
+//!   or a message bumps a reference count. Every field keeps its message's
+//!   header copy alive.
 //! * [`parse`] — a genuine textual parser for the RFC 3261 subset a proxy's
-//!   hot path touches (compact forms, display names, parameters).
+//!   hot path touches (compact forms, display names, parameters), in one
+//!   pass over the header bytes.
 //! * [`framer`] — `Content-Length`-based reassembly of messages from TCP
 //!   byte streams, the reason a connection can only be read by one worker.
 //! * [`txn`] — transaction keys and the RFC 3261 §17 retransmission
 //!   clocks a stateful proxy runs on unreliable transports.
 //! * [`gen`] — builders for the benchmark flows: REGISTER, and the
-//!   INVITE/ACK and BYE transactions of each call.
+//!   INVITE/ACK and BYE transactions of each call. They take `&str`;
+//!   a response shares its request's text.
 //!
 //! # Example
 //!
@@ -46,9 +53,11 @@ pub mod framer;
 pub mod gen;
 pub mod msg;
 pub mod parse;
+pub mod text;
 pub mod txn;
 
 pub use framer::{FrameError, StreamFramer};
 pub use msg::{Method, NameAddr, SipMessage, SipUri, StartLine, StatusCode, Via};
 pub use parse::{parse_message, ParseError};
+pub use text::Text;
 pub use txn::{RetransClock, TimerVerdict, TxnKey};

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::text::Text;
+
 /// A SIP request method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Method {
@@ -127,28 +129,24 @@ impl fmt::Display for StatusCode {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SipUri {
     /// The user part.
-    pub user: String,
+    pub user: Text,
     /// The host part (domain or address literal).
-    pub host: String,
+    pub host: Text,
 }
 
 impl SipUri {
     /// Builds a URI from its parts.
-    pub fn new(user: impl Into<String>, host: impl Into<String>) -> Self {
+    pub fn new(user: impl Into<Text>, host: impl Into<Text>) -> Self {
         SipUri {
             user: user.into(),
             host: host.into(),
         }
     }
 
-    /// Parses `sip:user@host`.
+    /// Parses `sip:user@host`, as the message parser reads URIs: the user
+    /// runs to the first `@`, and both parts are non-empty.
     pub fn parse(s: &str) -> Option<SipUri> {
-        let rest = s.strip_prefix("sip:")?;
-        let (user, host) = rest.split_once('@')?;
-        if user.is_empty() || host.is_empty() {
-            return None;
-        }
-        Some(SipUri::new(user, host))
+        crate::parse::parse_uri(s)
     }
 }
 
@@ -164,7 +162,7 @@ pub struct NameAddr {
     /// The address.
     pub uri: SipUri,
     /// The dialog tag, if assigned.
-    pub tag: Option<String>,
+    pub tag: Option<Text>,
 }
 
 impl NameAddr {
@@ -174,7 +172,7 @@ impl NameAddr {
     }
 
     /// An address with a tag.
-    pub fn with_tag(uri: SipUri, tag: impl Into<String>) -> Self {
+    pub fn with_tag(uri: SipUri, tag: impl Into<Text>) -> Self {
         NameAddr {
             uri,
             tag: Some(tag.into()),
@@ -188,19 +186,19 @@ impl NameAddr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Via {
     /// Transport token: "UDP", "TCP", or "SCTP".
-    pub transport: String,
+    pub transport: Text,
     /// `host:port` this hop sent from.
-    pub sent_by: String,
+    pub sent_by: Text,
     /// The branch parameter (RFC 3261 magic-cookie transaction id).
-    pub branch: String,
+    pub branch: Text,
 }
 
 impl Via {
     /// Builds a Via hop.
     pub fn new(
-        transport: impl Into<String>,
-        sent_by: impl Into<String>,
-        branch: impl Into<String>,
+        transport: impl Into<Text>,
+        sent_by: impl Into<Text>,
+        branch: impl Into<Text>,
     ) -> Self {
         Via {
             transport: transport.into(),
@@ -239,7 +237,7 @@ pub struct SipMessage {
     /// `To` (the callee in a dialog).
     pub to: NameAddr,
     /// `Call-ID`.
-    pub call_id: String,
+    pub call_id: Text,
     /// `CSeq` sequence number.
     pub cseq: u32,
     /// `CSeq` method.
@@ -255,7 +253,7 @@ pub struct SipMessage {
     /// upstream how long to back off before retrying.
     pub retry_after: Option<u32>,
     /// Headers this model does not interpret, preserved in order.
-    pub extra: Vec<(String, String)>,
+    pub extra: Vec<(Text, Text)>,
     /// The body (SDP in real calls; opaque bytes here).
     pub body: Vec<u8>,
 }
@@ -320,11 +318,11 @@ impl SipMessage {
         }
         for via in &self.vias {
             w.text("Via: SIP/2.0/");
-            w.text(&via.transport);
+            w.field(&via.transport);
             w.text(" ");
-            w.text(&via.sent_by);
+            w.field(&via.sent_by);
             w.text(";branch=");
-            w.text(&via.branch);
+            w.field(&via.branch);
             w.text("\r\n");
         }
         for (name, addr) in [("From: ", &self.from), ("To: ", &self.to)] {
@@ -334,12 +332,12 @@ impl SipMessage {
             w.text(">");
             if let Some(tag) = &addr.tag {
                 w.text(";tag=");
-                w.text(tag);
+                w.field(tag);
             }
             w.text("\r\n");
         }
         w.text("Call-ID: ");
-        w.text(&self.call_id);
+        w.field(&self.call_id);
         w.text("\r\nCSeq: ");
         w.num(self.cseq.into());
         w.text(" ");
@@ -364,9 +362,9 @@ impl SipMessage {
             w.text("\r\n");
         }
         for (name, value) in &self.extra {
-            w.text(name);
+            w.field(name);
             w.text(": ");
-            w.text(value);
+            w.field(value);
             w.text("\r\n");
         }
         w.text("Content-Length: ");
@@ -388,12 +386,17 @@ trait Wire {
         self.bytes(s.as_bytes());
     }
 
+    /// Writes a message field.
+    fn field(&mut self, t: &Text) {
+        self.text(t);
+    }
+
     /// Writes `sip:user@host`.
     fn uri(&mut self, uri: &SipUri) {
         self.text("sip:");
-        self.text(&uri.user);
+        self.field(&uri.user);
         self.text("@");
-        self.text(&uri.host);
+        self.field(&uri.host);
     }
 }
 
@@ -403,6 +406,10 @@ struct WireLen(usize);
 impl Wire for WireLen {
     fn bytes(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
+    }
+
+    fn field(&mut self, t: &Text) {
+        self.0 += t.len();
     }
 
     fn num(&mut self, mut n: u64) {

@@ -7,10 +7,18 @@
 //! names, header parameters, and `Content-Length`-delimited bodies. The
 //! simulation charges calibrated CPU time per parse; the *code path* is the
 //! real one.
+//!
+//! It works the way fast SIP parsers do: the header section is copied once
+//! into a shared buffer, one pass over its bytes finds each line, colon
+//! and parameter, and every textual field of the message is a [`Text`]
+//! range of that buffer rather than a string of its own. Whitespace around
+//! names and values is trimmed by `str::trim`'s Unicode rule.
 
 use std::fmt;
+use std::rc::Rc;
 
 use crate::msg::{Method, NameAddr, SipMessage, SipUri, StartLine, StatusCode, Via};
+use crate::text::Text;
 
 /// Why a buffer failed to parse as a SIP message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +102,8 @@ impl HeaderName {
     /// whitespace is ignored, case does not matter, and the RFC 3261
     /// compact forms (`v`, `f`, `t`, `i`, `m`, `l`) name their headers.
     pub(crate) fn classify(raw: &str) -> HeaderName {
-        let name = raw.trim().as_bytes();
+        let (start, end) = trim_span(raw, (0, raw.len()));
+        let name = &raw.as_bytes()[start..end];
         let is = |canonical: &str| name.eq_ignore_ascii_case(canonical.as_bytes());
         match name.len() {
             1 => match name[0].to_ascii_lowercase() {
@@ -121,10 +130,150 @@ impl HeaderName {
     }
 }
 
-fn parse_start_line(line: &str) -> Result<StartLine, ParseError> {
-    if let Some(rest) = line.strip_prefix("SIP/2.0 ") {
-        let code_txt = rest.split(' ').next().ok_or(ParseError::BadStartLine)?;
-        let code: u16 = code_txt.parse().map_err(|_| ParseError::BadStartLine)?;
+/// A byte range of the header section.
+type Span = (usize, usize);
+
+/// The header section of one message, copied once: every textual field of
+/// the parsed message is a [`Text`] range of `shared`.
+struct Head<'a> {
+    shared: &'a Rc<str>,
+}
+
+impl Head<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.shared.as_bytes()
+    }
+
+    fn str(&self, (start, end): Span) -> &str {
+        &self.shared[start..end]
+    }
+
+    fn text(&self, (start, end): Span) -> Text {
+        Text::slice(self.shared, start, end)
+    }
+
+    /// The first `byte` in `span`, as an offset into the section.
+    fn find(&self, (start, end): Span, byte: u8) -> Option<usize> {
+        memchr(byte, &self.bytes()[start..end]).map(|at| start + at)
+    }
+
+    /// Whether `span` starts with `prefix`.
+    fn starts_with(&self, (start, end): Span, prefix: &[u8]) -> bool {
+        self.bytes()[start..end].starts_with(prefix)
+    }
+
+    /// `span` less leading and trailing whitespace, with `str::trim`'s
+    /// Unicode rule.
+    fn trim(&self, span: Span) -> Span {
+        trim_span(self.shared, span)
+    }
+
+    /// Splits `span` at its first `byte`: the part before it and the rest
+    /// after it, or the whole span and `None`.
+    fn split(&self, span: Span, byte: u8) -> (Span, Option<Span>) {
+        match self.find(span, byte) {
+            Some(at) => ((span.0, at), Some((at + 1, span.1))),
+            None => (span, None),
+        }
+    }
+
+    /// `sip:user@host` in `span`: the user runs to the first `@`, and both
+    /// parts are non-empty.
+    fn uri(&self, span: Span) -> Option<SipUri> {
+        if !self.starts_with(span, b"sip:") {
+            return None;
+        }
+        let (user, host) = self.split((span.0 + 4, span.1), b'@');
+        let host = host?;
+        if user.0 == user.1 || host.0 == host.1 {
+            return None;
+        }
+        Some(SipUri {
+            user: self.text(user),
+            host: self.text(host),
+        })
+    }
+
+    /// The value of the last `;`-separated parameter in `span` that reads
+    /// `name` once trimmed.
+    fn last_param(&self, span: Span, name: &[u8]) -> Option<Span> {
+        let mut found = None;
+        let mut rest = Some(span);
+        while let Some(part) = rest {
+            let (param, next) = self.split(part, b';');
+            let param = self.trim(param);
+            if self.starts_with(param, name) {
+                found = Some((param.0 + name.len(), param.1));
+            }
+            rest = next;
+        }
+        found
+    }
+}
+
+/// Parses `sip:user@host` on its own; see [`SipUri::parse`].
+pub(crate) fn parse_uri(s: &str) -> Option<SipUri> {
+    let shared: Rc<str> = Rc::from(s);
+    let head = Head { shared: &shared };
+    head.uri((0, s.len()))
+}
+
+/// The offset of the first `needle` in `hay`. Eight bytes are tested at
+/// a time: XOR with the needle turns a match into a zero byte, and
+/// `(x - 0x01..) & !x & 0x80..` flags zero bytes, exactly for the lowest.
+fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let word: [u8; 8] = word.try_into().expect("chunks are eight bytes");
+        let x = u64::from_le_bytes(word) ^ (ONES * u64::from(needle));
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(8 * i + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = hay.len() - words.remainder().len();
+    let at = words.remainder().iter().position(|&b| b == needle)?;
+    Some(tail + at)
+}
+
+/// `span` of `text` less the whitespace `str::trim` removes. ASCII bytes
+/// are judged alone; a non-ASCII character at either edge is decoded.
+fn trim_span(text: &str, (mut start, mut end): Span) -> Span {
+    let bytes = text.as_bytes();
+    while start < end {
+        let width = match bytes[start] {
+            b'\t'..=b'\r' | b' ' => 1,
+            b if b.is_ascii() => break,
+            _ => match text[start..end].chars().next() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => break,
+            },
+        };
+        start += width;
+    }
+    while start < end {
+        let width = match bytes[end - 1] {
+            b'\t'..=b'\r' | b' ' => 1,
+            b if b.is_ascii() => break,
+            _ => match text[start..end].chars().next_back() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => break,
+            },
+        };
+        end -= width;
+    }
+    (start, end)
+}
+
+fn parse_start_line(head: &Head<'_>, line: Span) -> Result<StartLine, ParseError> {
+    if head.starts_with(line, b"SIP/2.0 ") {
+        let (code, _) = head.split((line.0 + 8, line.1), b' ');
+        let code: u16 = head
+            .str(code)
+            .parse()
+            .map_err(|_| ParseError::BadStartLine)?;
         if !(100..700).contains(&code) {
             return Err(ParseError::BadStartLine);
         }
@@ -132,94 +281,84 @@ fn parse_start_line(line: &str) -> Result<StartLine, ParseError> {
             code: StatusCode(code),
         });
     }
-    let mut parts = line.split(' ');
-    let method = parts
-        .next()
-        .and_then(Method::from_token)
-        .ok_or(ParseError::BadStartLine)?;
-    let uri = parts
-        .next()
-        .and_then(SipUri::parse)
-        .ok_or(ParseError::BadStartLine)?;
-    if parts.next() != Some("SIP/2.0") {
-        return Err(ParseError::BadStartLine);
+    let (method, rest) = head.split(line, b' ');
+    let method = Method::from_token(head.str(method)).ok_or(ParseError::BadStartLine)?;
+    let (uri, version) = head.split(rest.ok_or(ParseError::BadStartLine)?, b' ');
+    let uri = head.uri(uri).ok_or(ParseError::BadStartLine)?;
+    match version.map(|v| head.split(v, b' ').0) {
+        Some(v) if head.str(v) == "SIP/2.0" => Ok(StartLine::Request { method, uri }),
+        _ => Err(ParseError::BadStartLine),
     }
-    Ok(StartLine::Request { method, uri })
 }
 
 /// Parses `<sip:u@h>;tag=x`, `sip:u@h;tag=x`, or `Name <sip:u@h>;tag=x`.
-fn parse_name_addr(value: &str, which: &'static str) -> Result<NameAddr, ParseError> {
-    let value = value.trim();
-    let (uri_part, params) = if let Some(open) = value.find('<') {
-        let close = value[open..]
-            .find('>')
-            .map(|c| open + c)
-            .ok_or(ParseError::BadValue(which))?;
-        (&value[open + 1..close], &value[close + 1..])
-    } else {
-        match value.find(';') {
-            Some(semi) => (&value[..semi], &value[semi..]),
-            None => (value, ""),
+fn parse_name_addr(
+    head: &Head<'_>,
+    value: Span,
+    which: &'static str,
+) -> Result<NameAddr, ParseError> {
+    let bad = || ParseError::BadValue(which);
+    let (uri, params) = match head.find(value, b'<') {
+        Some(open) => {
+            let close = head.find((open, value.1), b'>').ok_or_else(bad)?;
+            ((open + 1, close), (close + 1, value.1))
         }
+        None => match head.find(value, b';') {
+            Some(semi) => ((value.0, semi), (semi, value.1)),
+            None => (value, (value.1, value.1)),
+        },
     };
-    let uri = SipUri::parse(uri_part.trim()).ok_or(ParseError::BadValue(which))?;
-    let mut tag = None;
-    for param in params.split(';') {
-        if let Some(t) = param.trim().strip_prefix("tag=") {
-            tag = Some(t.to_string());
-        }
-    }
+    let uri = head.uri(head.trim(uri)).ok_or_else(bad)?;
+    let tag = head.last_param(params, b"tag=").map(|t| head.text(t));
     Ok(NameAddr { uri, tag })
 }
 
 /// Parses `SIP/2.0/UDP host:port;branch=z9hG4bK…;other=params`.
-fn parse_via(value: &str) -> Result<Via, ParseError> {
-    let value = value.trim();
-    let rest = value
-        .strip_prefix("SIP/2.0/")
-        .ok_or(ParseError::BadValue("Via"))?;
-    let (transport, rest) = rest.split_once(' ').ok_or(ParseError::BadValue("Via"))?;
-    let mut parts = rest.split(';');
-    let sent_by = parts.next().unwrap_or("").trim().to_string();
-    if sent_by.is_empty() {
-        return Err(ParseError::BadValue("Via"));
+fn parse_via(head: &Head<'_>, value: Span) -> Result<Via, ParseError> {
+    let bad = || ParseError::BadValue("Via");
+    if !head.starts_with(value, b"SIP/2.0/") {
+        return Err(bad());
     }
-    let mut branch = String::new();
-    for param in parts {
-        if let Some(b) = param.trim().strip_prefix("branch=") {
-            branch = b.to_string();
-        }
+    let (transport, rest) = head.split((value.0 + 8, value.1), b' ');
+    let (sent_by, params) = head.split(rest.ok_or_else(bad)?, b';');
+    let sent_by = head.trim(sent_by);
+    if sent_by.0 == sent_by.1 {
+        return Err(bad());
     }
-    if branch.is_empty() {
-        return Err(ParseError::BadValue("Via"));
-    }
+    let branch = params
+        .and_then(|p| head.last_param(p, b"branch="))
+        .filter(|b| b.0 < b.1)
+        .ok_or_else(bad)?;
     Ok(Via {
-        transport: transport.to_string(),
-        sent_by,
-        branch,
+        transport: head.text(transport),
+        sent_by: head.text(sent_by),
+        branch: head.text(branch),
     })
 }
 
-fn parse_cseq(value: &str) -> Result<(u32, Method), ParseError> {
-    let (num, method) = value
-        .trim()
-        .split_once(' ')
-        .ok_or(ParseError::BadValue("CSeq"))?;
-    let seq: u32 = num.parse().map_err(|_| ParseError::BadValue("CSeq"))?;
-    let method = Method::from_token(method.trim()).ok_or(ParseError::BadValue("CSeq"))?;
-    Ok((seq, method))
+fn parse_cseq(head: &Head<'_>, value: Span) -> Result<(u32, Method), ParseError> {
+    let bad = || ParseError::BadValue("CSeq");
+    let (num, method) = head.split(value, b' ');
+    let seq: u32 = head.str(num).parse().map_err(|_| bad())?;
+    let method = head.str(head.trim(method.ok_or_else(bad)?));
+    Ok((seq, Method::from_token(method).ok_or_else(bad)?))
 }
 
-fn parse_contact(value: &str) -> Result<SipUri, ParseError> {
-    let value = value.trim();
-    let inner = if let (Some(open), Some(close)) = (value.find('<'), value.rfind('>')) {
-        &value[open + 1..close]
-    } else {
-        value
+fn parse_contact(head: &Head<'_>, value: Span) -> Result<SipUri, ParseError> {
+    let inner = match (
+        head.find(value, b'<'),
+        head.bytes()[value.0..value.1]
+            .iter()
+            .rposition(|&b| b == b'>'),
+    ) {
+        (Some(open), Some(close)) if value.0 + close > open => (open + 1, value.0 + close),
+        (Some(_), Some(_)) => return Err(ParseError::BadValue("Contact")),
+        _ => value,
     };
     // Drop any URI parameters.
-    let bare = inner.split(';').next().unwrap_or(inner);
-    SipUri::parse(bare.trim()).ok_or(ParseError::BadValue("Contact"))
+    let (bare, _) = head.split(inner, b';');
+    head.uri(head.trim(bare))
+        .ok_or(ParseError::BadValue("Contact"))
 }
 
 /// Parses one complete SIP message from `buf`.
@@ -229,15 +368,25 @@ fn parse_contact(value: &str) -> Result<SipUri, ParseError> {
 /// datagram transports; stream transports should frame with
 /// [`crate::framer::StreamFramer`] first and hand in exact messages).
 ///
+/// The header section is copied once into a shared buffer that every
+/// textual field of the message borrows, and read in one pass over its
+/// bytes; the only other allocations are the Via stack, the unknown
+/// headers' list and the body.
+///
 /// # Errors
 ///
 /// Every malformation maps to a specific [`ParseError`]; a proxy counts
 /// these and drops the message, as OpenSER does.
 pub fn parse_message(buf: &[u8]) -> Result<SipMessage, ParseError> {
     let head_end = header_end(buf).ok_or(ParseError::NoHeaderTerminator)?;
-    let head = std::str::from_utf8(&buf[..head_end - 4]).map_err(|_| ParseError::BadEncoding)?;
-    let mut lines = head.split("\r\n");
-    let start = parse_start_line(lines.next().ok_or(ParseError::BadStartLine)?)?;
+    let text = std::str::from_utf8(&buf[..head_end - 4]).map_err(|_| ParseError::BadEncoding)?;
+    let shared: Rc<str> = Rc::from(text);
+    let head = Head { shared: &shared };
+    let mut lines = Lines {
+        bytes: head.bytes(),
+        at: Some(0),
+    };
+    let start = parse_start_line(&head, lines.next().ok_or(ParseError::BadStartLine)?)?;
 
     let mut vias = Vec::new();
     let mut from = None;
@@ -252,46 +401,56 @@ pub fn parse_message(buf: &[u8]) -> Result<SipMessage, ParseError> {
     let mut extra = Vec::new();
 
     for line in lines {
-        if line.is_empty() {
+        if line.0 == line.1 {
             continue;
         }
-        let (name_raw, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::BadHeader(line.to_string()))?;
-        let value = value.trim();
-        match HeaderName::classify(name_raw) {
-            HeaderName::Via => vias.push(parse_via(value)?),
-            HeaderName::From => from = Some(parse_name_addr(value, "From")?),
-            HeaderName::To => to = Some(parse_name_addr(value, "To")?),
-            HeaderName::CallId => call_id = Some(value.to_string()),
-            HeaderName::CSeq => cseq = Some(parse_cseq(value)?),
-            HeaderName::Contact => contact = Some(parse_contact(value)?),
+        let Some(colon) = head.find(line, b':') else {
+            return Err(ParseError::BadHeader(head.str(line).to_string()));
+        };
+        let name = (line.0, colon);
+        let value = head.trim((colon + 1, line.1));
+        match HeaderName::classify(head.str(name)) {
+            HeaderName::Via => vias.push(parse_via(&head, value)?),
+            HeaderName::From => from = Some(parse_name_addr(&head, value, "From")?),
+            HeaderName::To => to = Some(parse_name_addr(&head, value, "To")?),
+            HeaderName::CallId => call_id = Some(head.text(value)),
+            HeaderName::CSeq => cseq = Some(parse_cseq(&head, value)?),
+            HeaderName::Contact => contact = Some(parse_contact(&head, value)?),
             HeaderName::MaxForwards => {
-                max_forwards = value
+                max_forwards = head
+                    .str(value)
                     .parse()
                     .map_err(|_| ParseError::BadValue("Max-Forwards"))?;
             }
             HeaderName::Expires => {
-                expires = Some(value.parse().map_err(|_| ParseError::BadValue("Expires"))?);
+                expires = Some(
+                    head.str(value)
+                        .parse()
+                        .map_err(|_| ParseError::BadValue("Expires"))?,
+                );
             }
             HeaderName::RetryAfter => {
                 // RFC 3261 §20.33 allows a comment and parameters
                 // (`Retry-After: 5 (overload);duration=60`); the delta
                 // seconds before them are all the shedding logic needs.
-                let secs = value.split([' ', ';', '(']).next().unwrap_or("");
+                let end = head.bytes()[value.0..value.1]
+                    .iter()
+                    .position(|b| matches!(b, b' ' | b';' | b'('))
+                    .map_or(value.1, |at| value.0 + at);
                 retry_after = Some(
-                    secs.parse()
+                    head.str((value.0, end))
+                        .parse()
                         .map_err(|_| ParseError::BadValue("Retry-After"))?,
                 );
             }
             HeaderName::ContentLength => {
                 content_length = Some(
-                    value
+                    head.str(value)
                         .parse::<usize>()
                         .map_err(|_| ParseError::BadValue("Content-Length"))?,
                 );
             }
-            HeaderName::Other => extra.push((name_raw.trim().to_string(), value.to_string())),
+            HeaderName::Other => extra.push((head.text(head.trim(name)), head.text(value))),
         }
     }
 
@@ -320,6 +479,32 @@ pub fn parse_message(buf: &[u8]) -> Result<SipMessage, ParseError> {
         extra,
         body: body[..want].to_vec(),
     })
+}
+
+/// The `\r\n`-separated lines of a header section, as spans.
+struct Lines<'a> {
+    bytes: &'a [u8],
+    /// Where the next line starts; `None` once the last line is out.
+    at: Option<usize>,
+}
+
+impl Iterator for Lines<'_> {
+    type Item = Span;
+
+    fn next(&mut self) -> Option<Span> {
+        let start = self.at?;
+        let mut from = start;
+        while let Some(cr) = memchr(b'\r', &self.bytes[from..]) {
+            let cr = from + cr;
+            if self.bytes.get(cr + 1) == Some(&b'\n') {
+                self.at = Some(cr + 2);
+                return Some((start, cr));
+            }
+            from = cr + 1;
+        }
+        self.at = None;
+        Some((start, self.bytes.len()))
+    }
 }
 
 #[cfg(test)]
@@ -445,8 +630,8 @@ mod tests {
         assert_eq!(
             msg.extra,
             vec![
-                ("uSeR-aGeNt".to_string(), "siperf/0.1".to_string()),
-                ("X".to_string(), "1".to_string()),
+                ("uSeR-aGeNt".into(), "siperf/0.1".into()),
+                ("X".into(), "1".into()),
             ]
         );
     }
@@ -596,6 +781,29 @@ mod tests {
         }
         let wire = sample_request().to_bytes();
         assert_eq!(header_end(&wire), naive(&wire));
+    }
+
+    #[test]
+    fn memchr_finds_the_first_match_at_every_offset() {
+        for len in 0..40 {
+            for at in 0..=len {
+                let mut hay = vec![b'a'; len];
+                if at < len {
+                    hay[at] = b'\r';
+                }
+                hay.extend_from_slice(b"\r\r");
+                let naive = hay.iter().position(|&b| b == b'\r');
+                assert_eq!(memchr(b'\r', &hay), naive, "len {len}, at {at}");
+                assert_eq!(memchr(b'\r', &hay[..len]), naive.filter(|&p| p < len));
+            }
+        }
+        // A high byte next to a match does not hide or fake one.
+        assert_eq!(
+            memchr(0x0d, &[0x8d, 0x0e, 0xff, 0x0c, 0, 0, 0, 0x0d, 0x0d]),
+            Some(7)
+        );
+        assert_eq!(memchr(0x80, &[0x00; 16]), None);
+        assert_eq!(memchr(0x00, &[0x01, 0x00]), Some(1));
     }
 
     #[test]

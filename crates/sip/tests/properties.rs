@@ -38,7 +38,10 @@ fn uri() -> impl Strategy<Value = SipUri> {
 }
 
 fn name_addr() -> impl Strategy<Value = NameAddr> {
-    (uri(), proptest::option::of(token())).prop_map(|(uri, tag)| NameAddr { uri, tag })
+    (uri(), proptest::option::of(token())).prop_map(|(uri, tag)| NameAddr {
+        uri,
+        tag: tag.map(Into::into),
+    })
 }
 
 fn via() -> impl Strategy<Value = Via> {
@@ -77,17 +80,74 @@ prop_compose! {
         // Avoid header names that collide with parsed ones.
         let extra = extra_vals
             .into_iter()
-            .map(|(n, v)| (format!("X-{n}"), v))
+            .map(|(n, v)| (format!("X-{n}").into(), v.into()))
             .collect();
         SipMessage {
-            start, vias, from, to, call_id, cseq, cseq_method,
+            start, vias, from, to, call_id: call_id.into(), cseq, cseq_method,
             contact, max_forwards, expires, retry_after, extra, body,
         }
     }
 }
 
+/// A run of the whitespace `str::trim` removes: SP, HT, VT, FF, CR, LF,
+/// U+00A0 and U+2003, with CR and LF never adjacent as CRLF (which would
+/// end the line).
+fn pad() -> impl Strategy<Value = String> {
+    "[ \t\u{b}\u{c}\r\n\u{a0}\u{2003}]{0,4}".prop_map(|s| s.replace("\r\n", "\r \n"))
+}
+
+/// A header value with non-ASCII text inside it.
+fn non_ascii() -> impl Strategy<Value = String> {
+    ("[a-z]{1,4}", "[é日€\u{a0}\u{2003}ü ]{1,3}", "[a-z]{1,4}").prop_map(|(a, b, c)| a + &b + &c)
+}
+
+/// `wire` with every header line's name and value padded by `pads`
+/// (taken in turn, four per line): before and after the name, after the
+/// colon and after the value.
+fn padded(wire: &[u8], pads: &[String]) -> Vec<u8> {
+    let end = wire
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("a header end");
+    let head = std::str::from_utf8(&wire[..end]).expect("own output is text");
+    let mut pads = pads.iter().cycle();
+    let mut lines = head.split("\r\n");
+    let mut out = lines.next().expect("a start line").to_string();
+    for line in lines {
+        let (name, value) = line
+            .split_once(": ")
+            .expect("own headers are `Name: value`");
+        let mut pad = || pads.next().expect("pads cycle").as_str();
+        out += &format!("\r\n{}{name}{}: {}{value}{}", pad(), pad(), pad(), pad());
+    }
+    let mut out = out.into_bytes();
+    out.extend_from_slice(&wire[end..]);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whitespace around header names and values does not change the
+    /// parse, and non-ASCII text inside values survives the round trip.
+    #[test]
+    fn padding_with_trim_whitespace_parses_like_the_bare_wire(
+        msg in message(),
+        call_id in non_ascii(),
+        extra in proptest::collection::vec(non_ascii(), 0..3),
+        pads in proptest::collection::vec(pad(), 1..40),
+    ) {
+        let mut msg = msg;
+        msg.call_id = call_id.into();
+        for (i, value) in extra.into_iter().enumerate() {
+            msg.extra.push((format!("X-U{i}").into(), value.into()));
+        }
+        let wire = msg.to_bytes();
+        let bare = parse_message(&wire).expect("own output must parse");
+        prop_assert_eq!(&bare, &msg);
+        let padded = padded(&wire, &pads);
+        prop_assert_eq!(parse_message(&padded).expect("padded wire parses"), bare);
+    }
 
     /// Anything we can serialize parses back to an identical message.
     #[test]

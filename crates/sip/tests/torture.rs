@@ -191,3 +191,20 @@ fn enormous_but_bounded_messages_parse() {
     let msg = parse_message(&buf).expect("large body");
     assert_eq!(msg.body.len(), 100_000);
 }
+
+#[test]
+fn reversed_contact_brackets_fail_cleanly() {
+    for contact in ["><", "sip:a@b> <x", "> <sip:a@b"] {
+        let raw = format!(
+            "OPTIONS sip:a@b SIP/2.0\r\n\
+             Via: SIP/2.0/UDP h1:1;branch=z9hG4bKok\r\n\
+             From: sip:x@y\r\nTo: sip:a@b\r\nCall-ID: cid\r\nCSeq: 9 OPTIONS\r\n\
+             Contact: {contact}\r\nContent-Length: 0\r\n\r\n"
+        );
+        assert_eq!(
+            parse_message(raw.as_bytes()).unwrap_err(),
+            ParseError::BadValue("Contact"),
+            "{contact:?}"
+        );
+    }
+}
