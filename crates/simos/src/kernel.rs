@@ -1024,6 +1024,14 @@ impl Kernel {
         }
     }
 
+    /// Whether `pid` still waits under `key`; queues keep stale entries.
+    fn blocked_on(&self, pid: ProcId, key: WaitKey) -> bool {
+        matches!(
+            &self.procs[pid.0 as usize].state,
+            ProcState::Blocked(cond) if Self::cond_matches(cond, key)
+        )
+    }
+
     /// Wakes the first process validly blocked under `key`.
     fn wake_one(&mut self, key: WaitKey) {
         let Some(queue) = self.waiters_one.get_mut(&key) else {
@@ -1049,11 +1057,7 @@ impl Kernel {
         };
         let pids: Vec<ProcId> = queue.drain(..).collect();
         for pid in pids {
-            let valid = matches!(
-                &self.procs[pid.0 as usize].state,
-                ProcState::Blocked(cond) if Self::cond_matches(cond, key)
-            );
-            if valid {
+            if self.blocked_on(pid, key) {
                 self.wake(pid, None);
             }
         }
@@ -1170,9 +1174,18 @@ impl Kernel {
             self.ep_refs.remove(&ep);
             self.net.close(self.now, ep);
             // Wakes the close raises fire first; after them nothing can
-            // become readable on `ep`, so its poll registration goes.
+            // become readable or writable on `ep`, so its wait keys go.
             self.drain_net();
             self.poll_waiters.remove(&WaitKey::EpRead(ep));
+            for key in [WaitKey::EpRead(ep), WaitKey::EpWrite(ep)] {
+                // Only stale entries may remain, such as a reader killed
+                // while blocked on the socket its exit is closing.
+                let queue = self.waiters_one.remove(&key).unwrap_or_default();
+                debug_assert!(
+                    queue.iter().all(|&pid| !self.blocked_on(pid, key)),
+                    "a process still waits on closed {key:?}"
+                );
+            }
         }
     }
 
@@ -1993,7 +2006,8 @@ mod tests {
         let server = k.add_host(1);
         let client = k.add_host(1);
         // The server polls its listener and every open connection; it
-        // accepts, reads each connection to EOF, then closes it.
+        // accepts, then reads a ready connection to EOF with blocking
+        // reads and closes it.
         let served = Rc::new(RefCell::new(0u32));
         let done = served.clone();
         let mut listener = Fd(0);
@@ -2023,7 +2037,13 @@ mod tests {
                         };
                     }
                     SysResult::Accepted { fd, .. } => conns.push(fd),
-                    SysResult::Data(_) | SysResult::Done => {}
+                    SysResult::Data(_) => {
+                        return Syscall::TcpRecv {
+                            fd: reading,
+                            max: 64,
+                        }
+                    }
+                    SysResult::Done => {}
                     SysResult::Eof => {
                         *done.borrow_mut() += 1;
                         conns.retain(|&fd| fd != reading);
@@ -2036,8 +2056,8 @@ mod tests {
                 Syscall::Poll { fds, timeout: None }
             }),
         );
-        // The client opens a connection, sends a byte and closes, again
-        // and again.
+        // The client opens a connection, sends a byte, pauses so the
+        // server blocks reading for the EOF, and closes, again and again.
         let mut step = 0u32;
         let mut fd = Fd(0);
         k.spawn(
@@ -2046,8 +2066,8 @@ mod tests {
             "client",
             Box::new(move |_: &mut ResumeCtx, last: SysResult| {
                 step += 1;
-                match step % 3 {
-                    _ if step > 3 * CONNS => Syscall::Exit,
+                match step % 4 {
+                    _ if step > 4 * CONNS => Syscall::Exit,
                     1 => Syscall::TcpConnect {
                         to: SockAddr::new(server, 5060),
                     },
@@ -2058,12 +2078,22 @@ mod tests {
                             data: bytes_from(b"x".to_vec()),
                         }
                     }
+                    3 => Syscall::Sleep(SimDuration::from_millis(1)),
                     _ => Syscall::Close { fd },
                 }
             }),
         );
         k.run_until(SimTime::ZERO + SimDuration::from_secs(5));
         assert_eq!(*served.borrow(), CONNS);
+        for key in k.waiters_one.keys() {
+            if let WaitKey::EpRead(ep) | WaitKey::EpWrite(ep) = key {
+                assert!(
+                    k.ep_refs.contains_key(ep),
+                    "a wait key outlived its endpoint: {key:?} of {} keys",
+                    k.waiters_one.len()
+                );
+            }
+        }
         for key in k.poll_waiters.keys() {
             if let WaitKey::EpRead(ep) = key {
                 assert!(
@@ -2075,5 +2105,30 @@ mod tests {
         }
         // Only the listener stays registered.
         assert_eq!(k.poll_waiters.len(), 1);
+    }
+
+    #[test]
+    fn killing_a_blocked_reader_drops_its_wait_key() {
+        // The reader's exit closes the socket it is blocked on, leaving
+        // its own stale entry in that socket's wait queue.
+        let mut k = exact_kernel();
+        let h = k.add_host(1);
+        let reader = k.spawn(
+            h,
+            Nice::NORMAL,
+            "reader",
+            Box::new(|_: &mut ResumeCtx, last: SysResult| match last {
+                SysResult::Start => Syscall::MsgBind {
+                    proto: MsgProto::Udp,
+                    port: Some(5060),
+                },
+                SysResult::NewFd(fd) => Syscall::MsgRecv { fd },
+                other => panic!("reader got {other:?}"),
+            }),
+        );
+        k.run_until(ms(1));
+        assert_eq!(k.waiters_one.len(), 1, "the reader blocks");
+        assert!(k.kill(reader));
+        assert!(k.waiters_one.is_empty());
     }
 }

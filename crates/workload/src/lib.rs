@@ -17,8 +17,10 @@
 //!   and the 50/500 ops-per-connection reconnect policies.
 //! * [`scenario`] — world construction, execution, and the full
 //!   [`scenario::ScenarioReport`].
-//! * [`experiments`] — the paper's grid: Figures 3–5 cells, the §4.3
-//!   ablations, and the §6 extensions.
+//! * [`experiments`] — the registry of every experiment EXPERIMENTS.md
+//!   reports: Figures 3–5, the §5 profiles, the §4.3 ablations, the §6
+//!   extensions and the sweeps beyond the paper, each with its cells, the
+//!   paper's values, its table and its claims.
 //! * [`stats`] — client-side measurement.
 //!
 //! # Example

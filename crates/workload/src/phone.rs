@@ -93,6 +93,9 @@ pub enum Role {
     Caller(Arrivals),
 }
 
+/// CPU charged per message a phone handles.
+pub(crate) const PROC_NS: u64 = 600;
+
 /// Static description of one phone.
 #[derive(Debug, Clone)]
 pub struct PhoneCfg {
@@ -125,8 +128,6 @@ pub struct PhoneCfg {
     /// How long callees ring before answering 200 (zero = instant answer,
     /// the paper's workload; nonzero makes CANCEL races winnable).
     pub ring_delay: SimDuration,
-    /// CPU charged per message handled by the phone.
-    pub proc_ns: u64,
     /// Seed for the phone's private RNG stream (arrival gaps, callee choice,
     /// 503 backoff jitter). Each phone gets its own stream so its draws
     /// never perturb any other phone's behaviour and same-seed runs replay
@@ -697,7 +698,6 @@ mod tests {
             cancel_every: None,
             setup_deadline: None,
             ring_delay: SimDuration::ZERO,
-            proc_ns: 500,
             seed,
             stats: WorkloadStats::new((t(0), t(1_000_000))),
         }

@@ -142,7 +142,7 @@ impl MsgPhone {
     /// Handles one inbound datagram according to role/phase.
     fn handle_message(&mut self, now: SimTime, from: SockAddr, data: Bytes, cont: Cont) -> Syscall {
         self.script.push_back(Syscall::Compute {
-            ns: self.cfg.proc_ns.max(10),
+            ns: crate::phone::PROC_NS,
             tag: "user/phone",
         });
         let Ok(msg) = parse_message(&data) else {

@@ -248,7 +248,7 @@ impl TcpPhone {
     ) -> Syscall {
         for raw in frames {
             self.script.push_back(Syscall::Compute {
-                ns: self.cfg.proc_ns.max(10),
+                ns: crate::phone::PROC_NS,
                 tag: "user/phone",
             });
             let Ok(msg) = parse_message(&raw) else {

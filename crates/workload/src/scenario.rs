@@ -25,6 +25,12 @@ use crate::phone_msg::MsgPhone;
 use crate::phone_tcp::TcpPhone;
 use crate::stats::WorkloadStats;
 
+/// Cores on the server (the paper's dual Opteron 280 = four).
+const SERVER_CORES: usize = 4;
+
+/// Cores per client machine.
+const CLIENT_CORES: usize = 4;
+
 /// A complete experiment description.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -36,10 +42,6 @@ pub struct Scenario {
     pub pairs: usize,
     /// Client machines (the paper used three).
     pub client_hosts: usize,
-    /// Cores per client machine.
-    pub client_cores: usize,
-    /// Cores on the server (the paper's dual Opteron 280 = four).
-    pub server_cores: usize,
     /// TCP ops-per-connection policy (`None` = persistent connections).
     pub ops_per_conn: Option<u32>,
     /// Cancel every k-th call while ringing (`None` = never).
@@ -69,8 +71,6 @@ pub struct Scenario {
     pub net: NetConfig,
     /// Kernel cost calibration.
     pub kernel_costs: CostModel,
-    /// CPU charged per message on phones.
-    pub phone_proc_ns: u64,
     /// Faults injected at fixed virtual-time offsets while the run plays.
     pub faults: FaultSchedule,
 }
@@ -84,8 +84,6 @@ impl Scenario {
                 proxy: ProxyConfig::paper(Transport::Udp),
                 pairs: 100,
                 client_hosts: 3,
-                client_cores: 4,
-                server_cores: 4,
                 ops_per_conn: None,
                 cancel_every: None,
                 ring_delay: SimDuration::ZERO,
@@ -97,7 +95,6 @@ impl Scenario {
                 seed: 42,
                 net: NetConfig::lan(),
                 kernel_costs: CostModel::opteron_2006(),
-                phone_proc_ns: 600,
                 faults: FaultSchedule::new(),
             },
         }
@@ -141,9 +138,9 @@ impl Scenario {
     /// examples that need to drive or inspect the kernel directly.
     pub fn build_world(&self) -> World {
         let mut kernel = Kernel::new(self.net.clone(), self.kernel_costs.clone(), self.seed);
-        let server = kernel.add_host(self.server_cores);
+        let server = kernel.add_host(SERVER_CORES);
         let clients: Vec<HostId> = (0..self.client_hosts)
-            .map(|_| kernel.add_host(self.client_cores))
+            .map(|_| kernel.add_host(CLIENT_CORES))
             .collect();
         let proxy = spawn_proxy(&mut kernel, server, self.proxy.clone());
 
@@ -166,7 +163,6 @@ impl Scenario {
             cancel_every: self.cancel_every,
             setup_deadline: self.setup_deadline,
             ring_delay: self.ring_delay,
-            proc_ns: self.phone_proc_ns,
             seed,
             stats: stats.clone(),
         };
@@ -286,7 +282,7 @@ impl Scenario {
             kernel: kernel.stats(),
             net: kernel.net().stats(),
             server_profile: kernel.profiler(server).report(),
-            server_utilization: busy as f64 / (self.server_cores as f64 * wall * 1e9),
+            server_utilization: busy as f64 / (SERVER_CORES as f64 * wall * 1e9),
             server_endpoints: kernel.net().endpoints_on(server),
             server_time_wait: kernel.net().ports_in_time_wait(server),
             lock_contention,
@@ -464,12 +460,6 @@ impl ScenarioBuilder {
     /// Injects a fault schedule into the run.
     pub fn fault_schedule(mut self, faults: FaultSchedule) -> Self {
         self.scenario.faults = faults;
-        self
-    }
-
-    /// Mutates the proxy configuration in place.
-    pub fn tune_proxy(mut self, f: impl FnOnce(&mut ProxyConfig)) -> Self {
-        f(&mut self.scenario.proxy);
         self
     }
 

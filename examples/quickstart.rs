@@ -42,5 +42,5 @@ fn main() {
     }
 
     println!("The TCP run lands well below UDP — the paper's Figure 3 baseline.");
-    println!("Try the fixes: `cargo bench -p siperf-bench --bench figures`.");
+    println!("Try the fixes: `cargo run --release --bin regen -- fig4 fig5`.");
 }
