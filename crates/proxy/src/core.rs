@@ -8,6 +8,7 @@
 //! does (§3).
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use siperf_overload::{LoadSignals, NoControl, OverloadPolicy, Verdict};
 use siperf_simcore::hash::FastMap;
@@ -155,6 +156,31 @@ struct ProxyTxn {
     policy_tracked: bool,
 }
 
+/// The transaction table's index: every live transaction under its
+/// upstream and its downstream key, one map per method. A lookup borrows
+/// the branch from the message, so it copies nothing; a stored key is a
+/// copy of its own, so an entry does not keep a whole message's header
+/// text alive.
+#[derive(Debug, Default)]
+struct TxnIndex {
+    /// Indexed by `Method as usize`.
+    by_method: [FastMap<Rc<str>, u64>; 6],
+}
+
+impl TxnIndex {
+    fn get(&self, method: Method, branch: &str) -> Option<u64> {
+        self.by_method[method as usize].get(branch).copied()
+    }
+
+    fn insert(&mut self, key: &TxnKey, id: u64) {
+        self.by_method[key.method as usize].insert(Rc::clone(&key.branch), id);
+    }
+
+    fn remove(&mut self, key: &TxnKey) {
+        self.by_method[key.method as usize].remove(&key.branch);
+    }
+}
+
 /// Shared proxy state: location service, transaction table, stats.
 #[derive(Debug)]
 pub struct ProxyCore {
@@ -168,7 +194,7 @@ pub struct ProxyCore {
     // copied out of the messages so that an entry does not keep a whole
     // message's header text alive.
     registrar: FastMap<String, Binding>,
-    txn_index: FastMap<TxnKey, u64>,
+    txn_index: TxnIndex,
     // Ordered by transaction id so `timer_pass` emits retransmissions and
     // timeouts in a run-independent order (HashMap iteration order would
     // leak the hasher seed into the packet schedule).
@@ -190,7 +216,7 @@ impl ProxyCore {
             transport,
             stateful,
             registrar: FastMap::default(),
-            txn_index: FastMap::default(),
+            txn_index: TxnIndex::default(),
             txns: BTreeMap::new(),
             next_txn: 1,
             next_branch: 1,
@@ -303,11 +329,8 @@ impl ProxyCore {
         // relay a CANCEL for the forwarded INVITE, reusing its downstream
         // branch so the callee can match the transaction.
         if method == Method::Cancel {
-            let key = TxnKey {
-                branch: msg.branch().unwrap_or_default().to_string(),
-                method: Method::Invite,
-            };
-            let Some(&id) = self.txn_index.get(&key) else {
+            let branch = msg.branch().unwrap_or_default();
+            let Some(id) = self.txn_index.get(Method::Invite, branch) else {
                 plan.out
                     .push(self.reply(StatusCode::NO_TRANSACTION, &msg, src));
                 self.stats.route_failures += 1;
@@ -324,7 +347,7 @@ impl ProxyCore {
                 Via::new(
                     self.transport.token(),
                     self.via_sent_by.clone(),
-                    downstream_branch.as_str(),
+                    &*downstream_branch,
                 ),
             );
             fwd.max_forwards -= 1;
@@ -340,8 +363,8 @@ impl ProxyCore {
 
         // Retransmission? (Stateful proxies absorb them, §2.)
         if self.stateful && method != Method::Ack {
-            if let Some(key) = TxnKey::of(&msg) {
-                if let Some(&id) = self.txn_index.get(&key) {
+            if let Some(branch) = msg.branch() {
+                if let Some(id) = self.txn_index.get(method, branch) {
                     plan.absorbed = true;
                     self.stats.absorbed_retrans += 1;
                     if let Some(txn) = self.txns.get(&id) {
@@ -429,14 +452,17 @@ impl ProxyCore {
         if let Some(upstream_key) = upstream_key {
             let id = self.next_txn;
             self.next_txn += 1;
-            let downstream_key = TxnKey { branch, method };
+            let downstream_key = TxnKey {
+                branch: branch.into(),
+                method,
+            };
             let clock = if self.transport.is_reliable() {
                 RetransClock::reliable(now)
             } else {
                 RetransClock::new(now, method)
             };
-            self.txn_index.insert(upstream_key.clone(), id);
-            self.txn_index.insert(downstream_key.clone(), id);
+            self.txn_index.insert(&upstream_key, id);
+            self.txn_index.insert(&downstream_key, id);
             self.txns.insert(
                 id,
                 ProxyTxn {
@@ -499,11 +525,7 @@ impl ProxyCore {
             return plan;
         }
 
-        let key = TxnKey {
-            branch: our_via.branch.to_string(),
-            method: msg.cseq_method,
-        };
-        let Some(&id) = self.txn_index.get(&key) else {
+        let Some(id) = self.txn_index.get(msg.cseq_method, &our_via.branch) else {
             if msg.cseq_method == Method::Cancel {
                 // The callee's 200 to our relayed CANCEL; we already
                 // answered the caller ourselves.

@@ -35,8 +35,10 @@ impl CallParty {
     }
 }
 
-/// A small default body standing in for SDP, sized like a real offer.
-fn fake_sdp(user: &str) -> Vec<u8> {
+/// A small default body standing in for SDP, sized like a real offer: the
+/// body of `user`'s INVITE, and of the 200 that answers an INVITE to
+/// `user`.
+pub fn fake_sdp(user: &str) -> Vec<u8> {
     format!(
         "v=0\r\no=- 3894 3894 IN IP4 {user}.invalid\r\ns=call\r\n\
          c=IN IP4 10.0.0.1\r\nt=0 0\r\nm=audio 49170 RTP/AVP 0\r\na=rtpmap:0 PCMU/8000\r\n"

@@ -17,6 +17,9 @@
 //! * [`parse`] — a genuine textual parser for the RFC 3261 subset a proxy's
 //!   hot path touches (compact forms, display names, parameters), in one
 //!   pass over the header bytes.
+//! * [`scan`] — a narrow reader for the few message shapes a simulated
+//!   phone expects, in place and without allocating; anything else reads
+//!   as `None`, and the phone falls back to [`parse`].
 //! * [`framer`] — `Content-Length`-based reassembly of messages from TCP
 //!   byte streams, the reason a connection can only be read by one worker.
 //! * [`txn`] — transaction keys and the RFC 3261 §17 retransmission
@@ -53,6 +56,7 @@ pub mod framer;
 pub mod gen;
 pub mod msg;
 pub mod parse;
+pub mod scan;
 pub mod text;
 pub mod txn;
 

@@ -31,10 +31,15 @@ pub struct Text {
 }
 
 impl Text {
-    /// The `start..end` byte range of `buf`, sharing it. The range must lie
-    /// on `char` boundaries.
+    /// The `start..end` byte range of `buf`, sharing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie within `buf` on `char` boundaries:
+    /// [`as_str`](Self::as_str) relies on it, so it is checked once here
+    /// rather than on every read.
     pub(crate) fn slice(buf: &Rc<str>, start: usize, end: usize) -> Text {
-        debug_assert!(
+        assert!(
             buf.get(start..end).is_some(),
             "{start}..{end} is not a str range"
         );
@@ -58,7 +63,10 @@ impl Text {
 
     /// The text as a `&str`.
     pub fn as_str(&self) -> &str {
-        &self.buf[self.start..self.end]
+        // SAFETY: `slice`, the only constructor, asserts that `start..end`
+        // lies within `buf` on char boundaries, and neither the range nor
+        // the immutable buffer changes afterwards.
+        unsafe { self.buf.get_unchecked(self.start..self.end) }
     }
 
     /// The length in bytes, without slicing the shared buffer.

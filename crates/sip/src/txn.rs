@@ -8,6 +8,8 @@
 //! retransmission schedule — which the proxy's shared transaction table and
 //! timer process build on.
 
+use std::rc::Rc;
+
 use siperf_simcore::time::{SimDuration, SimTime};
 
 use crate::msg::{Method, SipMessage};
@@ -24,8 +26,9 @@ pub const TIMEOUT: SimDuration = SimDuration::from_millis(64 * 500);
 /// our workload gives ACK its own branch, i.e. 2xx-ACK semantics).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnKey {
-    /// The branch parameter of the topmost Via.
-    pub branch: String,
+    /// The branch parameter of the topmost Via, copied out of the message
+    /// so that a stored key does not keep the message's text alive.
+    pub branch: Rc<str>,
     /// The method (responses use the CSeq method).
     pub method: Method,
 }
@@ -33,7 +36,7 @@ pub struct TxnKey {
 impl TxnKey {
     /// Extracts the key from any message, if it carries a Via.
     pub fn of(msg: &SipMessage) -> Option<TxnKey> {
-        let branch = msg.branch()?.to_string();
+        let branch = msg.branch()?.into();
         let method = match msg.method() {
             Some(m) => m,
             None => msg.cseq_method,

@@ -1,6 +1,8 @@
 //! Property-based tests for the SIP layer: serialization round-trips and
 //! framing under arbitrary stream segmentation.
 
+mod common;
+
 use proptest::prelude::*;
 
 use siperf_sip::framer::StreamFramer;
@@ -20,6 +22,11 @@ fn method() -> impl Strategy<Value = Method> {
         Just(Method::Register),
         Just(Method::Options),
     ]
+}
+
+/// The methods the phones' scanner reads.
+fn phone_method() -> impl Strategy<Value = Method> {
+    prop_oneof![Just(Method::Invite), Just(Method::Ack), Just(Method::Bye)]
 }
 
 fn status() -> impl Strategy<Value = StatusCode> {
@@ -147,6 +154,33 @@ proptest! {
         prop_assert_eq!(&bare, &msg);
         let padded = padded(&wire, &pads);
         prop_assert_eq!(parse_message(&padded).expect("padded wire parses"), bare);
+        common::assert_scan_agrees(&padded);
+    }
+
+    /// The phones' scanner reads every message of the shapes it serves,
+    /// whatever its names, numbers, tags, Vias and body, and agrees with
+    /// the parser on it.
+    #[test]
+    fn the_scanner_reads_every_phone_shaped_message(
+        msg in message(),
+        method in phone_method(),
+        code in prop_oneof![
+            Just(StatusCode::TRYING),
+            Just(StatusCode::RINGING),
+            Just(StatusCode::OK),
+        ],
+        cseq_method in phone_method(),
+    ) {
+        let mut msg = msg;
+        msg.start = match msg.start {
+            StartLine::Request { uri, .. } => StartLine::Request { method, uri },
+            StartLine::Response { .. } => StartLine::Response { code },
+        };
+        msg.cseq_method = cseq_method;
+        msg.expires = None;
+        msg.retry_after = None;
+        msg.extra.clear();
+        prop_assert!(common::assert_scan_agrees(&msg.to_bytes()), "{:?}", msg);
     }
 
     /// Anything we can serialize parses back to an identical message.

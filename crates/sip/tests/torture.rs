@@ -2,8 +2,17 @@
 //! malformation a proxy's hot path can meet must map to a clean error (the
 //! proxy counts it and drops the message), never a panic or a bogus parse.
 
-use siperf_sip::msg::{Method, StatusCode};
-use siperf_sip::parse::{parse_message, ParseError};
+mod common;
+
+use siperf_sip::msg::{Method, SipMessage, StatusCode};
+use siperf_sip::parse::{parse_message as parse, ParseError};
+
+/// Parses `raw`, first checking that the phones' scanner agrees with the
+/// parser on it (see `common::assert_scan_agrees`).
+fn parse_message(raw: &[u8]) -> Result<SipMessage, ParseError> {
+    common::assert_scan_agrees(raw);
+    parse(raw)
+}
 
 fn parses(raw: &[u8]) -> Result<(), ParseError> {
     parse_message(raw).map(|_| ())

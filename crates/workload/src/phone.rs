@@ -21,6 +21,33 @@
 //!
 //! Either way the engine holds a pool of calls keyed by Call-ID; a closed
 //! loop is simply a pool that never holds more than one.
+//!
+//! # Templates and the scanner
+//!
+//! A load generator needs none of a SIP stack's generality, so the phones
+//! drive load the way SIPp does, from message templates with per-call
+//! fields. The first time a caller sends an INVITE, ACK, BYE or CANCEL, it
+//! renders that request once through the [`gen`] builders, with a marker
+//! byte in place of each per-call field, and cuts the markers out into
+//! holes: the call number (in the Call-ID `c{n}-{user}` and the branches
+//! `z9hG4bK{user}{i|a|b}{n}`), the callee's user name and its `To` tag.
+//! Each request is then the template with the call's fields spliced in,
+//! written into one reused buffer. A callee ([`Callee`]) answers an INVITE
+//! or a BYE by copying the request's own Via, `From`, `To`, `Call-ID` and
+//! `CSeq` bytes between fixed text in [`SipMessage::to_bytes`]' header
+//! order, adding its `To` tag when the request has none.
+//!
+//! Incoming messages are read by [`siperf_sip::scan`], which reads the
+//! few shapes a phone expects in place. Whatever it declines (503
+//! shedding, CANCEL and its 487, the REGISTER exchange, any stray or
+//! unusual message) goes through [`parse_message`] and the builders, as
+//! before. Either way the phones put exactly the bytes on the wire that
+//! the builders would.
+//!
+//! Debug builds check that on every message: each templated request and
+//! each echoed answer is also built through [`gen`] and compared, and each
+//! scanned response is also parsed, so every test that runs a scenario
+//! checks the templates.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -28,13 +55,16 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::rc::Rc;
 
 use siperf_proxy::config::Transport;
+use siperf_proxy::util::parse_sim_addr;
 use siperf_simcore::rng::SimRng;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::{bytes_from, Bytes};
 use siperf_simnet::HostId;
-use siperf_sip::gen::{self, CallParty};
+use siperf_sip::gen::{self, CallParty, BRANCH_COOKIE};
 use siperf_sip::msg::{Method, SipMessage, StatusCode};
+use siperf_sip::parse::parse_message;
+use siperf_sip::scan::{scan, Scan, Start};
 use siperf_sip::txn::{RetransClock, TimerVerdict, TIMEOUT};
 
 use crate::stats::WorkloadStats;
@@ -181,11 +211,10 @@ enum CallPhase {
     AwaitByeOk,
 }
 
-/// Per-call transaction state held in the pool.
+/// Per-call transaction state held in the pool, under the call number
+/// `n` of its Call-ID `c{n}-{user}`.
 #[derive(Debug)]
 struct Call {
-    /// The Call-ID, `c{n}-{user}` for the caller's n-th call.
-    id: String,
     /// Index of the dialed callee in the engine's peer list.
     peer: usize,
     phase: CallPhase,
@@ -214,19 +243,245 @@ impl Call {
     }
 }
 
+/// A per-call field of a caller's request.
+#[derive(Debug, Clone, Copy)]
+enum Hole {
+    /// The call number `n`, in the Call-ID and the branch.
+    CallNo,
+    /// The callee's user name, in the Request-URI and `To`.
+    Peer,
+    /// The callee's `To` tag (ACK and BYE).
+    ToTag,
+}
+
+impl Hole {
+    /// The text a template is rendered with in the field's place: a
+    /// control character, 1 to 3, which no user name, domain or address
+    /// holds.
+    fn marker(self) -> String {
+        char::from(self as u8 + 1).to_string()
+    }
+
+    /// The hole `byte` marks, if any.
+    fn of(byte: u8) -> Option<Hole> {
+        [Hole::CallNo, Hole::Peer, Hole::ToTag]
+            .get(usize::from(byte).wrapping_sub(1))
+            .copied()
+    }
+}
+
+/// A message rendered once, with holes for the per-call fields.
+#[derive(Debug)]
+struct Template {
+    /// The rendered message with its markers cut out.
+    text: Vec<u8>,
+    /// Where each hole goes in `text`, in order.
+    holes: Vec<(usize, Hole)>,
+}
+
+impl Template {
+    /// Cuts the markers out of `wire`, a message rendered with
+    /// [`Hole::marker`] in place of each per-call field.
+    fn cut(wire: &[u8]) -> Template {
+        let mut text = Vec::with_capacity(wire.len());
+        let mut holes = Vec::new();
+        let mut start = 0;
+        for (at, &b) in wire.iter().enumerate() {
+            if let Some(hole) = Hole::of(b) {
+                text.extend_from_slice(&wire[start..at]);
+                holes.push((text.len(), hole));
+                start = at + 1;
+            }
+        }
+        text.extend_from_slice(&wire[start..]);
+        Template { text, holes }
+    }
+
+    /// Writes the message for call `no` to `peer` into `out`.
+    fn fill(&self, out: &mut Vec<u8>, no: u64, peer: &str, to_tag: &str) {
+        out.clear();
+        let mut at = 0;
+        for &(hole, kind) in &self.holes {
+            out.extend_from_slice(&self.text[at..hole]);
+            at = hole;
+            match kind {
+                Hole::CallNo => push_decimal(out, no),
+                Hole::Peer => out.extend_from_slice(peer.as_bytes()),
+                Hole::ToTag => out.extend_from_slice(to_tag.as_bytes()),
+            }
+        }
+        out.extend_from_slice(&self.text[at..]);
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// How a caller writes its requests: who it is, whom it dials, and its
+/// templates. Each template is rendered when its request is first sent:
+/// the first INVITE goes out at `call_start`, within the set-up that
+/// perfbench times, so the other three wait for their first use.
+#[derive(Debug)]
+struct Requests {
+    party: CallParty,
+    /// Who this caller dials: the one closed-loop peer, or the Poisson
+    /// callees.
+    peers: Vec<CallParty>,
+    domain: String,
+    token: &'static str,
+    /// INVITE, ACK, BYE and CANCEL, in [`Requests::template`]'s order.
+    templates: [Option<Template>; 4],
+    /// The buffer every request is written into.
+    buf: Vec<u8>,
+}
+
+impl Requests {
+    /// Which template renders `method`.
+    fn template(method: Method) -> usize {
+        match method {
+            Method::Invite => 0,
+            Method::Ack => 1,
+            Method::Bye => 2,
+            Method::Cancel => 3,
+            Method::Register | Method::Options => unreachable!("callers send no {method}"),
+        }
+    }
+
+    /// The `method` request of call `no` to peer `peer`, with the callee's
+    /// `to_tag` where the request carries one (ACK and BYE).
+    fn render(&mut self, method: Method, no: u64, peer: usize, to_tag: &str) -> Bytes {
+        let template = self.templates[Self::template(method)].get_or_insert_with(|| {
+            let peer = CallParty::new(Hole::Peer.marker(), String::new());
+            let msg = build_request(
+                method,
+                (&self.party, &peer),
+                (&self.domain, self.token),
+                &Hole::CallNo.marker(),
+                &Hole::ToTag.marker(),
+            );
+            Template::cut(&msg.to_bytes())
+        });
+        template.fill(&mut self.buf, no, &self.peers[peer].user, to_tag);
+        let bytes = Bytes::from(&self.buf[..]);
+        debug_assert_eq!(
+            String::from_utf8_lossy(&bytes),
+            String::from_utf8_lossy(&self.oracle(method, no, peer, to_tag)),
+            "the {method} template disagrees with its builder"
+        );
+        bytes
+    }
+
+    /// The same request built through [`gen`]: what the templates must
+    /// reproduce byte for byte.
+    fn oracle(&self, method: Method, no: u64, peer: usize, to_tag: &str) -> Vec<u8> {
+        let parties = (&self.party, &self.peers[peer]);
+        build_request(
+            method,
+            parties,
+            (&self.domain, self.token),
+            &no.to_string(),
+            to_tag,
+        )
+        .to_bytes()
+    }
+}
+
+/// A caller's `method` request from `caller` to `callee` for the call
+/// numbered `no` (decimal text), through the [`gen`] builders.
+fn build_request(
+    method: Method,
+    (caller, callee): (&CallParty, &CallParty),
+    (domain, token): (&str, &str),
+    no: &str,
+    to_tag: &str,
+) -> SipMessage {
+    let call_id = format!("c{no}-{}", caller.user);
+    let branch = |kind: char| format!("{BRANCH_COOKIE}{}{kind}{no}", caller.user);
+    match method {
+        Method::Invite => gen::invite(caller, callee, domain, &call_id, &branch('i'), token),
+        Method::Ack => gen::ack(
+            caller,
+            callee,
+            domain,
+            &call_id,
+            to_tag,
+            &branch('a'),
+            token,
+        ),
+        Method::Bye => gen::bye(
+            caller,
+            callee,
+            domain,
+            &call_id,
+            to_tag,
+            &branch('b'),
+            token,
+        ),
+        // A CANCEL reuses the INVITE's branch (RFC 3261 §9.1).
+        Method::Cancel => gen::cancel(caller, callee, domain, &call_id, &branch('i'), token),
+        Method::Register | Method::Options => unreachable!("callers send no {method}"),
+    }
+}
+
+/// The fields of a response the engine acts on, scanned or parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reply<'a> {
+    code: StatusCode,
+    cseq_method: Method,
+    call_id: &'a str,
+    to_tag: Option<&'a str>,
+    retry_after: Option<u32>,
+}
+
+impl<'a> Reply<'a> {
+    /// A parsed response's fields; `None` for a request.
+    fn parsed(msg: &'a SipMessage) -> Option<Reply<'a>> {
+        Some(Reply {
+            code: msg.status()?,
+            cseq_method: msg.cseq_method,
+            call_id: &msg.call_id,
+            to_tag: msg.to.tag.as_deref(),
+            retry_after: msg.retry_after,
+        })
+    }
+
+    /// A scanned response's fields; `None` for a request. The scanner
+    /// reads no `Retry-After`, so a scanned response has none.
+    fn scanned(msg: &Scan<'a>) -> Option<Reply<'a>> {
+        let Start::Response(code) = msg.start else {
+            return None;
+        };
+        Some(Reply {
+            code,
+            cseq_method: msg.cseq_method,
+            call_id: msg.call_id,
+            to_tag: msg.to_tag,
+            retry_after: None,
+        })
+    }
+}
+
 /// The caller's transaction state machine: arrivals, the call pool, and
 /// the jittered 503 retry queue. Transport processes feed it timer expiries
 /// and responses and send whatever requests it returns to the proxy, in
 /// order.
 #[derive(Debug)]
 pub struct CallEngine {
-    party: CallParty,
-    /// Who this caller dials: the one closed-loop peer, or the Poisson
-    /// callees.
-    peers: Vec<CallParty>,
+    requests: Requests,
     /// Mean Poisson gap in nanoseconds; `None` for the closed loop.
     mean_gap_ns: Option<f64>,
-    domain: String,
     transport: Transport,
     cancel_every: Option<u64>,
     setup_deadline: Option<SimDuration>,
@@ -275,13 +530,18 @@ impl CallEngine {
             }
         };
         let mut engine = CallEngine {
-            party: cfg.party(host),
-            peers: peers
-                .iter()
-                .map(|user| CallParty::new(user.clone(), String::new()))
-                .collect(),
+            requests: Requests {
+                party: cfg.party(host),
+                peers: peers
+                    .iter()
+                    .map(|user| CallParty::new(user.clone(), String::new()))
+                    .collect(),
+                domain: cfg.domain.clone(),
+                token: cfg.transport.token(),
+                templates: Default::default(),
+                buf: Vec::new(),
+            },
             mean_gap_ns,
-            domain: cfg.domain.clone(),
             transport: cfg.transport,
             cancel_every: cfg.cancel_every,
             setup_deadline: cfg.setup_deadline,
@@ -311,22 +571,12 @@ impl CallEngine {
         self.call_no += 1;
         let no = self.call_no;
         let peer = if self.mean_gap_ns.is_some() {
-            self.rng.range_usize(0..self.peers.len())
+            self.rng.range_usize(0..self.requests.peers.len())
         } else {
             0
         };
-        let id = format!("c{no}-{}", self.party.user);
-        let invite = gen::invite(
-            &self.party,
-            &self.peers[peer],
-            &self.domain,
-            &id,
-            &format!("z9hG4bK{}i{no}", self.party.user),
-            self.transport.token(),
-        );
-        let bytes = bytes_from(invite.to_bytes());
+        let bytes = self.requests.render(Method::Invite, no, peer, "");
         let call = Call {
-            id,
             peer,
             phase: CallPhase::AwaitInvite,
             clock: new_clock(self.transport.is_reliable(), now),
@@ -376,11 +626,15 @@ impl CallEngine {
     }
 
     /// The pool entry a response belongs to, if its call is still in
-    /// flight.
+    /// flight: the Call-ID must read exactly `c{n}-{user}`.
     fn route(&self, call_id: &str) -> Option<u64> {
-        let (no, _) = call_id.strip_prefix('c')?.split_once('-')?;
+        let (no, user) = call_id.strip_prefix('c')?.split_once('-')?;
+        let canonical = !no.starts_with('0') && no.bytes().all(|b| b.is_ascii_digit());
+        if !canonical || user != &*self.requests.party.user {
+            return None;
+        }
         let no = no.parse().ok()?;
-        self.calls.get(&no).filter(|c| c.id == call_id).map(|_| no)
+        self.calls.contains_key(&no).then_some(no)
     }
 
     /// When the transport should next wake the engine if nothing arrives:
@@ -478,26 +732,48 @@ impl CallEngine {
 
     /// Feeds a parsed response; returns what to transmit next.
     pub fn on_response(&mut self, now: SimTime, msg: &SipMessage) -> Vec<Bytes> {
-        let out = self.handle_response(now, msg);
+        self.feed(now, Reply::parsed(msg))
+    }
+
+    /// Feeds a message as received; returns what to transmit next. The
+    /// scanner reads it when it can, the parser otherwise, and a message
+    /// neither can read is ignored.
+    pub fn on_wire(&mut self, now: SimTime, raw: &[u8]) -> Vec<Bytes> {
+        let Some(msg) = scan(raw) else {
+            return match parse_message(raw) {
+                Ok(msg) => self.on_response(now, &msg),
+                Err(_) => Vec::new(),
+            };
+        };
+        let reply = Reply::scanned(&msg);
+        if cfg!(debug_assertions) {
+            let parsed = parse_message(raw).expect("the parser reads what the scanner reads");
+            assert_eq!(reply, Reply::parsed(&parsed), "scanner and parser disagree");
+        }
+        self.feed(now, reply)
+    }
+
+    fn feed(&mut self, now: SimTime, reply: Option<Reply<'_>>) -> Vec<Bytes> {
+        // Callers only expect responses; a request here is a protocol
+        // surprise we ignore (e.g. a very late retransmission).
+        let out = match reply {
+            Some(reply) => self.handle_response(now, reply),
+            None => Vec::new(),
+        };
         self.settle();
         out
     }
 
-    fn handle_response(&mut self, now: SimTime, msg: &SipMessage) -> Vec<Bytes> {
-        let Some(code) = msg.status() else {
-            // Callers only expect responses; a request here is a protocol
-            // surprise we ignore (e.g. a very late retransmission).
-            return Vec::new();
-        };
+    fn handle_response(&mut self, now: SimTime, msg: Reply<'_>) -> Vec<Bytes> {
+        let code = msg.code;
         if msg.cseq_method == Method::Cancel {
             // The proxy's 200 to our CANCEL; the 487 follows separately.
             return Vec::new();
         }
-        let Some(no) = self.route(&msg.call_id) else {
+        let Some(no) = self.route(msg.call_id) else {
             return Vec::new(); // stale or duplicate
         };
         let call = self.calls.get_mut(&no).expect("routed");
-        let token = self.transport.token();
         match (call.phase, msg.cseq_method) {
             (CallPhase::AwaitInvite, Method::Invite) => {
                 if code.is_provisional() {
@@ -511,15 +787,7 @@ impl CallEngine {
                         // Abandon while ringing (RFC 3261 §9: CANCEL only
                         // after a provisional response).
                         call.cancel_sent = true;
-                        let cancel = gen::cancel(
-                            &self.party,
-                            &self.peers[call.peer],
-                            &self.domain,
-                            &call.id,
-                            &format!("z9hG4bK{}i{no}", self.party.user),
-                            token,
-                        );
-                        return vec![bytes_from(cancel.to_bytes())];
+                        return vec![self.requests.render(Method::Cancel, no, call.peer, "")];
                     }
                     return Vec::new();
                 }
@@ -570,27 +838,9 @@ impl CallEngine {
                 self.ops_done += 1;
                 // Acknowledge and immediately hang up (§4.2's workload: zero
                 // hold time, equal invites and byes).
-                let to_tag = msg.to.tag.as_deref().unwrap_or("t");
-                let peer = &self.peers[call.peer];
-                let ack = gen::ack(
-                    &self.party,
-                    peer,
-                    &self.domain,
-                    &call.id,
-                    to_tag,
-                    &format!("z9hG4bK{}a{no}", self.party.user),
-                    token,
-                );
-                let bye = gen::bye(
-                    &self.party,
-                    peer,
-                    &self.domain,
-                    &call.id,
-                    to_tag,
-                    &format!("z9hG4bK{}b{no}", self.party.user),
-                    token,
-                );
-                let bye_bytes = bytes_from(bye.to_bytes());
+                let to_tag = msg.to_tag.unwrap_or("t");
+                let ack = self.requests.render(Method::Ack, no, call.peer, to_tag);
+                let bye_bytes = self.requests.render(Method::Bye, no, call.peer, to_tag);
                 call.phase = CallPhase::AwaitByeOk;
                 call.clock = new_clock(self.transport.is_reliable(), now);
                 call.deadline = now + TIMEOUT;
@@ -598,7 +848,7 @@ impl CallEngine {
                 call.txn_start = now;
                 call.late = late;
                 self.wakes.push(Reverse((call.next_event(), no)));
-                vec![bytes_from(ack.to_bytes()), bye_bytes]
+                vec![ack, bye_bytes]
             }
             (CallPhase::AwaitByeOk, Method::Bye) => {
                 if code.is_provisional() {
@@ -626,20 +876,29 @@ impl CallEngine {
 
 /// What a callee sends back for one request: some messages immediately,
 /// and possibly one (the 200 to an INVITE) after the ring delay.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct CalleeAnswer {
     /// Sent right away.
     pub immediate: Vec<Bytes>,
     /// Sent after the ring delay (the INVITE's 200 OK).
     pub delayed_ok: Option<Bytes>,
+    /// The request's top Via sent-by, where a datagram answer goes
+    /// (RFC 3261 §18.2.2), when it names a simulated address.
+    pub reply_to: Option<SockAddr>,
 }
 
 /// Callee-side answering machine (RFC 3261 UAS happy path): builds the
 /// responses a phone returns for an incoming request. An INVITE gets 180
 /// Ringing right away and its 200 OK after `ring` (immediately when zero,
 /// the paper's workload).
+///
+/// This is the builders' answer, which [`Callee`] reproduces from the
+/// request's bytes.
 pub fn callee_answer_timed(user: &str, msg: &SipMessage, ring: SimDuration) -> CalleeAnswer {
-    let mut out = CalleeAnswer::default();
+    let mut out = CalleeAnswer {
+        reply_to: msg.vias.first().and_then(|v| parse_sim_addr(&v.sent_by)),
+        ..CalleeAnswer::default()
+    };
     let Some(method) = msg.method() else {
         return out; // responses need no answer
     };
@@ -675,10 +934,136 @@ pub fn callee_answer_timed(user: &str, msg: &SipMessage, ring: SimDuration) -> C
     out
 }
 
+/// [`callee_answer_timed`] on a message as received; no answer when it
+/// does not parse.
+fn parse_and_answer(user: &str, raw: &[u8], ring: SimDuration) -> CalleeAnswer {
+    match parse_message(raw) {
+        Ok(msg) => callee_answer_timed(user, &msg, ring),
+        Err(_) => CalleeAnswer::default(),
+    }
+}
+
+/// The header lines every answer without a body ends with.
+const BARE_TAIL: &[u8] = b"Max-Forwards: 70\r\nContent-Length: 0\r\n\r\n";
+
+/// A callee's answering machine on received bytes. It gives the answers
+/// of [`callee_answer_timed`] byte for byte, but writes the 180 and 200 to
+/// an INVITE and the 200 to a BYE from the request's own Via, `From`,
+/// `To`, `Call-ID` and `CSeq` bytes; any other request is parsed and
+/// answered through the builders.
+#[derive(Debug, Default)]
+pub struct Callee {
+    /// Rendered on the first request.
+    wire: Option<CalleeWire>,
+}
+
+/// The fixed text of a callee's answers.
+#[derive(Debug)]
+struct CalleeWire {
+    /// The callee's `To` tag, `tt-{user}`.
+    tag: String,
+    /// What follows the `Contact` line of the 200 to an INVITE: the
+    /// `Max-Forwards` and `Content-Length` lines and the SDP answer.
+    invite_ok_tail: Vec<u8>,
+    /// The buffer every answer is written into.
+    buf: Vec<u8>,
+}
+
+impl Callee {
+    /// Answers the request in `raw` as phone `user` ringing for `ring`.
+    pub fn answer(&mut self, user: &str, raw: &[u8], ring: SimDuration) -> CalleeAnswer {
+        let Some(answer) = scan(raw).and_then(|req| {
+            let wire = self.wire.get_or_insert_with(|| CalleeWire::new(user));
+            wire.answer(user, &req, ring)
+        }) else {
+            return parse_and_answer(user, raw, ring);
+        };
+        debug_assert_eq!(
+            answer,
+            parse_and_answer(user, raw, ring),
+            "the echoed answer disagrees with the builders'"
+        );
+        answer
+    }
+}
+
+impl CalleeWire {
+    fn new(user: &str) -> Self {
+        let sdp = gen::fake_sdp(user);
+        let mut invite_ok_tail =
+            format!("Max-Forwards: 70\r\nContent-Length: {}\r\n\r\n", sdp.len()).into_bytes();
+        invite_ok_tail.extend_from_slice(&sdp);
+        CalleeWire {
+            tag: format!("tt-{user}"),
+            invite_ok_tail,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The answer to a scanned INVITE, ACK or BYE; `None` for anything
+    /// else, and for an INVITE to another user (whose SDP answer differs).
+    fn answer(&mut self, user: &str, req: &Scan<'_>, ring: SimDuration) -> Option<CalleeAnswer> {
+        let Start::Request(method) = req.start else {
+            return None;
+        };
+        if method != req.cseq_method || (method == Method::Invite && req.to_user != user) {
+            return None;
+        }
+        let mut out = CalleeAnswer {
+            reply_to: parse_sim_addr(req.sent_by),
+            ..CalleeAnswer::default()
+        };
+        match method {
+            Method::Invite => {
+                let ringing = self.reply(req, b"SIP/2.0 180 Ringing\r\n", None);
+                out.immediate.push(ringing);
+                let ok = self.reply(req, b"SIP/2.0 200 OK\r\n", Some(req.to_uri));
+                if ring.is_zero() {
+                    out.immediate.push(ok);
+                } else {
+                    out.delayed_ok = Some(ok);
+                }
+            }
+            Method::Bye => out
+                .immediate
+                .push(self.reply(req, b"SIP/2.0 200 OK\r\n", None)),
+            _ => {} // ACK
+        }
+        Some(out)
+    }
+
+    /// One answer to `req`: the status line, the request's Via through
+    /// `To` bytes, our `To` tag if the request has none, its `Call-ID` and
+    /// `CSeq` lines, then for a 200 to an INVITE the `Contact` (the
+    /// request's `To` URI) and the SDP answer.
+    fn reply(&mut self, req: &Scan<'_>, status_line: &[u8], contact: Option<&str>) -> Bytes {
+        let out = &mut self.buf;
+        out.clear();
+        out.extend_from_slice(status_line);
+        out.extend_from_slice(req.head());
+        if req.to_tag.is_none() {
+            out.extend_from_slice(b";tag=");
+            out.extend_from_slice(self.tag.as_bytes());
+        }
+        out.extend_from_slice(req.dialog());
+        match contact {
+            Some(uri) => {
+                out.extend_from_slice(b"Contact: <");
+                out.extend_from_slice(uri.as_bytes());
+                out.extend_from_slice(b">\r\n");
+                out.extend_from_slice(&self.invite_ok_tail);
+            }
+            None => out.extend_from_slice(BARE_TAIL),
+        }
+        Bytes::from(&out[..])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siperf_sip::parse::parse_message;
+    use siperf_proxy::core::ProxyCore;
+    use std::collections::VecDeque;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -1274,5 +1659,174 @@ mod tests {
         assert!(callee_answer_timed("bob", &ack, SimDuration::ZERO)
             .immediate
             .is_empty());
+    }
+
+    /// The caller's address; callee `i` listens on `h2:{20001 + i}`.
+    const CALLER: SockAddr = SockAddr::new(HostId(1), 20000);
+
+    /// One caller and its callees wired through a stateful [`ProxyCore`].
+    /// Every request the caller writes is compared with the builders'
+    /// (through [`build_request`], which the templates are cut from), and
+    /// every answer a callee writes with [`callee_answer_timed`]'s.
+    struct Rig {
+        core: ProxyCore,
+        cfg: PhoneCfg,
+        engine: CallEngine,
+        callees: Vec<(String, Callee)>,
+        /// 200 OKs held for the ring delay, sent once nothing else moves.
+        ringing: VecDeque<(SockAddr, Bytes)>,
+        requests_checked: u64,
+        answers_checked: u64,
+    }
+
+    impl Rig {
+        fn new(cfg: PhoneCfg, arrivals: Arrivals) -> Rig {
+            let callees: Vec<String> = match &arrivals {
+                Arrivals::Closed { peer } => vec![peer.clone()],
+                Arrivals::Poisson { callees, .. } => callees.clone(),
+            };
+            let mut core = ProxyCore::new("h0:5060".into(), cfg.transport, true);
+            let token = cfg.transport.token();
+            let mut phones = vec![(cfg.user.clone(), CALLER)];
+            phones.extend((0..callees.len()).map(|i| {
+                (
+                    callees[i].clone(),
+                    SockAddr::new(HostId(2), 20001 + i as u16),
+                )
+            }));
+            for (user, addr) in phones {
+                let party = CallParty::new(user, format!("h{}:{}", addr.host.0, addr.port));
+                let reg = gen::register(&party, &cfg.domain, 1, "z9hG4bKreg", token);
+                assert!(core.handle_message(t(0), reg, addr).registered);
+            }
+            Rig {
+                core,
+                engine: CallEngine::new(&cfg, &arrivals, HostId(1)),
+                cfg,
+                callees: callees
+                    .into_iter()
+                    .map(|user| (user, Callee::default()))
+                    .collect(),
+                ringing: VecDeque::new(),
+                requests_checked: 0,
+                answers_checked: 0,
+            }
+        }
+
+        /// A request from the caller, checked against the builders.
+        fn check_request(&mut self, wire: &Bytes) {
+            let msg = parse_message(wire).expect("requests parse");
+            let method = msg.method().expect("a request");
+            let (no, user) = msg
+                .call_id
+                .strip_prefix('c')
+                .unwrap()
+                .split_once('-')
+                .unwrap();
+            assert_eq!(user, self.cfg.user);
+            // The callee the engine dialed for this call, and its tag.
+            let call = &self.engine.calls[&no.parse().unwrap()];
+            let requests = &self.engine.requests;
+            let peer = &requests.peers[call.peer];
+            let to_tag = match method {
+                Method::Ack | Method::Bye => format!("tt-{}", peer.user),
+                _ => String::new(),
+            };
+            let want = build_request(
+                method,
+                (&requests.party, peer),
+                (&self.cfg.domain, self.cfg.transport.token()),
+                no,
+                &to_tag,
+            );
+            assert_eq!(
+                String::from_utf8_lossy(wire),
+                String::from_utf8_lossy(&want.to_bytes()),
+                "{method} template"
+            );
+            self.requests_checked += 1;
+        }
+
+        /// Places calls until the caller has started `calls` more, passing
+        /// every message through the proxy, then lets the last ones finish.
+        fn run(&mut self, calls: u64) {
+            let last = self.engine.call_no + calls;
+            let mut now = t(0);
+            let mut to_proxy: VecDeque<(SockAddr, Bytes)> = VecDeque::new();
+            loop {
+                let Some((src, bytes)) = to_proxy.pop_front() else {
+                    if let Some(ok) = self.ringing.pop_front() {
+                        to_proxy.push_back(ok);
+                        continue;
+                    }
+                    if self.engine.call_no >= last {
+                        return;
+                    }
+                    now = now.max(self.engine.next_wake());
+                    for req in self.engine.on_timer(now) {
+                        self.check_request(&req);
+                        to_proxy.push_back((CALLER, req));
+                    }
+                    continue;
+                };
+                now += SimDuration::from_micros(10);
+                let msg = parse_message(&bytes).expect("phones send what parses");
+                for out in self.core.handle_message(now, msg, src).out {
+                    if out.dest == CALLER {
+                        for req in self.engine.on_wire(now, &out.bytes) {
+                            self.check_request(&req);
+                            if self.engine.call_no <= last {
+                                to_proxy.push_back((CALLER, req));
+                            }
+                        }
+                        continue;
+                    }
+                    let (user, callee) = &mut self.callees[usize::from(out.dest.port - 20001)];
+                    let ring = self.cfg.ring_delay;
+                    let answer = callee.answer(user, &out.bytes, ring);
+                    let want = callee_answer_timed(user, &parse_message(&out.bytes).unwrap(), ring);
+                    assert_eq!(answer, want, "{}", String::from_utf8_lossy(&out.bytes));
+                    assert_eq!(answer.reply_to, Some(SockAddr::new(HostId(0), 5060)));
+                    self.answers_checked += 1;
+                    to_proxy.extend(answer.immediate.into_iter().map(|b| (out.dest, b)));
+                    self.ringing
+                        .extend(answer.delayed_ok.map(|b| (out.dest, b)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn templates_and_echoed_answers_match_the_builders_through_the_proxy() {
+        for transport in [Transport::Udp, Transport::Tcp, Transport::Sctp] {
+            for arrivals in [closed(), poisson(200.0)] {
+                for (cancel_every, ring_ms) in [(None, 0), (Some(3), 0), (Some(2), 20)] {
+                    // Call numbers cross 9 → 10 and 99 → 100, then 10⁶.
+                    for (first, calls) in [(0, 120), (999_990, 20)] {
+                        let mut c = cfg(transport, 3);
+                        c.cancel_every = cancel_every;
+                        c.ring_delay = SimDuration::from_millis(ring_ms);
+                        let mut rig = Rig::new(c, arrivals.clone());
+                        rig.engine.call_no = first;
+                        rig.run(calls);
+                        let case = format!(
+                            "{transport:?} {arrivals:?} {cancel_every:?} {ring_ms} ms from {first}"
+                        );
+                        let stats = rig.cfg.stats.borrow();
+                        assert!(
+                            stats.invite_ok + stats.calls_cancelled >= calls - 2,
+                            "{case}"
+                        );
+                        assert_eq!(stats.call_failures, 0, "{case}");
+                        assert!(stats.bye_ok > 0, "{case}");
+                        if cancel_every.is_some() && ring_ms > 0 {
+                            assert!(stats.calls_cancelled > 0, "{case}: no CANCEL won");
+                        }
+                        assert!(rig.requests_checked >= 2 * (calls - 2), "{case}");
+                        assert!(rig.answers_checked >= 2 * (calls - 2), "{case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 
-use siperf_proxy::util::parse_sim_addr;
 use siperf_simcore::time::SimTime;
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::Bytes;
@@ -19,7 +18,7 @@ use siperf_sip::msg::Method;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::{RetransClock, TimerVerdict};
 
-use crate::phone::{callee_answer_timed, is_register_ok, CallEngine, PhoneCfg, Role};
+use crate::phone::{is_register_ok, CallEngine, Callee, PhoneCfg, Role};
 
 // The shared postfix is the point: each variant names which poll loop the
 // process resumes into.
@@ -46,6 +45,7 @@ pub struct MsgPhone {
     cfg: PhoneCfg,
     fd: Fd,
     engine: Option<CallEngine>,
+    callee: Callee,
     reg_msg: Option<Bytes>,
     reg_clock: Option<RetransClock>,
     script: VecDeque<Syscall>,
@@ -61,6 +61,7 @@ impl MsgPhone {
             cfg,
             fd: Fd(u32::MAX),
             engine: None,
+            callee: Callee::default(),
             reg_msg: None,
             reg_clock: None,
             script: VecDeque::new(),
@@ -145,11 +146,11 @@ impl MsgPhone {
             ns: crate::phone::PROC_NS,
             tag: "user/phone",
         });
-        let Ok(msg) = parse_message(&data) else {
-            return self.park(cont, now);
-        };
         match cont {
             Cont::RegPoll => {
+                let Ok(msg) = parse_message(&data) else {
+                    return self.park(cont, now);
+                };
                 if is_register_ok(&msg) {
                     self.cfg.stats.borrow_mut().register_ok += 1;
                     self.reg_clock = None;
@@ -164,17 +165,15 @@ impl MsgPhone {
                 self.park(Cont::RegPoll, now)
             }
             Cont::CallPoll => {
-                let msgs = self.engine().on_response(now, &msg);
+                let msgs = self.engine().on_wire(now, &data);
                 self.send_calls(msgs, now)
             }
             Cont::ServePoll => {
-                let answer = callee_answer_timed(&self.cfg.user, &msg, self.cfg.ring_delay);
+                let answer = self
+                    .callee
+                    .answer(&self.cfg.user, &data, self.cfg.ring_delay);
                 // Respond towards the topmost Via's sent-by (the proxy).
-                let dest = msg
-                    .vias
-                    .first()
-                    .and_then(|v| parse_sim_addr(&v.sent_by))
-                    .unwrap_or(from);
+                let dest = answer.reply_to.unwrap_or(from);
                 self.queue_sends(dest, answer.immediate);
                 if let Some(ok) = answer.delayed_ok {
                     self.delayed

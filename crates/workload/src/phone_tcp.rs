@@ -20,7 +20,7 @@ use siperf_sip::framer::StreamFramer;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::TIMEOUT;
 
-use crate::phone::{callee_answer_timed, is_register_ok, CallEngine, PhoneCfg, Role};
+use crate::phone::{is_register_ok, CallEngine, Callee, PhoneCfg, Role};
 
 const RECV_CHUNK: usize = 16 * 1024;
 const CONNECT_BACKOFF: SimDuration = SimDuration::from_millis(100);
@@ -65,6 +65,7 @@ pub struct TcpPhone {
     client: Option<Fd>,
     framers: HashMap<Fd, StreamFramer>,
     engine: Option<CallEngine>,
+    callee: Callee,
     reg_deadline: SimTime,
     registered: bool,
     reg_attempts: u32,
@@ -86,6 +87,7 @@ impl TcpPhone {
             client: None,
             framers: HashMap::new(),
             engine: None,
+            callee: Callee::default(),
             reg_deadline: SimTime::MAX,
             registered: false,
             reg_attempts: 0,
@@ -251,10 +253,10 @@ impl TcpPhone {
                 ns: crate::phone::PROC_NS,
                 tag: "user/phone",
             });
-            let Ok(msg) = parse_message(&raw) else {
-                continue;
-            };
             if !self.registered {
+                let Ok(msg) = parse_message(&raw) else {
+                    continue;
+                };
                 if is_register_ok(&msg) {
                     self.registered = true;
                     self.cfg.stats.borrow_mut().register_ok += 1;
@@ -267,7 +269,7 @@ impl TcpPhone {
             }
             match self.cfg.role {
                 Role::Caller(_) => {
-                    let msgs = self.engine().on_response(now, &msg);
+                    let msgs = self.engine().on_wire(now, &raw);
                     if let Some(connect) = self.send_to_proxy(msgs) {
                         return connect;
                     }
@@ -275,7 +277,9 @@ impl TcpPhone {
                 Role::Callee => {
                     // Answer on the connection the request arrived on
                     // (RFC 3261 §18.2.2 for stream transports).
-                    let answer = callee_answer_timed(&self.cfg.user, &msg, self.cfg.ring_delay);
+                    let answer = self
+                        .callee
+                        .answer(&self.cfg.user, &raw, self.cfg.ring_delay);
                     for bytes in answer.immediate {
                         self.script.push_back(Syscall::TcpSend {
                             fd: src,
