@@ -7,6 +7,7 @@
 //! simulated locks around each call into it, in exactly the order OpenSER
 //! does (§3).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -16,16 +17,21 @@ use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::{bytes_from, Bytes};
 use siperf_sip::gen;
-use siperf_sip::msg::{Method, SipMessage, StatusCode, Via};
-use siperf_sip::parse::parse_message;
+use siperf_sip::msg::{Method, SipMessage, StartLine, StatusCode, Via};
+use siperf_sip::parse::{parse_message, ParseError};
+use siperf_sip::scan::{push_decimal, scan, Scan, Start, Tail};
 use siperf_sip::txn::{RetransClock, TimerVerdict, TxnKey};
 use siperf_sip::Text;
 
 use crate::config::Transport;
+use crate::util::parse_sim_addr;
 
 /// How long a completed transaction lingers before it is reaped.
 pub(crate) const TXN_LINGER: SimDuration = SimDuration::from_secs(5);
-use crate::util::parse_sim_addr;
+
+/// The branches this proxy puts in its Vias start with the RFC 3261 magic
+/// cookie, then `px`, then a counter.
+const OUR_BRANCH: &str = "z9hG4bKpx";
 
 /// One location-service binding. For connection-oriented transports the
 /// proxy prefers the connection the phone registered over (OpenSER's
@@ -181,6 +187,168 @@ impl TxnIndex {
     }
 }
 
+/// One received message as the routing logic reads it. [`ProxyCore`] reads
+/// a few fields through it: the start line, the top Via, the `To` user,
+/// `Max-Forwards` and the `CSeq` method. It asks it for the forward, the
+/// relay and the replies. A scanned message splices its bytes for the
+/// forward, the relay and the 100 Trying; everything else goes through the
+/// builders, on the message parsed when first needed.
+// One lives on the stack per message; boxing the parsed variant would add
+// an allocation to every parsed message instead.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Inbound<'a> {
+    /// In the layout [`scan`] reads, as the call's INVITE, ACK, BYE, 100,
+    /// 180 and 200 arrive.
+    Scanned(Scan<'a>),
+    /// Parsed: REGISTER, CANCEL and the responses to it, and anything
+    /// else not in that layout.
+    Parsed(SipMessage),
+}
+
+impl<'a> Inbound<'a> {
+    /// Reads `raw`: scanned if it can be, parsed otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The parser's error, if `raw` neither scans nor parses.
+    pub fn read(raw: &'a [u8]) -> Result<Inbound<'a>, ParseError> {
+        match scan(raw) {
+            Some(msg) => Ok(Inbound::Scanned(msg)),
+            None => parse_message(raw).map(Inbound::Parsed),
+        }
+    }
+
+    /// Request method or status code.
+    fn start(&self) -> Start {
+        match self {
+            Inbound::Scanned(msg) => msg.start,
+            Inbound::Parsed(msg) => match msg.start {
+                StartLine::Request { method, .. } => Start::Request(method),
+                StartLine::Response { code } => Start::Response(code),
+            },
+        }
+    }
+
+    /// True for a request.
+    pub(crate) fn is_request(&self) -> bool {
+        matches!(self.start(), Start::Request(_))
+    }
+
+    /// The top Via's sent-by and branch.
+    fn top_via(&self) -> Option<(&str, &str)> {
+        match self {
+            Inbound::Scanned(msg) => Some((msg.sent_by, msg.branch)),
+            Inbound::Parsed(msg) => msg.vias.first().map(|v| (&*v.sent_by, &*v.branch)),
+        }
+    }
+
+    fn to_user(&self) -> &str {
+        match self {
+            Inbound::Scanned(msg) => msg.to_user,
+            Inbound::Parsed(msg) => &msg.to.uri.user,
+        }
+    }
+
+    fn max_forwards(&self) -> u32 {
+        match self {
+            Inbound::Scanned(msg) => msg.max_forwards,
+            Inbound::Parsed(msg) => msg.max_forwards,
+        }
+    }
+
+    fn cseq_method(&self) -> Method {
+        match self {
+            Inbound::Scanned(msg) => msg.cseq_method,
+            Inbound::Parsed(msg) => msg.cseq_method,
+        }
+    }
+
+    /// The message parsed, for what is not spliced.
+    fn parsed(&self) -> Cow<'_, SipMessage> {
+        match self {
+            Inbound::Scanned(msg) => Cow::Owned(parse_scanned(msg)),
+            Inbound::Parsed(msg) => Cow::Borrowed(msg),
+        }
+    }
+
+    /// The `code` reply to this request, as `gen::response` writes it
+    /// without a `To` tag. Only the 100 Trying is spliced; the rarer
+    /// replies go through the builders.
+    fn reply(&self, buf: &mut Vec<u8>, code: StatusCode) -> Bytes {
+        match self {
+            Inbound::Scanned(msg) if code == StatusCode::TRYING => {
+                buf.clear();
+                msg.write_reply(buf, code, None, Tail::Bare);
+                spliced(buf, || built_reply(code, &parse_scanned(msg)))
+            }
+            _ => bytes_from(built_reply(code, &self.parsed())),
+        }
+    }
+
+    /// This request as forwarded under our Via: `transport`, `sent_by` and
+    /// `branch` on top, one hop spent.
+    fn forward(self, buf: &mut Vec<u8>, transport: &str, sent_by: &Text, branch: &str) -> Bytes {
+        match self {
+            Inbound::Scanned(msg) => {
+                buf.clear();
+                msg.write_forward(buf, transport, sent_by, branch);
+                spliced(buf, || {
+                    built_forward(parse_scanned(&msg), transport, sent_by, branch)
+                })
+            }
+            Inbound::Parsed(msg) => bytes_from(built_forward(msg, transport, sent_by, branch)),
+        }
+    }
+
+    /// This response as relayed: its top Via, ours, popped.
+    fn relay(self, buf: &mut Vec<u8>) -> Bytes {
+        match self {
+            Inbound::Scanned(msg) => {
+                buf.clear();
+                msg.write_relay(buf);
+                spliced(buf, || built_relay(parse_scanned(&msg)))
+            }
+            Inbound::Parsed(msg) => bytes_from(built_relay(msg)),
+        }
+    }
+}
+
+/// A scanned message, parsed: the builders' input.
+fn parse_scanned(msg: &Scan<'_>) -> SipMessage {
+    parse_message(msg.wire()).expect("whatever scans parses")
+}
+
+fn built_reply(code: StatusCode, req: &SipMessage) -> Vec<u8> {
+    gen::response(code, req, None, None).to_bytes()
+}
+
+fn built_forward(mut msg: SipMessage, transport: &str, sent_by: &Text, branch: &str) -> Vec<u8> {
+    msg.vias
+        .insert(0, Via::new(transport, sent_by.clone(), branch));
+    msg.max_forwards -= 1;
+    msg.to_bytes()
+}
+
+fn built_relay(mut msg: SipMessage) -> Vec<u8> {
+    msg.vias.remove(0);
+    msg.to_bytes()
+}
+
+/// The spliced bytes in `buf`, copied out. Debug builds check that the
+/// builders write the same bytes for the same message.
+#[track_caller]
+fn spliced(buf: &[u8], built: impl FnOnce() -> Vec<u8>) -> Bytes {
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            String::from_utf8_lossy(buf),
+            String::from_utf8_lossy(&built()),
+            "the splice disagrees with the builders"
+        );
+    }
+    Bytes::from(buf)
+}
+
 /// Shared proxy state: location service, transaction table, stats.
 #[derive(Debug)]
 pub struct ProxyCore {
@@ -201,6 +369,11 @@ pub struct ProxyCore {
     txns: BTreeMap<u64, ProxyTxn>,
     next_txn: u64,
     next_branch: u64,
+    /// The last branch [`fresh_branch`](Self::fresh_branch) wrote.
+    branch: Vec<u8>,
+    /// The buffer each spliced message is written into before it is
+    /// copied out.
+    buf: Vec<u8>,
     /// Run statistics.
     pub stats: ProxyStats,
     policy: Box<dyn OverloadPolicy>,
@@ -220,6 +393,8 @@ impl ProxyCore {
             txns: BTreeMap::new(),
             next_txn: 1,
             next_branch: 1,
+            branch: OUR_BRANCH.as_bytes().to_vec(),
+            buf: Vec::new(),
             stats: ProxyStats::default(),
             policy: Box::new(NoControl),
             active_txns: 0,
@@ -272,39 +447,49 @@ impl ProxyCore {
         self.registrar.get(user).map(|b| b.contact)
     }
 
-    fn fresh_branch(&mut self) -> String {
-        let n = self.next_branch;
+    /// Writes the next branch of ours, `z9hG4bKpx{n}`, into `self.branch`.
+    fn fresh_branch(&mut self) {
+        self.branch.truncate(OUR_BRANCH.len());
+        push_decimal(&mut self.branch, self.next_branch);
         self.next_branch += 1;
-        format!("{}px{}", gen::BRANCH_COOKIE, n)
     }
 
-    fn reply(&mut self, code: StatusCode, req: &SipMessage, dest: SockAddr) -> Outgoing {
+    fn reply(&mut self, code: StatusCode, req: &Inbound<'_>, dest: SockAddr) -> Outgoing {
         self.stats.local_replies += 1;
-        let resp = gen::response(code, req, None, None);
         Outgoing {
-            bytes: bytes_from(resp.to_bytes()),
+            bytes: req.reply(&mut self.buf, code),
             dest,
             alt: None,
         }
     }
 
-    /// Routes one parsed message. The caller must hold the transaction
-    /// lock, per OpenSER's discipline.
+    /// Routes one parsed message; see [`handle`](Self::handle).
     pub fn handle_message(&mut self, now: SimTime, msg: SipMessage, src: SockAddr) -> Plan {
-        if msg.is_request() {
-            self.handle_request(now, msg, src)
-        } else {
-            self.handle_response(now, msg)
+        self.handle(now, Inbound::Parsed(msg), src)
+    }
+
+    /// Routes one message, scanned or parsed: both give the same plan. The
+    /// caller must hold the transaction lock, per OpenSER's discipline.
+    pub fn handle(&mut self, now: SimTime, msg: Inbound<'_>, src: SockAddr) -> Plan {
+        match msg.start() {
+            Start::Request(method) => self.handle_request(now, msg, method, src),
+            Start::Response(code) => self.handle_response(now, msg, code),
         }
     }
 
-    fn handle_request(&mut self, now: SimTime, msg: SipMessage, src: SockAddr) -> Plan {
+    fn handle_request(
+        &mut self,
+        now: SimTime,
+        msg: Inbound<'_>,
+        method: Method,
+        src: SockAddr,
+    ) -> Plan {
         self.stats.requests += 1;
         let mut plan = Plan::default();
-        let method = msg.method().expect("checked is_request");
 
         if method == Method::Register {
-            let contact = msg
+            let reg = msg.parsed();
+            let contact = reg
                 .contact
                 .as_ref()
                 .and_then(|c| parse_sim_addr(&c.host))
@@ -313,8 +498,8 @@ impl ProxyCore {
                 conn_hint: src,
                 contact,
             };
-            let user = &*msg.to.uri.user;
-            if msg.expires == Some(0) {
+            let user = &*reg.to.uri.user;
+            if reg.expires == Some(0) {
                 self.registrar.remove(user);
             } else {
                 self.registrar.insert(user.to_string(), binding);
@@ -329,7 +514,7 @@ impl ProxyCore {
         // relay a CANCEL for the forwarded INVITE, reusing its downstream
         // branch so the callee can match the transaction.
         if method == Method::Cancel {
-            let branch = msg.branch().unwrap_or_default();
+            let branch = msg.top_via().map_or("", |(_, branch)| branch);
             let Some(id) = self.txn_index.get(Method::Invite, branch) else {
                 plan.out
                     .push(self.reply(StatusCode::NO_TRANSACTION, &msg, src));
@@ -341,20 +526,16 @@ impl ProxyCore {
                 (txn.callee_dst, txn.downstream_key.branch.clone())
             };
             plan.out.push(self.reply(StatusCode::OK, &msg, src));
-            let mut fwd = msg;
-            fwd.vias.insert(
-                0,
-                Via::new(
-                    self.transport.token(),
-                    self.via_sent_by.clone(),
-                    &*downstream_branch,
-                ),
+            let bytes = msg.forward(
+                &mut self.buf,
+                self.transport.token(),
+                &self.via_sent_by,
+                &downstream_branch,
             );
-            fwd.max_forwards -= 1;
             self.stats.cancels_relayed += 1;
             self.stats.forwards += 1;
             plan.out.push(Outgoing {
-                bytes: bytes_from(fwd.to_bytes()),
+                bytes,
                 dest: dst,
                 alt: Some(dst),
             });
@@ -363,7 +544,7 @@ impl ProxyCore {
 
         // Retransmission? (Stateful proxies absorb them, §2.)
         if self.stateful && method != Method::Ack {
-            if let Some(branch) = msg.branch() {
+            if let Some((_, branch)) = msg.top_via() {
                 if let Some(id) = self.txn_index.get(method, branch) {
                     plan.absorbed = true;
                     self.stats.absorbed_retrans += 1;
@@ -381,7 +562,7 @@ impl ProxyCore {
             }
         }
 
-        if msg.max_forwards == 0 {
+        if msg.max_forwards() == 0 {
             self.stats.route_failures += 1;
             plan.out
                 .push(self.reply(StatusCode::SERVER_ERROR, &msg, src));
@@ -390,7 +571,7 @@ impl ProxyCore {
 
         // Location-service lookup (the caller holds usrloc's lock around
         // this in the worker code).
-        let Some(binding) = self.registrar.get(&*msg.to.uri.user).copied() else {
+        let Some(binding) = self.registrar.get(msg.to_user()).copied() else {
             self.stats.route_failures += 1;
             plan.out.push(self.reply(StatusCode::NOT_FOUND, &msg, src));
             return plan;
@@ -410,7 +591,7 @@ impl ProxyCore {
                 self.stats.overload_rejections += 1;
                 self.stats.local_replies += 1;
                 plan.rejected = true;
-                let resp = gen::service_unavailable(&msg, retry_after);
+                let resp = gen::service_unavailable(&msg.parsed(), retry_after);
                 plan.out.push(Outgoing {
                     bytes: bytes_from(resp.to_bytes()),
                     dest: src,
@@ -424,30 +605,31 @@ impl ProxyCore {
         // 100 Trying for INVITE, then (below) a stored copy of the forward
         // plus a retransmission clock. Everything read from the request
         // itself is taken before it becomes the forward.
-        let caller_via = msg.vias.first().and_then(|v| parse_sim_addr(&v.sent_by));
+        let caller_via = msg
+            .top_via()
+            .and_then(|(sent_by, _)| parse_sim_addr(sent_by));
         let upstream_key = if self.stateful && method != Method::Ack {
             if method == Method::Invite {
                 plan.out.push(self.reply(StatusCode::TRYING, &msg, src));
             }
-            Some(TxnKey::of(&msg).expect("requests carry a Via"))
+            let (_, branch) = msg.top_via().expect("requests carry a Via");
+            Some(TxnKey {
+                branch: branch.into(),
+                method,
+            })
         } else {
             None
         };
 
-        // The request becomes the forward in place: push our Via, spend a
-        // hop.
-        let branch = self.fresh_branch();
-        let mut fwd = msg;
-        fwd.vias.insert(
-            0,
-            Via::new(
-                self.transport.token(),
-                self.via_sent_by.clone(),
-                branch.as_str(),
-            ),
+        // The request becomes the forward: our Via on top, a hop spent.
+        self.fresh_branch();
+        let branch = std::str::from_utf8(&self.branch).expect("branches are ASCII");
+        let fwd_bytes = msg.forward(
+            &mut self.buf,
+            self.transport.token(),
+            &self.via_sent_by,
+            branch,
         );
-        fwd.max_forwards -= 1;
-        let fwd_bytes = bytes_from(fwd.to_bytes());
 
         if let Some(upstream_key) = upstream_key {
             let id = self.next_txn;
@@ -494,39 +676,42 @@ impl ProxyCore {
         plan
     }
 
-    fn handle_response(&mut self, now: SimTime, mut msg: SipMessage) -> Plan {
+    fn handle_response(&mut self, now: SimTime, msg: Inbound<'_>, code: StatusCode) -> Plan {
         self.stats.responses += 1;
         let mut plan = Plan::default();
 
-        // Our Via must be on top; pop it.
-        let ours = msg
-            .vias
-            .first()
-            .is_some_and(|v| v.sent_by == self.via_sent_by);
-        if !ours {
+        // Our Via must be on top; the relay pops it.
+        let Some((_, our_branch)) = msg
+            .top_via()
+            .filter(|&(sent_by, _)| sent_by == &*self.via_sent_by)
+        else {
             self.stats.route_failures += 1;
             return plan;
-        }
-        let our_via = msg.vias.remove(0);
-        let code = msg.status().expect("checked response");
+        };
 
         if !self.stateful {
             // Stateless: relay towards the next Via.
-            let Some(dest) = msg.vias.first().and_then(|v| parse_sim_addr(&v.sent_by)) else {
+            let next = msg
+                .parsed()
+                .vias
+                .get(1)
+                .and_then(|v| parse_sim_addr(&v.sent_by));
+            let Some(dest) = next else {
                 self.stats.route_failures += 1;
                 return plan;
             };
             self.stats.forwards += 1;
             plan.out.push(Outgoing {
-                bytes: bytes_from(msg.to_bytes()),
+                bytes: msg.relay(&mut self.buf),
                 dest,
                 alt: Some(dest),
             });
             return plan;
         }
 
-        let Some(id) = self.txn_index.get(msg.cseq_method, &our_via.branch) else {
-            if msg.cseq_method == Method::Cancel {
+        let cseq_method = msg.cseq_method();
+        let Some(id) = self.txn_index.get(cseq_method, our_branch) else {
+            if cseq_method == Method::Cancel {
                 // The callee's 200 to our relayed CANCEL; we already
                 // answered the caller ourselves.
                 self.stats.cancel_responses_absorbed += 1;
@@ -537,7 +722,7 @@ impl ProxyCore {
             }
             return plan;
         };
-        let bytes = bytes_from(msg.to_bytes());
+        let bytes = msg.relay(&mut self.buf);
         let txn = self.txns.get_mut(&id).expect("index is consistent");
         txn.last_response = Some(bytes.clone());
         if code.is_provisional() {

@@ -20,11 +20,10 @@ use siperf_simcore::time::SimTime;
 use siperf_simnet::SockAddr;
 use siperf_simos::lock::LockId;
 use siperf_simos::syscall::Syscall;
-use siperf_sip::parse::parse_message;
 
 use crate::config::{AppCostModel, IdleStrategy, ProxyConfig, Transport};
 use crate::conn::ConnTable;
-use crate::core::{Outgoing, Plan, ProxyCore};
+use crate::core::{Inbound, Outgoing, Plan, ProxyCore};
 
 /// The proxy's shared-memory locks, created once at spawn time.
 #[derive(Debug, Clone, Copy)]
@@ -99,10 +98,11 @@ impl ConnShared {
         self.cfg.idle_strategy == IdleStrategy::PriorityQueue
     }
 
-    /// Parses one received message and hands it to
-    /// [`ProxyCore::handle_message`] (admission, then routing), charges its
-    /// work to `script` — only the shed cost if the plan is rejected — and
-    /// returns the sends for the caller to put on the wire its own way.
+    /// Reads one received message (see [`Inbound::read`]) and hands it to
+    /// [`ProxyCore::handle`] (admission, then routing), charges its work to
+    /// `script` — only the shed cost if the plan is rejected — and returns
+    /// the sends for the caller to put on the wire its own way. The parse
+    /// burst is charged by size, whether the message was scanned or parsed.
     ///
     /// `backlog` is the caller's `(worker index, framed-but-unrouted
     /// messages)`, reported to the overload policy before admission so it
@@ -118,7 +118,7 @@ impl ConnShared {
         backlog: Option<(usize, usize)>,
     ) -> Vec<Outgoing> {
         let parse_ns = self.cfg.app_costs.parse_cost(raw.len());
-        let msg = match parse_message(raw) {
+        let msg = match Inbound::read(raw) {
             Ok(msg) => msg,
             Err(_) => {
                 self.core.borrow_mut().stats.parse_errors += 1;
@@ -134,7 +134,7 @@ impl ConnShared {
         if let Some((idx, depth)) = backlog {
             core.note_worker_backlog(idx, depth);
         }
-        let plan = core.handle_message(now, msg, src);
+        let plan = core.handle(now, msg, src);
         drop(core);
         if plan.rejected {
             // Shed: servers in the SER lineage refuse new work from the
@@ -222,6 +222,7 @@ mod tests {
     use siperf_simnet::{HostId, SockAddr};
     use siperf_sip::gen::{self, CallParty};
     use siperf_sip::msg::StatusCode;
+    use siperf_sip::parse::parse_message;
 
     #[test]
     fn addr_encoding_roundtrips() {

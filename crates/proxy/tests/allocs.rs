@@ -1,13 +1,14 @@
-//! Heap allocations of the proxy's transaction lookups, counted by a
-//! wrapping global allocator. Matching a message to its transaction borrows
-//! the branch from the message: absorbing a retransmission or relaying a
-//! response copies no key.
+//! Heap allocations of the proxy's routing, counted by a wrapping global
+//! allocator. Matching a message to its transaction borrows the branch from
+//! the message: absorbing a retransmission or relaying a response copies no
+//! key. Forwarding an INVITE read from the wire parses nothing and builds
+//! no message.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use siperf_proxy::config::Transport;
-use siperf_proxy::core::{Plan, ProxyCore};
+use siperf_proxy::core::{Inbound, Plan, ProxyCore};
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_sip::gen::{self, CallParty};
@@ -106,4 +107,34 @@ fn absorbing_a_retransmission_copies_no_transaction_key() {
     assert_eq!(plan.out.len(), 1, "the stored 180 is replayed");
     // Only the plan's list: the replayed response is shared.
     assert!(allocs <= 1, "{allocs} allocations, want at most 1");
+}
+
+#[test]
+fn forwarding_an_invite_from_the_wire_builds_no_message() {
+    let (mut core, _, _) = invite_in_flight();
+    let alice = CallParty::new("alice", "h1:20001");
+    let bob = CallParty::new("bob", "h2:20002");
+    let mut forward = |no: u32| {
+        let (id, branch) = (format!("c{no}"), format!("z9hG4bKi{no}"));
+        let wire = gen::invite(&alice, &bob, "sip.lab", &id, &branch, "UDP").to_bytes();
+        counted(|| {
+            let msg = Inbound::read(&wire).expect("the INVITE reads");
+            assert!(matches!(msg, Inbound::Scanned(_)), "the INVITE scans");
+            core.handle(t(3), msg, ALICE_SRC)
+        })
+    };
+    // The first splice grows the core's write buffer.
+    forward(2);
+    let (plan, allocs) = forward(3);
+    assert!(plan.txn_created);
+    assert_eq!(plan.out.len(), 2, "the 100 Trying and the forward");
+    // Debug builds also build every splice through the builders, to check
+    // it; the bound holds where that check is off.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    // The 100 and the forward (one shared copy each), the two transaction
+    // keys and the plan's list; one more when a transaction-table node
+    // splits.
+    assert!(allocs <= 6, "{allocs} allocations, want at most 6");
 }

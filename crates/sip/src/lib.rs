@@ -17,9 +17,10 @@
 //! * [`parse`] — a genuine textual parser for the RFC 3261 subset a proxy's
 //!   hot path touches (compact forms, display names, parameters), in one
 //!   pass over the header bytes.
-//! * [`scan`] — a narrow reader for the few message shapes a simulated
-//!   phone expects, in place and without allocating; anything else reads
-//!   as `None`, and the phone falls back to [`parse`].
+//! * [`scan`] — a narrow reader for the call's few message shapes, in
+//!   place and without allocating, and the splices that answer, forward
+//!   and relay a scanned message from its bytes; anything else reads as
+//!   `None`, and the phone or proxy falls back to [`parse`] and [`gen`].
 //! * [`framer`] — `Content-Length`-based reassembly of messages from TCP
 //!   byte streams, the reason a connection can only be read by one worker.
 //! * [`txn`] — transaction keys and the RFC 3261 §17 retransmission

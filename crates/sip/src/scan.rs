@@ -1,10 +1,12 @@
-//! A narrow reader for the messages a simulated phone expects.
+//! A narrow reader for the call's messages, and the splices that answer
+//! and relay them from their bytes.
 //!
 //! A phone of the benchmark receives a handful of message shapes, every
 //! one of them written by [`SipMessage::to_bytes`](crate::msg::SipMessage::to_bytes):
 //! the proxy's 100 Trying, the callee's 180 and 200 relayed back, and the
-//! INVITE, ACK and BYE forwarded to the callee. [`scan`] reads exactly that
-//! layout in place, copying and allocating nothing:
+//! INVITE, ACK and BYE forwarded to the callee. The proxy receives the same
+//! shapes one hop earlier. [`scan`] reads exactly that layout in place,
+//! copying and allocating nothing:
 //!
 //! ```text
 //! start line                 SIP/2.0 100|180|200 <reason>   or   INVITE|ACK|BYE sip:u@h SIP/2.0
@@ -28,17 +30,29 @@
 //!
 //! Whatever `scan` accepts, `parse_message` accepts too and reads every
 //! field alike, and the parsed message serializes back to the scanned
-//! bytes. So a phone may answer from the scanned byte ranges: they are what
-//! [`gen::response`](crate::gen::response) would copy.
+//! bytes (up to the end of the body). So the scanned bytes can be edited
+//! in place of the parsed message, and each edit writes what the builders
+//! would:
+//!
+//! * [`Scan::write_reply`] answers: the status line, the request's Via
+//!   through `To` bytes, an optional `To` tag, its `Call-ID` and `CSeq`
+//!   lines, then a [`Tail`]. That is [`gen::response`](crate::gen::response)
+//!   serialized. The callee's 180 and 200 and the proxy's 100 Trying are
+//!   written this way.
+//! * [`Scan::write_forward`] is the request a proxy forwards: one more Via
+//!   line on top, and `Max-Forwards` one lower.
+//! * [`Scan::write_relay`] is the response a proxy relays: the top Via
+//!   line cut out.
 
 use crate::msg::{Method, StatusCode};
 
-/// The start line of a scanned message.
+/// The start line of a message; a scanned one is an INVITE, ACK or BYE,
+/// or a 100, 180 or 200.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Start {
-    /// An INVITE, ACK or BYE request.
+    /// A request.
     Request(Method),
-    /// A 100, 180 or 200 response.
+    /// A response.
     Response(StatusCode),
 }
 
@@ -64,24 +78,136 @@ pub struct Scan<'a> {
     pub cseq: u32,
     /// `CSeq` method: INVITE, ACK or BYE.
     pub cseq_method: Method,
-    /// The Via lines through the `To` value, without its line end.
-    head: &'a [u8],
-    /// The `To` line's end through the `CSeq` line's end.
-    dialog: &'a [u8],
+    /// `Max-Forwards`.
+    pub max_forwards: u32,
+    /// The scanned buffer up to the end of the body.
+    wire: &'a [u8],
+    /// The top Via line, with its line end. It starts where the start
+    /// line ends.
+    top_via: Span,
+    /// The `Max-Forwards` digits.
+    max_forwards_digits: Span,
+    /// The end of the `To` value, without its line end.
+    to_end: usize,
+    /// The end of the `CSeq` line, with its line end.
+    dialog_end: usize,
 }
 
+/// What a reply written by [`Scan::write_reply`] ends with, after the
+/// `CSeq` line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tail<'t> {
+    /// No `Contact` and no body: `Max-Forwards: 70` and
+    /// `Content-Length: 0`.
+    Bare,
+    /// A `Contact: <uri>` line, then `rest`: the `Max-Forwards` and
+    /// `Content-Length` lines, the blank line and the body.
+    Contact {
+        /// The `Contact` URI, `sip:user@host`.
+        uri: &'t str,
+        /// Everything after the `Contact` line.
+        rest: &'t [u8],
+    },
+}
+
+/// The header lines every reply without `Contact` or body ends with, as
+/// [`gen::response`](crate::gen::response) writes them.
+const BARE_TAIL: &[u8] = b"Max-Forwards: 70\r\nContent-Length: 0\r\n\r\n";
+
 impl<'a> Scan<'a> {
+    /// The message as received, up to the end of its body.
+    pub fn wire(&self) -> &'a [u8] {
+        self.wire
+    }
+
     /// The Via lines, `From` and `To` up to the end of its value: what a
     /// response copies before it may add its `To` tag.
     pub fn head(&self) -> &'a [u8] {
-        self.head
+        &self.wire[self.top_via.0..self.to_end]
     }
 
     /// `\r\n`, then the `Call-ID` and `CSeq` lines with their line ends:
     /// what a response copies after the `To` value.
     pub fn dialog(&self) -> &'a [u8] {
-        self.dialog
+        &self.wire[self.to_end..self.dialog_end]
     }
+
+    /// Appends the `code` reply to this request: the status line,
+    /// [`head`](Self::head), `;tag=` and `to_tag` if one is given and the
+    /// `To` has none yet, [`dialog`](Self::dialog), then `tail`.
+    pub fn write_reply(
+        &self,
+        out: &mut Vec<u8>,
+        code: StatusCode,
+        to_tag: Option<&str>,
+        tail: Tail<'_>,
+    ) {
+        out.extend_from_slice(b"SIP/2.0 ");
+        push_decimal(out, code.0.into());
+        out.push(b' ');
+        out.extend_from_slice(code.reason().as_bytes());
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.head());
+        if let (Some(tag), None) = (to_tag, self.to_tag) {
+            out.extend_from_slice(b";tag=");
+            out.extend_from_slice(tag.as_bytes());
+        }
+        out.extend_from_slice(self.dialog());
+        match tail {
+            Tail::Bare => out.extend_from_slice(BARE_TAIL),
+            Tail::Contact { uri, rest } => {
+                out.extend_from_slice(b"Contact: <");
+                out.extend_from_slice(uri.as_bytes());
+                out.extend_from_slice(b">\r\n");
+                out.extend_from_slice(rest);
+            }
+        }
+    }
+
+    /// Appends this request as a proxy forwards it: a new top Via line
+    /// `SIP/2.0/{transport} {sent_by};branch={branch}`, and `Max-Forwards`
+    /// one lower.
+    ///
+    /// # Panics
+    ///
+    /// If `Max-Forwards` is 0: such a request has no hop left to forward.
+    pub fn write_forward(&self, out: &mut Vec<u8>, transport: &str, sent_by: &str, branch: &str) {
+        let hops = self.max_forwards.checked_sub(1).expect("a hop to spend");
+        let (via, (mf_start, mf_end)) = (self.top_via.0, self.max_forwards_digits);
+        out.extend_from_slice(&self.wire[..via]);
+        out.extend_from_slice(b"Via: SIP/2.0/");
+        out.extend_from_slice(transport.as_bytes());
+        out.push(b' ');
+        out.extend_from_slice(sent_by.as_bytes());
+        out.extend_from_slice(b";branch=");
+        out.extend_from_slice(branch.as_bytes());
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.wire[via..mf_start]);
+        push_decimal(out, hops.into());
+        out.extend_from_slice(&self.wire[mf_end..]);
+    }
+
+    /// Appends this response as a proxy relays it: without its top Via
+    /// line.
+    pub fn write_relay(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.wire[..self.top_via.0]);
+        out.extend_from_slice(&self.wire[self.top_via.1..]);
+    }
+}
+
+/// Appends `n` in decimal.
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Reads `buf` if it is one message in the layout of the
@@ -89,8 +215,9 @@ impl<'a> Scan<'a> {
 pub fn scan(buf: &[u8]) -> Option<Scan<'_>> {
     let mut r = Reader { buf, at: 0 };
     let start = r.start_line()?;
-    let head_start = r.at;
+    let via_start = r.at;
     let (sent_by, branch) = r.via()?;
+    let top_via = (via_start, r.at);
     while r.buf[r.at..].starts_with(b"Via: ") {
         r.via()?;
     }
@@ -114,7 +241,9 @@ pub fn scan(buf: &[u8]) -> Option<Scan<'_>> {
         r.crlf()?;
     }
     r.lit(b"Max-Forwards: ")?;
-    r.number::<u32>()?;
+    let mf_start = r.at;
+    let max_forwards = r.number()?;
+    let max_forwards_digits = (mf_start, r.at);
     r.crlf()?;
     r.lit(b"Content-Length: ")?;
     let content_length: usize = r.number()?;
@@ -139,8 +268,12 @@ pub fn scan(buf: &[u8]) -> Option<Scan<'_>> {
         call_id: str(call_id),
         cseq,
         cseq_method,
-        head: &buf[head_start..to_end],
-        dialog: &buf[to_end..dialog_end],
+        max_forwards,
+        wire: &buf[..head_end + content_length],
+        top_via,
+        max_forwards_digits,
+        to_end,
+        dialog_end,
     })
 }
 

@@ -1,14 +1,18 @@
-//! The phone-side scanner against the parser: over the messages of a call
-//! as a phone receives them, and over every single-byte change to them,
-//! `scan` either declines or agrees with `parse_message` on every field it
-//! reads (see `common::assert_scan_agrees`). The torture battery runs the
-//! same check on each of its inputs.
+//! The scanner against the parser: over the messages of a call as a phone
+//! receives them, and over every single-byte change to them, `scan` either
+//! declines or agrees with `parse_message` on every field it reads (see
+//! `common::assert_scan_agrees`). The torture battery runs the same check
+//! on each of its inputs. On the same inputs, each splice of a scanned
+//! message writes what editing the parsed message and serializing it
+//! writes (`assert_splices_agree`).
 
 mod common;
 
 use common::assert_scan_agrees;
 use siperf_sip::gen::{self, CallParty};
 use siperf_sip::msg::{SipMessage, StatusCode, Via};
+use siperf_sip::parse::parse_message;
+use siperf_sip::scan::{scan, Tail};
 
 /// The messages of one call as the phones receive them: the caller gets
 /// the responses with one Via, the callee the forwarded requests with two.
@@ -59,30 +63,34 @@ fn the_call_mix_scans_and_agrees_with_the_parser() {
     }
 }
 
+/// Every single-byte change, insertion and removal of `wire`.
+fn variants(wire: &[u8]) -> Vec<Vec<u8>> {
+    const BYTES: &[u8] = b" \t\r\n;:<>@=/-.0179aAzZ~\x00\x7f\x80\xff";
+    let mut variants = vec![];
+    for at in 0..wire.len() {
+        for &b in BYTES {
+            let mut changed = wire.to_vec();
+            changed[at] = b;
+            variants.push(changed);
+            let mut inserted = wire.to_vec();
+            inserted.insert(at, b);
+            variants.push(inserted);
+        }
+        let mut removed = wire.to_vec();
+        removed.remove(at);
+        variants.push(removed);
+    }
+    variants
+}
+
 #[test]
 fn every_single_byte_change_scans_alike_or_falls_back() {
-    const BYTES: &[u8] = b" \t\r\n;:<>@=/-.0179aAzZ~\x00\x7f\x80\xff";
     let mut accepted = 0;
     let mut tried = 0;
     for (_, msg) in phone_mix() {
-        let wire = msg.to_bytes();
-        for at in 0..wire.len() {
-            let mut variants = vec![];
-            for &b in BYTES {
-                let mut changed = wire.clone();
-                changed[at] = b;
-                variants.push(changed);
-                let mut inserted = wire.clone();
-                inserted.insert(at, b);
-                variants.push(inserted);
-            }
-            let mut removed = wire.clone();
-            removed.remove(at);
-            variants.push(removed);
-            for variant in variants {
-                tried += 1;
-                accepted += u32::from(assert_scan_agrees(&variant));
-            }
+        for variant in variants(&msg.to_bytes()) {
+            tried += 1;
+            accepted += u32::from(assert_scan_agrees(&variant));
         }
     }
     // Changes inside names, numbers, tags and the body still scan; the
@@ -91,4 +99,83 @@ fn every_single_byte_change_scans_alike_or_falls_back() {
         accepted > tried / 20,
         "only {accepted} of {tried} variants scanned"
     );
+}
+
+/// Checks every splice of `raw` against the parsed message edited the same
+/// way and serialized; returns whether `raw` scanned.
+#[track_caller]
+fn assert_splices_agree(raw: &[u8]) -> bool {
+    let Some(s) = scan(raw) else {
+        return false;
+    };
+    let msg = parse_message(raw).expect("whatever scans parses");
+    let shown = String::from_utf8_lossy(raw);
+    let check = |what: &str, spliced: &[u8], built: &SipMessage| {
+        assert_eq!(
+            String::from_utf8_lossy(spliced),
+            String::from_utf8_lossy(&built.to_bytes()),
+            "{what} of {shown:?}"
+        );
+    };
+
+    if s.max_forwards > 0 {
+        let mut out = b"kept".to_vec();
+        s.write_forward(&mut out, "SCTP", "h0:5060", "z9hG4bKpx1234");
+        let mut fwd = msg.clone();
+        fwd.vias
+            .insert(0, Via::new("SCTP", "h0:5060", "z9hG4bKpx1234"));
+        fwd.max_forwards -= 1;
+        assert!(out.starts_with(b"kept"), "the writers append");
+        check("the forward", &out[4..], &fwd);
+    }
+
+    let mut out = vec![];
+    s.write_relay(&mut out);
+    let mut relayed = msg.clone();
+    relayed.vias.remove(0);
+    check("the relay", &out, &relayed);
+
+    for (code, tag) in [
+        (StatusCode::TRYING, None),
+        (StatusCode::RINGING, Some("tt-x")),
+        (StatusCode::NOT_FOUND, None),
+    ] {
+        out.clear();
+        s.write_reply(&mut out, code, tag, Tail::Bare);
+        check("a bare reply", &out, &gen::response(code, &msg, tag, None));
+    }
+    let ok = gen::response(StatusCode::OK, &msg, Some("tt-x"), Some(msg.to.uri.clone()));
+    let mut rest = format!(
+        "Max-Forwards: 70\r\nContent-Length: {}\r\n\r\n",
+        ok.body.len()
+    )
+    .into_bytes();
+    rest.extend_from_slice(&ok.body);
+    out.clear();
+    let tail = Tail::Contact {
+        uri: s.to_uri,
+        rest: &rest,
+    };
+    s.write_reply(&mut out, StatusCode::OK, Some("tt-x"), tail);
+    check("a 200 with Contact", &out, &ok);
+    true
+}
+
+#[test]
+fn the_call_mix_splices_as_the_builders_write() {
+    for (i, (name, msg)) in phone_mix().into_iter().enumerate() {
+        let accepted = assert_splices_agree(&msg.to_bytes());
+        assert_eq!(accepted, i < 7, "{name}");
+    }
+}
+
+#[test]
+fn every_scanned_single_byte_change_splices_as_the_builders_write() {
+    let mut accepted = 0;
+    for (_, msg) in phone_mix() {
+        for variant in variants(&msg.to_bytes()) {
+            accepted += u32::from(assert_splices_agree(&variant));
+        }
+    }
+    assert!(accepted > 1000, "only {accepted} variants scanned");
 }

@@ -33,9 +33,10 @@
 //! `z9hG4bK{user}{i|a|b}{n}`), the callee's user name and its `To` tag.
 //! Each request is then the template with the call's fields spliced in,
 //! written into one reused buffer. A callee ([`Callee`]) answers an INVITE
-//! or a BYE by copying the request's own Via, `From`, `To`, `Call-ID` and
-//! `CSeq` bytes between fixed text in [`SipMessage::to_bytes`]' header
-//! order, adding its `To` tag when the request has none.
+//! or a BYE with [`Scan::write_reply`]: the request's own Via, `From`,
+//! `To`, `Call-ID` and `CSeq` bytes between fixed text in
+//! [`SipMessage::to_bytes`]' header order, with its `To` tag added when
+//! the request has none.
 //!
 //! Incoming messages are read by [`siperf_sip::scan`], which reads the
 //! few shapes a phone expects in place. Whatever it declines (503
@@ -64,7 +65,7 @@ use siperf_simnet::HostId;
 use siperf_sip::gen::{self, CallParty, BRANCH_COOKIE};
 use siperf_sip::msg::{Method, SipMessage, StatusCode};
 use siperf_sip::parse::parse_message;
-use siperf_sip::scan::{scan, Scan, Start};
+use siperf_sip::scan::{push_decimal, scan, Scan, Start, Tail};
 use siperf_sip::txn::{RetransClock, TimerVerdict, TIMEOUT};
 
 use crate::stats::WorkloadStats;
@@ -312,21 +313,6 @@ impl Template {
         }
         out.extend_from_slice(&self.text[at..]);
     }
-}
-
-/// Appends `n` in decimal.
-fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[at..]);
 }
 
 /// How a caller writes its requests: who it is, whom it dials, and its
@@ -943,9 +929,6 @@ fn parse_and_answer(user: &str, raw: &[u8], ring: SimDuration) -> CalleeAnswer {
     }
 }
 
-/// The header lines every answer without a body ends with.
-const BARE_TAIL: &[u8] = b"Max-Forwards: 70\r\nContent-Length: 0\r\n\r\n";
-
 /// A callee's answering machine on received bytes. It gives the answers
 /// of [`callee_answer_timed`] byte for byte, but writes the 180 and 200 to
 /// an INVITE and the 200 to a BYE from the request's own Via, `From`,
@@ -1015,54 +998,43 @@ impl CalleeWire {
         };
         match method {
             Method::Invite => {
-                let ringing = self.reply(req, b"SIP/2.0 180 Ringing\r\n", None);
+                let ringing = self.reply(req, StatusCode::RINGING, false);
                 out.immediate.push(ringing);
-                let ok = self.reply(req, b"SIP/2.0 200 OK\r\n", Some(req.to_uri));
+                let ok = self.reply(req, StatusCode::OK, true);
                 if ring.is_zero() {
                     out.immediate.push(ok);
                 } else {
                     out.delayed_ok = Some(ok);
                 }
             }
-            Method::Bye => out
-                .immediate
-                .push(self.reply(req, b"SIP/2.0 200 OK\r\n", None)),
+            Method::Bye => out.immediate.push(self.reply(req, StatusCode::OK, false)),
             _ => {} // ACK
         }
         Some(out)
     }
 
-    /// One answer to `req`: the status line, the request's Via through
-    /// `To` bytes, our `To` tag if the request has none, its `Call-ID` and
-    /// `CSeq` lines, then for a 200 to an INVITE the `Contact` (the
-    /// request's `To` URI) and the SDP answer.
-    fn reply(&mut self, req: &Scan<'_>, status_line: &[u8], contact: Option<&str>) -> Bytes {
-        let out = &mut self.buf;
-        out.clear();
-        out.extend_from_slice(status_line);
-        out.extend_from_slice(req.head());
-        if req.to_tag.is_none() {
-            out.extend_from_slice(b";tag=");
-            out.extend_from_slice(self.tag.as_bytes());
-        }
-        out.extend_from_slice(req.dialog());
-        match contact {
-            Some(uri) => {
-                out.extend_from_slice(b"Contact: <");
-                out.extend_from_slice(uri.as_bytes());
-                out.extend_from_slice(b">\r\n");
-                out.extend_from_slice(&self.invite_ok_tail);
+    /// One answer to `req` (see [`Scan::write_reply`]), with our `To` tag
+    /// if the request has none. The 200 to an INVITE carries the `Contact`
+    /// (the request's `To` URI) and the SDP answer.
+    fn reply(&mut self, req: &Scan<'_>, code: StatusCode, with_answer: bool) -> Bytes {
+        let tail = if with_answer {
+            Tail::Contact {
+                uri: req.to_uri,
+                rest: &self.invite_ok_tail,
             }
-            None => out.extend_from_slice(BARE_TAIL),
-        }
-        Bytes::from(&out[..])
+        } else {
+            Tail::Bare
+        };
+        self.buf.clear();
+        req.write_reply(&mut self.buf, code, Some(&self.tag), tail);
+        Bytes::from(&self.buf[..])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siperf_proxy::core::ProxyCore;
+    use siperf_proxy::core::{Inbound, ProxyCore};
     use std::collections::VecDeque;
 
     fn t(ms: u64) -> SimTime {
@@ -1770,8 +1742,8 @@ mod tests {
                     continue;
                 };
                 now += SimDuration::from_micros(10);
-                let msg = parse_message(&bytes).expect("phones send what parses");
-                for out in self.core.handle_message(now, msg, src).out {
+                let msg = Inbound::read(&bytes).expect("phones send what parses");
+                for out in self.core.handle(now, msg, src).out {
                     if out.dest == CALLER {
                         for req in self.engine.on_wire(now, &out.bytes) {
                             self.check_request(&req);
