@@ -31,9 +31,9 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fmt;
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::{HostId, SockAddr};
 
@@ -212,7 +212,7 @@ pub struct WindowFeedback {
     pub decrease_hold: SimDuration,
     /// Seconds advertised in `Retry-After` on rejections.
     pub retry_after: u32,
-    state: HashMap<HostId, UpstreamWindow>,
+    state: FastMap<HostId, UpstreamWindow>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -237,7 +237,7 @@ impl WindowFeedback {
             increase: 0.5,
             decrease_hold: SimDuration::from_millis(200),
             retry_after,
-            state: HashMap::new(),
+            state: FastMap::default(),
         }
     }
 

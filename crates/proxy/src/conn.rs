@@ -11,8 +11,9 @@
 //! supervisor and worker processes charge lock and CPU costs around them.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
 
@@ -52,8 +53,8 @@ impl ConnObj {
 /// shared priority queue.
 #[derive(Debug, Default)]
 pub struct ConnTable {
-    by_id: HashMap<u64, ConnObj>,
-    by_peer: HashMap<SockAddr, u64>,
+    by_id: FastMap<u64, ConnObj>,
+    by_peer: FastMap<SockAddr, u64>,
     next: u64,
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>, // (expire, id, stamp)
     /// When false (the baseline linear-scan deployment), the heap is not
@@ -180,6 +181,8 @@ impl ConnTable {
             .filter(|o| o.owner == worker && o.returned_at.is_none())
             .map(|o| (o.id, o.peer))
             .collect();
+        // `by_id` is a `FastMap`: its walk follows the table's history, so
+        // sort by id before anyone sees the order.
         owned.sort();
         owned
     }
@@ -199,7 +202,8 @@ impl ConnTable {
     pub fn hunt_linear(&self, now: SimTime, timeout: SimDuration) -> IdleHunt {
         let mut hunt = IdleHunt::default();
         let mut ids: Vec<&ConnObj> = self.by_id.values().collect();
-        // Deterministic order for reproducibility.
+        // `by_id` is a `FastMap`: walk it in id order, not table order, for
+        // reproducibility.
         ids.sort_by_key(|o| o.id);
         for obj in ids {
             hunt.examined += 1;

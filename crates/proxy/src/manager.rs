@@ -23,9 +23,10 @@
 //! under threads.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::SockAddr;
 use siperf_simos::ipc::{ChanId, Side};
@@ -68,7 +69,7 @@ const HOUSEKEEPING: SimDuration = SimDuration::from_millis(500);
 
 /// conn id → the manager's descriptor for it; under threads, valid in
 /// every thread (shared fd table).
-pub(crate) type FdRegistry = Rc<RefCell<HashMap<u64, Fd>>>;
+pub(crate) type FdRegistry = Rc<RefCell<FastMap<u64, Fd>>>;
 
 enum Phase {
     Attach,

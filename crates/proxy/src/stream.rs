@@ -14,8 +14,9 @@
 //! * `threaded::SharedAccess` — the threaded server reads a descriptor
 //!   table every thread shares (§6).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
 use siperf_simos::ipc::{ChanId, Side};
@@ -68,8 +69,8 @@ pub(crate) struct ConnState {
     /// control channel.
     pub chan_fds: Vec<Fd>,
     /// The connections this worker reads, by connection id.
-    pub owned: HashMap<u64, OwnedConn>,
-    conn_by_fd: HashMap<Fd, u64>,
+    pub owned: FastMap<u64, OwnedConn>,
+    conn_by_fd: FastMap<Fd, u64>,
     /// Syscalls to play out before the loop continues.
     pub script: VecDeque<Syscall>,
 }
@@ -207,9 +208,9 @@ impl<A: ConnAccess> ConnWorker<A> {
             st: ConnState {
                 idx,
                 shared,
-                owned: HashMap::new(),
+                owned: FastMap::default(),
                 chan_fds: Vec::new(),
-                conn_by_fd: HashMap::new(),
+                conn_by_fd: FastMap::default(),
                 script: VecDeque::new(),
             },
             access,
@@ -371,7 +372,7 @@ impl<A: ConnAccess> ConnWorker<A> {
             fds.push(self.st.chan_fds[0]);
             fds.extend(self.st.owned.values().map(|o| o.fd));
             // Poll order decides which ready connection is served first;
-            // sort so it does not depend on HashMap iteration order.
+            // sort so it does not depend on `FastMap` iteration order.
             fds[1..].sort_unstable();
             self.phase = Phase::Poll;
             return Syscall::Poll {

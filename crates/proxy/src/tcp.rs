@@ -25,8 +25,9 @@
 //! `IpcAccess`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simos::ipc::ChanId;
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
@@ -78,7 +79,7 @@ pub(crate) struct IpcAccess {
     /// The assign channel, then the request channel.
     chans: [ChanId; 2],
     /// The §5.2 per-worker descriptor cache.
-    cache: HashMap<u64, Fd>,
+    cache: FastMap<u64, Fd>,
     /// The §5.3 worker-local priority queue over owned connections.
     local_heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     /// When the next idle hunt is due; set at start-up.
@@ -93,7 +94,7 @@ impl IpcAccess {
     pub fn new(assign_chan: ChanId, req_chan: ChanId, manager_restarts: u64) -> Self {
         IpcAccess {
             chans: [assign_chan, req_chan],
-            cache: HashMap::new(),
+            cache: FastMap::default(),
             local_heap: BinaryHeap::new(),
             next_idle_check: None,
             manager_restarts,
@@ -142,6 +143,7 @@ impl IpcAccess {
                     .get(ConnId(id))
                     .is_some_and(|obj| obj.expires_at(timeout) <= now)
             }));
+            // `owned` is a `FastMap`: return in id order, not table order.
             expired.sort_unstable();
             let examined = st.owned.len() as u64;
             (examined, costs.idle_scan_entry * examined.max(1))
@@ -172,7 +174,7 @@ impl IpcAccess {
             .filter(|&c| conns.get(ConnId(c)).is_none())
             .collect();
         drop(conns);
-        // Close in id order, not HashMap order, for reproducibility.
+        // Close in id order, not `FastMap` order, for reproducibility.
         dead.sort_unstable();
         for conn in dead {
             let fd = self.cache.remove(&conn).expect("cached");
@@ -215,6 +217,7 @@ impl ConnAccess for IpcAccess {
         if restarts != self.manager_restarts {
             self.manager_restarts = restarts;
             let mut owned: Vec<(u64, Fd)> = st.owned.iter().map(|(&c, o)| (c, o.fd)).collect();
+            // `owned` is a `FastMap`: announce in id order, not table order.
             owned.sort_unstable();
             for (conn, fd) in owned {
                 st.script.push_back(Syscall::IpcSend {

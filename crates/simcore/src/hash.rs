@@ -7,19 +7,41 @@
 //! simulation itself made. [`FastHasher`] is the multiply-rotate
 //! construction of FxHash: one rotate, xor and multiply per word.
 //!
+//! The TCP path looks up on every message and every reconnect: the
+//! proxy's shared connection table (`ConnTable`'s `by_id` and `by_peer`),
+//! each connection worker's owned connections and fd-to-connection map,
+//! its fd cache, the manager's `FdRegistry`, the phones' per-connection
+//! framers, and simnet's ephemeral port pool ([`FastSet`]s of the ports
+//! in use and in TIME_WAIT). The overload policy's per-upstream windows,
+//! the fault layer's partitions and accept freezes and the SCTP
+//! association tables are lookup tables too. The workspace's
+//! `clippy.toml` disallows std's `HashMap` and `HashSet`, so no other
+//! hasher creeps back in; these aliases are the one place they are named.
+//!
 //! **Use [`FastMap`] only for a map that is never iterated, or whose
-//! iteration is sorted before anything sees it** (simnet's
-//! `accept_thaw` sorts its listener walk). Iteration order still follows
-//! the table's insertion history and size, which code changes move
-//! freely; an order that reaches the packet schedule or a report must come
-//! from a sort or a `BTreeMap`. Keys must come from inside the program:
-//! the hash has no defence against keys crafted to collide.
+//! iteration is sorted before anything sees it.** The walks that exist
+//! all sort: simnet's `accept_thaw` its listeners, `ConnTable`'s
+//! `hunt_linear` and `owned_by` by connection id, a worker's baseline idle
+//! scan, fd-cache sweep and re-announce to a restarted supervisor by
+//! connection id, and the worker's and the phones' poll lists by fd.
+//! Iteration order still follows the table's insertion history and size,
+//! which code changes move freely; an order that reaches the packet
+//! schedule or a report must come from a sort or a `BTreeMap`. Keys must
+//! come from inside the program: the hash has no defence against keys
+//! crafted to collide.
 
-use std::collections::HashMap;
+// The one place allowed to name the std tables; see the module docs.
+#[allow(clippy::disallowed_types)]
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed through [`FastHasher`].
+#[allow(clippy::disallowed_types)]
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` keyed through [`FastHasher`]; the same rules as [`FastMap`].
+#[allow(clippy::disallowed_types)]
+pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// Multiply-rotate hasher; see the [module docs](self) for when to use it.
 #[derive(Debug, Clone, Copy, Default)]

@@ -1,9 +1,10 @@
 //! Endpoint state for every socket type the stack supports.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use siperf_simcore::arena::Handle;
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::SimTime;
 
 use crate::addr::{HostId, SockAddr};
@@ -149,7 +150,7 @@ pub struct SctpEp {
     /// Received messages with their source association address.
     pub rx: VecDeque<(SockAddr, Bytes)>,
     /// Kernel-managed association table.
-    pub assoc: HashMap<SockAddr, AssocState>,
+    pub assoc: FastMap<SockAddr, AssocState>,
     /// Messages dropped because `rx` was full.
     pub dropped: u64,
 }

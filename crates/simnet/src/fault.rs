@@ -15,8 +15,7 @@
 //! instead of a missing byte. Unreliable transports (UDP) simply drop the
 //! datagram.
 
-use std::collections::HashMap;
-
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::rng::SimRng;
 use siperf_simcore::time::{SimDuration, SimTime};
 
@@ -92,11 +91,11 @@ pub(crate) struct FaultState {
     /// Active burst-loss window, if any.
     burst: Option<GeRun>,
     /// Blackholed host pairs (normalized lo/hi key) → heal time.
-    partitions: HashMap<(u32, u32), SimTime>,
+    partitions: FastMap<(u32, u32), SimTime>,
     /// Active latency spike: (ends at, extra one-way delay).
     spike: Option<(SimTime, SimDuration)>,
     /// Hosts whose accept queues are frozen → thaw time.
-    accept_frozen: HashMap<u32, SimTime>,
+    accept_frozen: FastMap<u32, SimTime>,
 }
 
 /// What the fault layer decided for one frame on a link.

@@ -7,7 +7,9 @@
 //! ephemeral range, quasi-sequential allocation, and ports held unusable in
 //! TIME_WAIT after an active close.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+
+use siperf_simcore::hash::FastSet;
 
 use crate::addr::Port;
 use crate::error::Errno;
@@ -16,8 +18,8 @@ use crate::error::Errno;
 #[derive(Debug, Clone)]
 pub struct PortPool {
     free: VecDeque<Port>,
-    in_use: HashSet<Port>,
-    time_wait: HashSet<Port>,
+    in_use: FastSet<Port>,
+    time_wait: FastSet<Port>,
     lo: Port,
     hi: Port,
 }
@@ -32,8 +34,8 @@ impl PortPool {
         assert!(lo <= hi, "empty ephemeral range");
         PortPool {
             free: (lo..=hi).collect(),
-            in_use: HashSet::new(),
-            time_wait: HashSet::new(),
+            in_use: FastSet::default(),
+            time_wait: FastSet::default(),
             lo,
             hi,
         }

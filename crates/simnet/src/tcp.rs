@@ -248,7 +248,7 @@ impl Network {
             if let TcpState::Failed(e) = t.state {
                 return Err(e);
             }
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(max.min(t.rx_bytes));
             while out.len() < max {
                 let Some((buf, off)) = t.rx.front_mut() else {
                     break;
@@ -265,7 +265,8 @@ impl Network {
             if out.is_empty() && !eof {
                 return Err(Errno::WouldBlock);
             }
-            (out.clone(), !out.is_empty(), t.peer, eof)
+            let drained = !out.is_empty();
+            (out, drained, t.peer, eof)
         };
         if drained {
             if let Some(Endpoint::Tcp(_)) = self.eps.get(peer) {

@@ -6,8 +6,20 @@
 //! a message might be split across two worker processes"). The
 //! [`StreamFramer`] reassembles a connection's byte stream into complete
 //! messages using the `Content-Length` header, as RFC 3261 §18.3 requires.
+//!
+//! Every message on a stream is framed before it is read, so the
+//! `Content-Length` pre-scan is on the TCP hot path. It works on the
+//! header bytes, as the parser does: it walks the lines with the parser's
+//! own line splitter, finds each colon eight bytes at a time, and builds
+//! no string of its own. The
+//! language it accepts is the one a `str::split("\r\n")` walk accepts: a
+//! header section that is not UTF-8 has no length, the first
+//! `Content-Length` (or compact `l`, in any case) wins even if its value
+//! does not parse, and names and values are trimmed by `str::trim`'s
+//! Unicode rule. `crates/sip/tests/framer.rs` keeps that walk as its
+//! oracle.
 
-use crate::parse::{header_end, HeaderName};
+use crate::parse::{header_end, memchr, HeaderName, Lines};
 
 /// A framing failure; the connection should be dropped, as OpenSER does.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +31,11 @@ pub enum FrameError {
     },
     /// The headers contain no parseable `Content-Length`.
     MissingContentLength,
+    /// `Content-Length` promises more bytes than a stream offset can hold.
+    LengthOverflow {
+        /// The promised body length.
+        content_length: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -32,6 +49,9 @@ impl std::fmt::Display for FrameError {
             }
             FrameError::MissingContentLength => {
                 write!(f, "stream message lacks content-length")
+            }
+            FrameError::LengthOverflow { content_length } => {
+                write!(f, "content-length {content_length} overflows the stream")
             }
         }
     }
@@ -80,7 +100,8 @@ impl StreamFramer {
     /// # Errors
     ///
     /// [`FrameError`] when the stream cannot possibly frame (oversized or
-    /// length-less headers); the caller should drop the connection.
+    /// length-less headers, or a length past the address space); the
+    /// caller should drop the connection.
     pub fn next_message(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         let window = &self.buf[self.read_at..];
         let Some(head_len) = header_end(window) else {
@@ -93,7 +114,11 @@ impl StreamFramer {
         };
         let body_len =
             scan_content_length(&window[..head_len]).ok_or(FrameError::MissingContentLength)?;
-        let total = head_len + body_len;
+        let total = head_len
+            .checked_add(body_len)
+            .ok_or(FrameError::LengthOverflow {
+                content_length: body_len,
+            })?;
         if window.len() < total {
             return Ok(None);
         }
@@ -121,12 +146,15 @@ impl StreamFramer {
 /// a full parse — the cheap pre-scan a stream transport performs.
 fn scan_content_length(head: &[u8]) -> Option<usize> {
     let text = std::str::from_utf8(head).ok()?;
-    for line in text.split("\r\n").skip(1) {
-        let Some((name, value)) = line.split_once(':') else {
+    // Line ends and colons are ASCII, so every span below is on a char
+    // boundary of `text`.
+    for (start, end) in Lines::new(head).skip(1) {
+        let Some(colon) = memchr(b':', &head[start..end]) else {
             continue;
         };
-        if HeaderName::classify(name) == HeaderName::ContentLength {
-            return value.trim().parse().ok();
+        let colon = start + colon;
+        if HeaderName::classify(&text[start..colon]) == HeaderName::ContentLength {
+            return text[colon + 1..end].trim().parse().ok();
         }
     }
     None
@@ -220,6 +248,34 @@ mod tests {
         let mut f = StreamFramer::new();
         f.push(b"INVITE sip:a@b SIP/2.0\r\nVia: SIP/2.0/TCP c:1;branch=z9hG4bK\r\n\r\n");
         assert_eq!(f.next_message(), Err(FrameError::MissingContentLength));
+    }
+
+    #[test]
+    fn a_length_past_the_address_space_is_fatal() {
+        // Twenty digits, so the head is as long whatever the length.
+        let framed = |len: usize| {
+            let mut f = StreamFramer::new();
+            f.push(
+                format!("BYE sip:a@b SIP/2.0\r\nContent-Length: {len:020}\r\n\r\nxyz").as_bytes(),
+            );
+            f.next_message()
+        };
+        let head_len = "BYE sip:a@b SIP/2.0\r\nContent-Length: \r\n\r\n".len() + 20;
+        assert_eq!(
+            framed(usize::MAX),
+            Err(FrameError::LengthOverflow {
+                content_length: usize::MAX
+            })
+        );
+        assert_eq!(
+            framed(usize::MAX - head_len + 1),
+            Err(FrameError::LengthOverflow {
+                content_length: usize::MAX - head_len + 1
+            })
+        );
+        // The largest length that fits only waits for its body.
+        assert_eq!(framed(usize::MAX - head_len), Ok(None));
+        assert_eq!(framed(3).unwrap().unwrap().len(), head_len + 3);
     }
 
     #[test]

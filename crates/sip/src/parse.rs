@@ -221,7 +221,7 @@ pub(crate) fn parse_uri(s: &str) -> Option<SipUri> {
 /// The offset of the first `needle` in `hay`. Eight bytes are tested at
 /// a time: XOR with the needle turns a match into a zero byte, and
 /// `(x - 0x01..) & !x & 0x80..` flags zero bytes, exactly for the lowest.
-fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
+pub(crate) fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
     let mut words = hay.chunks_exact(8);
@@ -382,10 +382,7 @@ pub fn parse_message(buf: &[u8]) -> Result<SipMessage, ParseError> {
     let text = std::str::from_utf8(&buf[..head_end - 4]).map_err(|_| ParseError::BadEncoding)?;
     let shared: Rc<str> = Rc::from(text);
     let head = Head { shared: &shared };
-    let mut lines = Lines {
-        bytes: head.bytes(),
-        at: Some(0),
-    };
+    let mut lines = Lines::new(head.bytes());
     let start = parse_start_line(&head, lines.next().ok_or(ParseError::BadStartLine)?)?;
 
     let mut vias = Vec::new();
@@ -481,11 +478,19 @@ pub fn parse_message(buf: &[u8]) -> Result<SipMessage, ParseError> {
     })
 }
 
-/// The `\r\n`-separated lines of a header section, as spans.
-struct Lines<'a> {
+/// The `\r\n`-separated lines of a header section, as spans: the same
+/// pieces, empty ones included, as `str::split("\r\n")` yields.
+pub(crate) struct Lines<'a> {
     bytes: &'a [u8],
     /// Where the next line starts; `None` once the last line is out.
     at: Option<usize>,
+}
+
+impl<'a> Lines<'a> {
+    /// The lines of `bytes`, from its first.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Lines { bytes, at: Some(0) }
+    }
 }
 
 impl Iterator for Lines<'_> {

@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn borrows_as_str_in_maps() {
-        let mut map = std::collections::HashMap::new();
+        let mut map = siperf_simcore::hash::FastMap::default();
         map.insert(Text::from("bob"), 1);
         assert_eq!(map.get("bob"), Some(&1));
     }

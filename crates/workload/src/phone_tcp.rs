@@ -10,8 +10,9 @@
 //! the old one for the server's idle management to clean up. That
 //! abandonment is precisely what loads the §5.2 idle-scan path.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::endpoint::Bytes;
 use siperf_simos::process::{Process, ResumeCtx};
@@ -63,7 +64,7 @@ pub struct TcpPhone {
     cfg: PhoneCfg,
     listener: Fd,
     client: Option<Fd>,
-    framers: HashMap<Fd, StreamFramer>,
+    framers: FastMap<Fd, StreamFramer>,
     engine: Option<CallEngine>,
     callee: Callee,
     reg_deadline: SimTime,
@@ -85,7 +86,7 @@ impl TcpPhone {
             cfg,
             listener: Fd(u32::MAX),
             client: None,
-            framers: HashMap::new(),
+            framers: FastMap::default(),
             engine: None,
             callee: Callee::default(),
             reg_deadline: SimTime::MAX,
@@ -121,7 +122,7 @@ impl TcpPhone {
         fds.push(self.listener);
         fds.extend(self.framers.keys().copied());
         // Poll order decides which ready connection is served first; sort
-        // so it does not depend on HashMap iteration order.
+        // so it does not depend on `FastMap` iteration order.
         fds[1..].sort_unstable();
         Syscall::Poll { fds, timeout }
     }
