@@ -286,3 +286,36 @@ fn udp_phone_gives_up_registering_behind_a_partition() {
     assert_eq!(report.connect_errors, 1, "the caller counts its give-up");
     assert_eq!(report.call_attempts, 0);
 }
+
+/// A TCP phone whose REGISTER sits in a frozen accept queue reconnects
+/// and registers again at each Timer F, and gives up after a bounded
+/// number of attempts, counted as a connect error.
+#[test]
+fn tcp_phone_re_registers_through_an_accept_freeze_and_then_gives_up() {
+    let frozen_for = |secs, measure_secs| {
+        let faults = FaultSchedule::new().at(
+            SimDuration::ZERO,
+            Fault::AcceptFreeze {
+                host: HostId(0),
+                duration: SimDuration::from_secs(secs),
+            },
+        );
+        let mut s = Scenario::builder("frozen-registrar")
+            .transport(Transport::Tcp)
+            .client_pairs(1)
+            .fault_schedule(faults)
+            .build();
+        s.measure_from = SimDuration::from_secs(2);
+        s.measure = SimDuration::from_secs(measure_secs);
+        s.run()
+    };
+    // The thaw comes during the second attempt: both phones register.
+    let thawed = frozen_for(40, 60);
+    assert_eq!(thawed.registered, 2, "both phones register after the thaw");
+    assert_eq!(thawed.connect_errors, 0);
+    // Five attempts of 32 s each end before a 200 s freeze does.
+    let frozen = frozen_for(200, 170);
+    assert_eq!(frozen.registered, 0, "no REGISTER is ever accepted");
+    assert_eq!(frozen.connect_errors, 2, "each phone counts its give-up");
+    assert_eq!(frozen.call_attempts, 0);
+}

@@ -15,7 +15,7 @@ use siperf::simnet::HostId;
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 15] = [
+const GOLDEN: [(&str, u64); 16] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -31,6 +31,7 @@ const GOLDEN: [(&str, u64); 15] = [
     ("threaded-kill-worker", 0x9b06_6687_9a77_ec5d),
     ("threaded-reset", 0x0f37_3717_31eb_e1fe),
     ("tcp-kill-supervisor", 0x3795_5ff0_e7a4_db9d),
+    ("tcp-cancel", 0x1ece_f027_7c4f_9b8b),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -152,6 +153,13 @@ fn scenario(name: &str) -> Scenario {
         "tcp-kill-supervisor" => b.transport(Transport::Tcp).client_pairs(10).fault_schedule(
             FaultSchedule::new().at(SimDuration::from_millis(700), Fault::KillSupervisor),
         ),
+        // The only case where a TCP callee holds a delayed 200 on a
+        // connection.
+        "tcp-cancel" => b
+            .transport(Transport::Tcp)
+            .client_pairs(8)
+            .cancel_every(3)
+            .ring_delay(SimDuration::from_millis(20)),
         other => panic!("no golden scenario named {other}"),
     })
 }
@@ -166,7 +174,7 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
             "tcp-fdcache-pq-churn" => p.fd_cache_hits > 0 && r.reconnects > 0,
             "threaded" => p.fd_requests == 0 && p.conns_assigned > 0,
             "open-loop-udp-shed" => p.overload_rejections > 0,
-            "udp-cancel" => p.cancels_relayed > 0,
+            "udp-cancel" | "tcp-cancel" => p.cancels_relayed > 0,
             "tcp-reset" => r.recovered_calls > 0 && r.workers_respawned > 0,
             "open-loop-tcp" => r.open_calls_peak > 1,
             "tcp-idle-expiry" => {
