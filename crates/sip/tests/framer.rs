@@ -15,6 +15,9 @@ use siperf_sip::parse::header_end;
 
 /// The framer's limit on an unterminated header section.
 const MAX_HEADER: usize = 16 * 1024;
+/// The framer's limit on one message, head plus body, enforced once more
+/// than that many bytes are buffered.
+const MAX_MESSAGE: usize = 64 * 1024;
 
 /// The `Content-Length` scan as it was written over `str`.
 fn oracle_content_length(head: &[u8]) -> Option<usize> {
@@ -49,6 +52,9 @@ fn oracle_next(window: &[u8]) -> Result<Option<usize>, FrameError> {
         .ok_or(FrameError::LengthOverflow {
             content_length: body_len,
         })?;
+    if total > MAX_MESSAGE && window.len() > MAX_MESSAGE {
+        return Err(FrameError::MessageTooLong { length: total });
+    }
     Ok((window.len() >= total).then_some(total))
 }
 
