@@ -33,7 +33,7 @@ use siperf_simos::ipc::{ChanId, Side};
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
-use crate::config::{Arch, IdleStrategy};
+use crate::config::{Arch, IdleStrategy, APP_COSTS};
 use crate::conn::ConnId;
 use crate::plumbing::{encode_addr, locked, tags, ConnShared};
 use crate::stream::attach_next;
@@ -163,7 +163,7 @@ impl ConnManager {
 
     /// Charges one connection-table operation under the table lock.
     fn table_op(&mut self) {
-        let ns = self.shared.cfg.app_costs.conn_table_op;
+        let ns = APP_COSTS.conn_table_op;
         locked(
             &mut self.script,
             self.shared.locks.conn,
@@ -274,12 +274,12 @@ impl ConnManager {
         let (hunt, ns) = match cfg.idle_strategy {
             IdleStrategy::LinearScan => {
                 let hunt = conns.hunt_linear(now, timeout);
-                let ns = cfg.app_costs.idle_scan_entry * hunt.examined.max(1);
+                let ns = APP_COSTS.idle_scan_entry * hunt.examined.max(1);
                 (hunt, ns)
             }
             IdleStrategy::PriorityQueue => {
                 let hunt = conns.hunt_priority_queue(now, timeout);
-                let ns = cfg.app_costs.pq_pop * hunt.examined + 400;
+                let ns = APP_COSTS.pq_pop * hunt.examined + 400;
                 (hunt, ns)
             }
         };

@@ -21,7 +21,7 @@ use siperf_simnet::SockAddr;
 use siperf_simos::lock::LockId;
 use siperf_simos::syscall::Syscall;
 
-use crate::config::{AppCostModel, IdleStrategy, ProxyConfig, Transport};
+use crate::config::{IdleStrategy, ProxyConfig, Transport, APP_COSTS};
 use crate::conn::ConnTable;
 use crate::core::{Inbound, Outgoing, Plan, ProxyCore};
 
@@ -117,7 +117,7 @@ impl ConnShared {
         src: SockAddr,
         backlog: Option<(usize, usize)>,
     ) -> Vec<Outgoing> {
-        let parse_ns = self.cfg.app_costs.parse_cost(raw.len());
+        let parse_ns = APP_COSTS.parse_cost(raw.len());
         let msg = match Inbound::read(raw) {
             Ok(msg) => msg,
             Err(_) => {
@@ -144,14 +144,13 @@ impl ConnShared {
             // can hold at 2× overload around 80% of peak. So a rejection is
             // charged only the sniff + canned 503, not parse/route/build.
             script.push_back(Syscall::Compute {
-                ns: self.cfg.app_costs.shed_fast,
+                ns: APP_COSTS.shed_fast,
                 tag: tags::SHED_FAST,
             });
             return plan.out;
         }
         routing_script(
             script,
-            &self.cfg.app_costs,
             &self.locks,
             self.cfg.transport,
             parse_ns,
@@ -168,7 +167,6 @@ impl ConnShared {
 /// The per-message sends are transport-specific and appended by the caller.
 pub fn routing_script(
     script: &mut VecDeque<Syscall>,
-    costs: &AppCostModel,
     locks: &Locks,
     transport: Transport,
     parse_ns: u64,
@@ -180,25 +178,30 @@ pub fn routing_script(
         tag: tags::PARSE,
     });
     let route_ns = if was_request {
-        costs.route_request
+        APP_COSTS.route_request
     } else {
-        costs.route_response
+        APP_COSTS.route_response
     };
     locked(script, locks.txn, route_ns, tags::ROUTE);
     if was_request && !plan.absorbed {
-        locked(script, locks.usrloc, costs.usrloc_lookup, tags::USRLOC);
+        locked(script, locks.usrloc, APP_COSTS.usrloc_lookup, tags::USRLOC);
     }
     // Building each outgoing message is charged here; putting it on the
     // wire is transport-specific.
     for _ in &plan.out {
         script.push_back(Syscall::Compute {
-            ns: costs.build_message,
+            ns: APP_COSTS.build_message,
             tag: tags::BUILD,
         });
     }
     if plan.txn_created && !transport.is_reliable() {
         // UDP: arm the retransmission timer on the shared list (§3.2).
-        locked(script, locks.timer, costs.timer_insert, tags::TIMER_INSERT);
+        locked(
+            script,
+            locks.timer,
+            APP_COSTS.timer_insert,
+            tags::TIMER_INSERT,
+        );
     }
 }
 
@@ -290,7 +293,7 @@ mod tests {
         script.clear();
         let inv = gen::invite(&bob, &alice, "sip.lab", "c2", "z9hG4bKa2", "UDP");
         let out = shared.route(&mut script, now, &inv.to_bytes(), b_src, None);
-        let shed_ns = shared.cfg.app_costs.shed_fast;
+        let shed_ns = APP_COSTS.shed_fast;
         assert!(matches!(
             script.make_contiguous(),
             [Syscall::Compute { ns, tag }] if *ns == shed_ns && *tag == tags::SHED_FAST
@@ -303,7 +306,6 @@ mod tests {
 
     #[test]
     fn routing_script_shape_udp_request() {
-        let costs = AppCostModel::opteron_2006();
         let locks = Locks {
             txn: LockId(0),
             usrloc: LockId(1),
@@ -318,15 +320,7 @@ mod tests {
             rejected: false,
         };
         let mut script = VecDeque::new();
-        routing_script(
-            &mut script,
-            &costs,
-            &locks,
-            Transport::Udp,
-            10_000,
-            true,
-            &plan,
-        );
+        routing_script(&mut script, &locks, Transport::Udp, 10_000, true, &plan);
         let kinds: Vec<&'static str> = script
             .iter()
             .map(|s| match s {
@@ -355,7 +349,6 @@ mod tests {
 
     #[test]
     fn routing_script_skips_timer_on_reliable_transport() {
-        let costs = AppCostModel::opteron_2006();
         let locks = Locks {
             txn: LockId(0),
             usrloc: LockId(1),
@@ -370,15 +363,7 @@ mod tests {
             rejected: false,
         };
         let mut script = VecDeque::new();
-        routing_script(
-            &mut script,
-            &costs,
-            &locks,
-            Transport::Tcp,
-            5_000,
-            true,
-            &plan,
-        );
+        routing_script(&mut script, &locks, Transport::Tcp, 5_000, true, &plan);
         assert!(!script.iter().any(|s| matches!(
             s,
             Syscall::Compute { tag, .. } if *tag == tags::TIMER_INSERT
@@ -387,7 +372,6 @@ mod tests {
 
     #[test]
     fn absorbed_retransmission_skips_usrloc() {
-        let costs = AppCostModel::opteron_2006();
         let locks = Locks {
             txn: LockId(0),
             usrloc: LockId(1),
@@ -399,15 +383,7 @@ mod tests {
             ..Default::default()
         };
         let mut script = VecDeque::new();
-        routing_script(
-            &mut script,
-            &costs,
-            &locks,
-            Transport::Udp,
-            5_000,
-            true,
-            &plan,
-        );
+        routing_script(&mut script, &locks, Transport::Udp, 5_000, true, &plan);
         assert!(!script.iter().any(|s| matches!(
             s,
             Syscall::Compute { tag, .. } if *tag == tags::USRLOC

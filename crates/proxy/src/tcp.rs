@@ -32,6 +32,7 @@ use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simos::ipc::ChanId;
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
+use crate::config::APP_COSTS;
 use crate::conn::ConnId;
 use crate::manager::{
     IDLE_CHECK_INTERVAL, MSG_CONN_DEAD, MSG_CONN_RETURN, MSG_FD_REQ, MSG_FD_RESP, MSG_NEW_CONN,
@@ -119,7 +120,6 @@ impl IpcAccess {
 
     fn idle_check(&mut self, st: &mut ConnState, now: SimTime) {
         let timeout = st.shared.cfg.idle_timeout;
-        let costs = &st.shared.cfg.app_costs;
         let mut expired: Vec<u64> = Vec::new();
         let (examined, cost) = if st.shared.pq_mode() {
             let mut pops = 0u64;
@@ -133,7 +133,7 @@ impl IpcAccess {
                     expired.push(conn);
                 }
             }
-            (pops, pops * costs.pq_pop + 300)
+            (pops, pops * APP_COSTS.pq_pop + 300)
         } else {
             // Baseline: examine every owned connection, reading the shared
             // objects (under the table lock).
@@ -146,7 +146,7 @@ impl IpcAccess {
             // `owned` is a `FastMap`: return in id order, not table order.
             expired.sort_unstable();
             let examined = st.owned.len() as u64;
-            (examined, costs.idle_scan_entry * examined.max(1))
+            (examined, APP_COSTS.idle_scan_entry * examined.max(1))
         };
         st.shared.core.borrow_mut().stats.idle_scan_entries += examined;
         locked(
@@ -251,7 +251,7 @@ impl ConnAccess for IpcAccess {
             self.touch_local(st, now, id.0);
         }
         if st.shared.cfg.fd_cache {
-            st.shared.cfg.app_costs.fd_cache_lookup
+            APP_COSTS.fd_cache_lookup
         } else {
             0
         }
@@ -367,7 +367,7 @@ impl ConnAccess for IpcAccess {
                     st.adopt(id.0, job.fd.expect("connected"), target);
                     self.touch_local(st, now, id.0);
                     let work = Syscall::Compute {
-                        ns: st.shared.cfg.app_costs.conn_table_op,
+                        ns: APP_COSTS.conn_table_op,
                         tag: tags::CONN_HASH,
                     };
                     Step::Next(IpcStep::PostConnUnlock, work)

@@ -21,7 +21,7 @@ use siperf_simcore::time::SimDuration;
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
-use crate::config::Transport;
+use crate::config::{Transport, APP_COSTS};
 use crate::plumbing::{locked, tags, ConnShared};
 
 /// The timer process's tick for retransmissions and transaction reaping.
@@ -54,13 +54,12 @@ impl TimerProc {
     }
 
     fn run_pass(&mut self, ctx: &ResumeCtx) {
-        let (locks, cfg) = (self.shared.locks, &self.shared.cfg);
+        let locks = self.shared.locks;
         // Lock ordering per OpenSER: timer list first, then transactions.
         let timer = locks.timer;
         self.script.push_back(Syscall::LockAcquire { lock: timer });
         let pass = self.shared.core.borrow_mut().timer_pass(ctx.now);
-        let scan_ns = cfg
-            .app_costs
+        let scan_ns = APP_COSTS
             .timer_scan_entry
             .saturating_mul(pass.examined.max(1));
         locked(&mut self.script, locks.txn, scan_ns, tags::TIMER_SCAN);

@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use siperf_simcore::time::{SimDuration, SimTime};
 
-use crate::msg::{Method, SipMessage};
+use crate::msg::Method;
 
 /// RFC 3261 T1: RTT estimate, the base retransmission interval.
 pub const T1: SimDuration = SimDuration::from_millis(500);
@@ -31,31 +31,6 @@ pub struct TxnKey {
     pub branch: Rc<str>,
     /// The method (responses use the CSeq method).
     pub method: Method,
-}
-
-impl TxnKey {
-    /// Extracts the key from any message, if it carries a Via.
-    pub fn of(msg: &SipMessage) -> Option<TxnKey> {
-        let branch = msg.branch()?.into();
-        let method = match msg.method() {
-            Some(m) => m,
-            None => msg.cseq_method,
-        };
-        Some(TxnKey { branch, method })
-    }
-}
-
-/// Where a transaction stands, from the proxy's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnState {
-    /// Request forwarded; no response seen yet. Retransmissions run on an
-    /// unreliable transport.
-    Calling,
-    /// A provisional response has been forwarded upstream.
-    Proceeding,
-    /// A final response has been forwarded; retransmissions of the request
-    /// are answered from memory until the transaction is reaped.
-    Completed,
 }
 
 /// What the transaction layer wants done after an event.
@@ -162,31 +137,9 @@ impl RetransClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{self, CallParty};
-    use crate::msg::StatusCode;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn key_matches_request_and_its_response() {
-        let alice = CallParty::new("alice", "h1:1");
-        let bob = CallParty::new("bob", "h2:2");
-        let inv = gen::invite(&alice, &bob, "d", "c1", "z9hG4bKq", "UDP");
-        let ok = gen::response(StatusCode::OK, &inv, Some("bt"), None);
-        assert_eq!(TxnKey::of(&inv), TxnKey::of(&ok));
-        let bye = gen::bye(&alice, &bob, "d", "c1", "bt", "z9hG4bKr", "UDP");
-        assert_ne!(TxnKey::of(&inv), TxnKey::of(&bye));
-    }
-
-    #[test]
-    fn key_requires_a_via() {
-        let alice = CallParty::new("a", "h:1");
-        let bob = CallParty::new("b", "h:2");
-        let mut msg = gen::invite(&alice, &bob, "d", "c", "z9hG4bKv", "UDP");
-        msg.vias.clear();
-        assert_eq!(TxnKey::of(&msg), None);
     }
 
     #[test]
