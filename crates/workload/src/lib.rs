@@ -11,10 +11,11 @@
 //!   paper's one call per pair) or open-loop Poisson (load offered
 //!   regardless of outstanding calls, the x-axis of goodput-vs-offered-load
 //!   curves), as [`phone::Arrivals`] selects.
-//! * [`phone_msg`] — the UDP/SCTP phone process, caller or callee.
-//! * [`phone_tcp`] — the TCP phone process, caller or callee, with listen
-//!   sockets, never-closed connections, reconnect-and-redrive after resets,
-//!   and the 50/500 ops-per-connection reconnect policies.
+//! * [`phone_proc`] — the phone process for every transport, caller or
+//!   callee: one state machine, with datagram sockets answering towards
+//!   the Via, or TCP listen sockets, never-closed connections,
+//!   reconnect-and-redrive after resets, and the 50/500
+//!   ops-per-connection reconnect policies.
 //! * [`scenario`] — world construction, execution, and the full
 //!   [`scenario::ScenarioReport`].
 //! * [`experiments`] — the registry of every experiment EXPERIMENTS.md
@@ -43,8 +44,7 @@
 
 pub mod experiments;
 pub mod phone;
-pub mod phone_msg;
-pub mod phone_tcp;
+pub mod phone_proc;
 pub mod scenario;
 pub mod stats;
 

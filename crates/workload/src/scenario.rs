@@ -18,11 +18,9 @@ use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_simnet::{NetConfig, NetStats};
 use siperf_simos::cost::CostModel;
 use siperf_simos::kernel::{Kernel, KernelStats};
-use siperf_simos::process::Process;
 
 use crate::phone::{Arrivals, PhoneCfg, Role};
-use crate::phone_msg::MsgPhone;
-use crate::phone_tcp::TcpPhone;
+use crate::phone_proc::Phone;
 use crate::stats::WorkloadStats;
 
 /// Cores on the server (the paper's dual Opteron 280 = four).
@@ -167,11 +165,7 @@ impl Scenario {
             stats: stats.clone(),
         };
         let spawn = |kernel: &mut Kernel, host, name: String, cfg| {
-            let phone: Box<dyn Process> = match transport {
-                Transport::Udp | Transport::Sctp => Box::new(MsgPhone::new(cfg)),
-                Transport::Tcp => Box::new(TcpPhone::new(cfg)),
-            };
-            kernel.spawn(host, Default::default(), name, phone);
+            kernel.spawn(host, Default::default(), name, Box::new(Phone::new(cfg)));
         };
 
         // Closed loop: caller/callee pairs. Open loop: `pairs` callees plus
