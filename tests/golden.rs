@@ -11,11 +11,11 @@ use siperf::faults::{Fault, FaultSchedule};
 use siperf::overload::OverloadConfig;
 use siperf::proxy::config::{Arch, IdleStrategy, ProxyConfig, Transport};
 use siperf::simcore::time::SimDuration;
-use siperf::simnet::HostId;
+use siperf::simnet::{GilbertElliott, HostId, NetConfig};
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 16] = [
+const GOLDEN: [(&str, u64); 18] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -32,6 +32,8 @@ const GOLDEN: [(&str, u64); 16] = [
     ("threaded-reset", 0x0f37_3717_31eb_e1fe),
     ("tcp-kill-supervisor", 0x3795_5ff0_e7a4_db9d),
     ("tcp-cancel", 0x1ece_f027_7c4f_9b8b),
+    ("udp-lossy", 0x1cea_a758_8521_0a48),
+    ("sctp-burst-loss", 0xa044_d811_f97c_9e04),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -82,6 +84,16 @@ fn scenario(name: &str) -> Scenario {
                     nth: 1,
                 },
             )
+    };
+    // A burst-loss episode across the first half of the call phase.
+    let burst = || {
+        FaultSchedule::new().at(
+            SimDuration::from_millis(650),
+            Fault::BurstLoss {
+                model: GilbertElliott::bursty(),
+                duration: SimDuration::from_millis(200),
+            },
+        )
     };
     let b = Scenario::builder(name);
     short(match name {
@@ -160,6 +172,20 @@ fn scenario(name: &str) -> Scenario {
             .client_pairs(8)
             .cancel_every(3)
             .ring_delay(SimDuration::from_millis(20)),
+        // UDP's send rule: uniform loss and link drops.
+        "udp-lossy" => {
+            let mut net = NetConfig::lan();
+            net.udp_loss = 0.01;
+            b.transport(Transport::Udp)
+                .client_pairs(10)
+                .net(net)
+                .fault_schedule(burst())
+        }
+        // SCTP's send rule: a link fault stalls the association.
+        "sctp-burst-loss" => b
+            .transport(Transport::Sctp)
+            .client_pairs(10)
+            .fault_schedule(burst()),
         other => panic!("no golden scenario named {other}"),
     })
 }
@@ -189,6 +215,8 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
                 r.connections_reset > 0 && p.conns_reassigned > 0 && p.fd_requests == 0
             }
             "tcp-kill-supervisor" => r.workers_respawned > 0 && p.fd_requests > 0,
+            "udp-lossy" => r.net.udp_lost > 0,
+            "sctp-burst-loss" => r.net.fault_delays > 0 && r.net.sctp_assocs > 0,
             _ => true,
         }
 }
