@@ -18,7 +18,7 @@ pub fn bytes_from(v: Vec<u8>) -> Bytes {
     Rc::from(v.into_boxed_slice())
 }
 
-/// A UDP datagram as seen by a receiver.
+/// A message (UDP datagram or SCTP message) as seen by a receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Datagram {
     /// Sender's address.
@@ -33,36 +33,49 @@ pub type EpId = Handle<Endpoint>;
 /// One socket's kernel-side state.
 #[derive(Debug)]
 pub enum Endpoint {
-    /// A bound UDP socket.
-    Udp(UdpEp),
+    /// A message socket: a UDP socket or a one-to-many SCTP endpoint.
+    Msg(MsgEp),
     /// A TCP socket in LISTEN state.
     TcpListener(ListenEp),
     /// A TCP connection (either side).
     Tcp(TcpEp),
-    /// A one-to-many SCTP endpoint.
-    Sctp(SctpEp),
 }
 
 impl Endpoint {
     /// The host that owns this endpoint.
     pub fn host(&self) -> HostId {
         match self {
-            Endpoint::Udp(e) => e.local.host,
+            Endpoint::Msg(e) => e.local.host,
             Endpoint::TcpListener(e) => e.local.host,
             Endpoint::Tcp(e) => e.local.host,
-            Endpoint::Sctp(e) => e.local.host,
         }
     }
 }
 
-/// A bound UDP socket: unordered datagram queue with a drop threshold.
+/// The protocol of a message socket, fixed when it is bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgProto {
+    /// Connectionless, unreliable datagrams.
+    Udp,
+    /// SCTP one-to-many endpoint: reliable messages over associations the
+    /// kernel sets up on first send.
+    Sctp,
+}
+
+/// A bound message socket: a queue of whole messages with a drop
+/// threshold. UDP and SCTP share it (paper §6: SCTP is message-based like
+/// UDP); only their send rules differ.
 #[derive(Debug)]
-pub struct UdpEp {
+pub struct MsgEp {
+    /// The protocol it speaks.
+    pub proto: MsgProto,
     /// Local binding.
     pub local: SockAddr,
-    /// Received datagrams not yet read by the application.
+    /// Received messages not yet read by the application.
     pub rx: VecDeque<Datagram>,
-    /// Datagrams dropped because `rx` was full.
+    /// Kernel-managed SCTP association table; empty under UDP.
+    pub assoc: FastMap<SockAddr, AssocState>,
+    /// Messages dropped because `rx` was full.
     pub dropped: u64,
 }
 
@@ -139,20 +152,6 @@ pub enum AssocState {
     },
     /// Messages flow with normal latency.
     Established,
-}
-
-/// A one-to-many SCTP endpoint: message-oriented, kernel-managed
-/// associations (RFC 4168 usage, paper §6).
-#[derive(Debug)]
-pub struct SctpEp {
-    /// Local binding.
-    pub local: SockAddr,
-    /// Received messages with their source association address.
-    pub rx: VecDeque<(SockAddr, Bytes)>,
-    /// Kernel-managed association table.
-    pub assoc: FastMap<SockAddr, AssocState>,
-    /// Messages dropped because `rx` was full.
-    pub dropped: u64,
 }
 
 #[cfg(test)]

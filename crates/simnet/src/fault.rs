@@ -316,7 +316,7 @@ mod tests {
     use super::*;
     use crate::addr::SockAddr;
     use crate::config::NetConfig;
-    use crate::endpoint::bytes_from;
+    use crate::endpoint::{bytes_from, MsgProto};
 
     fn net() -> (Network, HostId, HostId) {
         let mut n = Network::new(NetConfig::lan(), 9);
@@ -345,7 +345,7 @@ mod tests {
     fn partition_drops_udp_until_heal() {
         let (mut n, a, b) = net();
         let sa = n.udp_bind(a, 5060).unwrap();
-        let (sb, _) = n.udp_bind_ephemeral(b).unwrap();
+        let (sb, _) = n.msg_bind(MsgProto::Udp, b, None).unwrap();
         n.fault_partition(SimTime::ZERO, a, b, SimDuration::from_secs(1));
         n.udp_send(
             SimTime::ZERO,
@@ -489,7 +489,7 @@ mod tests {
             let a = n.add_host();
             let b = n.add_host();
             let _sa = n.udp_bind(a, 5060).unwrap();
-            let (sb, _) = n.udp_bind_ephemeral(b).unwrap();
+            let (sb, _) = n.msg_bind(MsgProto::Udp, b, None).unwrap();
             for _ in 0..200 {
                 n.udp_send(
                     SimTime::ZERO,

@@ -17,52 +17,15 @@
 use siperf_simcore::time::SimTime;
 
 use crate::addr::{HostId, Port, SockAddr};
-use crate::endpoint::{AssocState, Bytes, Endpoint, EpId, SctpEp};
+use crate::endpoint::{AssocState, Bytes, Datagram, Endpoint, EpId, MsgProto};
 use crate::error::Errno;
-use crate::event::{NetEvent, NetOutcome};
+use crate::event::NetEvent;
 use crate::net::Network;
 
 impl Network {
-    /// Binds a one-to-many SCTP endpoint on `host:port`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::AddrInUse`] if the port is taken; [`Errno::Emfile`] if the
-    /// host's descriptor budget is spent.
-    pub fn sctp_bind(&mut self, host: HostId, port: Port) -> Result<EpId, Errno> {
-        let addr = SockAddr::new(host, port);
-        if self.sctp_bound.contains_key(&addr) {
-            return Err(Errno::AddrInUse);
-        }
-        self.charge_endpoint(host)?;
-        let ep = self.eps.insert(Endpoint::Sctp(SctpEp {
-            local: addr,
-            rx: Default::default(),
-            assoc: Default::default(),
-            dropped: 0,
-        }));
-        self.sctp_bound.insert(addr, ep);
-        Ok(ep)
-    }
-
-    /// Binds an SCTP endpoint on an ephemeral port.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion and descriptor-budget errors.
-    pub fn sctp_bind_ephemeral(&mut self, host: HostId) -> Result<(EpId, Port), Errno> {
-        let port = self.ports[host.0 as usize].allocate()?;
-        match self.sctp_bind(host, port) {
-            Ok(ep) => Ok((ep, port)),
-            Err(e) => {
-                self.ports[host.0 as usize].release(port);
-                Err(e)
-            }
-        }
-    }
-
     /// Sends one message to `to`, implicitly setting up the association on
-    /// first use (the kernel's job, not the application's).
+    /// first use (the kernel's job, not the application's). The receiving
+    /// endpoint is found at delivery, unlike a UDP datagram's.
     ///
     /// # Errors
     ///
@@ -75,7 +38,7 @@ impl Network {
         data: Bytes,
     ) -> Result<(), Errno> {
         let from_host = match self.eps.get(from) {
-            Some(Endpoint::Sctp(e)) => e.local.host,
+            Some(Endpoint::Msg(e)) if e.proto == MsgProto::Sctp => e.local.host,
             _ => return Err(Errno::BadFd),
         };
         // SCTP is reliable: link faults stall the stream, never lose a
@@ -84,32 +47,29 @@ impl Network {
         let base_delay = self.delay(now) + fault_extra;
         let setup = self.cfg.sctp_assoc_setup;
         let one_way = self.cfg.one_way_latency;
-        let (from_addr, deliver_at) = {
-            let ep = match self.eps.get_mut(from) {
-                Some(Endpoint::Sctp(e)) => e,
-                _ => return Err(Errno::BadFd),
-            };
-            let earliest = match ep.assoc.get(&to).copied() {
-                Some(AssocState::Established) => now,
-                Some(AssocState::Setup { ready_at }) => {
-                    if ready_at <= now {
-                        ep.assoc.insert(to, AssocState::Established);
-                        now
-                    } else {
-                        ready_at
-                    }
-                }
-                None => {
-                    // Four-way handshake: two round trips before data flows.
-                    let ready_at = now + one_way * 4 + setup;
-                    ep.assoc.insert(to, AssocState::Setup { ready_at });
+        let Some(Endpoint::Msg(ep)) = self.eps.get_mut(from) else {
+            unreachable!("checked above");
+        };
+        let earliest = match ep.assoc.get(&to).copied() {
+            Some(AssocState::Established) => now,
+            Some(AssocState::Setup { ready_at }) => {
+                if ready_at <= now {
+                    ep.assoc.insert(to, AssocState::Established);
+                    now
+                } else {
                     ready_at
                 }
-            };
-            (ep.local, earliest.max(now) + base_delay)
+            }
+            None => {
+                // Four-way handshake: two round trips before data flows.
+                let ready_at = now + one_way * 4 + setup;
+                ep.assoc.insert(to, AssocState::Setup { ready_at });
+                ready_at
+            }
         };
+        let from_addr = ep.local;
         self.events.push((
-            deliver_at,
+            earliest.max(now) + base_delay,
             NetEvent::SctpDeliver {
                 to_host: to.host,
                 to_port: to.port,
@@ -120,19 +80,6 @@ impl Network {
         Ok(())
     }
 
-    /// Non-blocking receive of one whole message with its source address.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::WouldBlock`] when no message is queued; [`Errno::BadFd`] on
-    /// non-SCTP endpoints.
-    pub fn sctp_try_recv(&mut self, ep: EpId) -> Result<(SockAddr, Bytes), Errno> {
-        match self.eps.get_mut(ep) {
-            Some(Endpoint::Sctp(e)) => e.rx.pop_front().ok_or(Errno::WouldBlock),
-            _ => Err(Errno::BadFd),
-        }
-    }
-
     pub(crate) fn sctp_deliver(
         &mut self,
         to_host: HostId,
@@ -140,49 +87,20 @@ impl Network {
         from: SockAddr,
         data: Bytes,
     ) {
-        let Some(&ep) = self.sctp_bound.get(&SockAddr::new(to_host, to_port)) else {
+        let bound = &self.msg_bound[MsgProto::Sctp as usize];
+        let Some(&ep) = bound.get(&SockAddr::new(to_host, to_port)) else {
             return; // no endpoint: ABORT chunk in real SCTP, vanishes here
         };
-        let cap = self.cfg.udp_rcv_queue;
-        let mut new_assoc = false;
-        if let Some(Endpoint::Sctp(e)) = self.eps.get_mut(ep) {
+        if let Some(Endpoint::Msg(e)) = self.eps.get_mut(ep) {
             if let std::collections::hash_map::Entry::Vacant(slot) = e.assoc.entry(from) {
                 // Receiver side of the handshake: the kernel records the
                 // association so replies flow without another setup.
                 slot.insert(AssocState::Established);
-                new_assoc = true;
-            }
-            if e.rx.len() >= cap {
-                e.dropped += 1;
-            } else {
-                e.rx.push_back((from, data));
-                self.stats.sctp_messages += 1;
-                self.outcomes.push(NetOutcome::Readable(ep));
+                self.stats.sctp_assocs += 1;
             }
         }
-        if new_assoc {
-            self.stats.sctp_assocs += 1;
-        }
-    }
-
-    pub(crate) fn close_sctp(&mut self, ep: EpId) {
-        if let Some(Endpoint::Sctp(e)) = self.eps.get(ep) {
-            let addr = e.local;
-            self.sctp_bound.remove(&addr);
-            self.eps.remove(ep);
-            self.uncharge_endpoint(addr.host);
-            if addr.port >= self.cfg.ephemeral_lo && addr.port <= self.cfg.ephemeral_hi {
-                self.ports[addr.host.0 as usize].release(addr.port);
-            }
-        }
-    }
-
-    /// Number of live associations on an SCTP endpoint (observability for
-    /// tests and reports).
-    pub fn sctp_assoc_count(&self, ep: EpId) -> usize {
-        match self.eps.get(ep) {
-            Some(Endpoint::Sctp(e)) => e.assoc.len(),
-            _ => 0,
+        if self.msg_enqueue(ep, Datagram { from, data }) == Some(true) {
+            self.stats.sctp_messages += 1;
         }
     }
 }
@@ -192,6 +110,7 @@ mod tests {
     use super::*;
     use crate::config::NetConfig;
     use crate::endpoint::bytes_from;
+    use crate::event::NetOutcome;
     use siperf_simcore::queue::EventQueue;
 
     struct H {
@@ -238,8 +157,8 @@ mod tests {
     #[test]
     fn message_roundtrip_with_boundaries() {
         let (mut h, a, b) = H::new();
-        let server = h.net.sctp_bind(b, 5060).unwrap();
-        let (client, cport) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (server, _) = h.net.msg_bind(MsgProto::Sctp, b, Some(5060)).unwrap();
+        let (client, cport) = h.net.msg_bind(MsgProto::Sctp, a, None).unwrap();
         h.net
             .sctp_send(
                 h.now,
@@ -257,19 +176,19 @@ mod tests {
             )
             .unwrap();
         h.settle();
-        let (from, m1) = h.net.sctp_try_recv(server).unwrap();
-        assert_eq!(from, SockAddr::new(a, cport));
-        assert_eq!(&*m1, b"one");
-        let (_, m2) = h.net.sctp_try_recv(server).unwrap();
-        assert_eq!(&*m2, b"two"); // boundaries preserved, order preserved
-        assert_eq!(h.net.sctp_try_recv(server), Err(Errno::WouldBlock));
+        let m1 = h.net.msg_try_recv(server).unwrap();
+        assert_eq!(m1.from, SockAddr::new(a, cport));
+        assert_eq!(&*m1.data, b"one");
+        let m2 = h.net.msg_try_recv(server).unwrap();
+        assert_eq!(&*m2.data, b"two"); // boundaries preserved, order preserved
+        assert_eq!(h.net.msg_try_recv(server), Err(Errno::WouldBlock));
     }
 
     #[test]
     fn first_exchange_pays_association_setup() {
         let (mut h, a, b) = H::new();
-        let _server = h.net.sctp_bind(b, 5060).unwrap();
-        let (client, _) = h.net.sctp_bind_ephemeral(a).unwrap();
+        h.net.msg_bind(MsgProto::Sctp, b, Some(5060)).unwrap();
+        let (client, _) = h.net.msg_bind(MsgProto::Sctp, a, None).unwrap();
         h.net
             .sctp_send(h.now, client, SockAddr::new(b, 5060), bytes_from(vec![1]))
             .unwrap();
@@ -296,13 +215,16 @@ mod tests {
     #[test]
     fn receiver_learns_association_for_replies() {
         let (mut h, a, b) = H::new();
-        let server = h.net.sctp_bind(b, 5060).unwrap();
-        let (client, cport) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (server, _) = h.net.msg_bind(MsgProto::Sctp, b, Some(5060)).unwrap();
+        let (client, cport) = h.net.msg_bind(MsgProto::Sctp, a, None).unwrap();
         h.net
             .sctp_send(h.now, client, SockAddr::new(b, 5060), bytes_from(vec![1]))
             .unwrap();
         h.settle();
-        assert_eq!(h.net.sctp_assoc_count(server), 1);
+        let Some(Endpoint::Msg(e)) = h.net.eps.get(server) else {
+            panic!("server endpoint gone");
+        };
+        assert_eq!(e.assoc.len(), 1);
         // Reply does not pay setup again.
         h.net
             .sctp_send(h.now, server, SockAddr::new(a, cport), bytes_from(vec![2]))
@@ -313,24 +235,25 @@ mod tests {
             h.q.schedule(t, ev);
         }
         h.settle();
-        let (from, _) = h.net.sctp_try_recv(client).unwrap();
-        assert_eq!(from, SockAddr::new(b, 5060));
+        let reply = h.net.msg_try_recv(client).unwrap();
+        assert_eq!(reply.from, SockAddr::new(b, 5060));
     }
 
     #[test]
     fn bind_conflicts_and_close() {
         let (mut h, a, _) = H::new();
-        let ep = h.net.sctp_bind(a, 5060).unwrap();
-        assert_eq!(h.net.sctp_bind(a, 5060), Err(Errno::AddrInUse));
+        let (ep, _) = h.net.msg_bind(MsgProto::Sctp, a, Some(5060)).unwrap();
+        let taken = h.net.msg_bind(MsgProto::Sctp, a, Some(5060));
+        assert_eq!(taken, Err(Errno::AddrInUse));
         h.net.close(SimTime::ZERO, ep);
         assert_eq!(h.net.endpoints_on(a), 0);
-        h.net.sctp_bind(a, 5060).unwrap();
+        h.net.msg_bind(MsgProto::Sctp, a, Some(5060)).unwrap();
     }
 
     #[test]
     fn message_to_unbound_port_vanishes() {
         let (mut h, a, b) = H::new();
-        let (client, _) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (client, _) = h.net.msg_bind(MsgProto::Sctp, a, None).unwrap();
         h.net
             .sctp_send(h.now, client, SockAddr::new(b, 9999), bytes_from(vec![1]))
             .unwrap();

@@ -45,14 +45,12 @@ use crate::syscall::{Fd, IpcMsg, MsgProto, SysResult, Syscall};
 /// What a descriptor refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FdKind {
-    /// A UDP socket.
-    Udp(EpId),
+    /// A message socket (UDP socket or SCTP endpoint) of the given protocol.
+    Msg(EpId, MsgProto),
     /// A TCP listening socket.
     TcpListen(EpId),
     /// A TCP connection.
     Tcp(EpId),
-    /// An SCTP endpoint.
-    Sctp(EpId),
     /// One side of an IPC channel.
     Ipc(ChanId, Side),
 }
@@ -60,7 +58,7 @@ pub enum FdKind {
 impl FdKind {
     fn endpoint(self) -> Option<EpId> {
         match self {
-            FdKind::Udp(e) | FdKind::TcpListen(e) | FdKind::Tcp(e) | FdKind::Sctp(e) => Some(e),
+            FdKind::Msg(e, _) | FdKind::TcpListen(e) | FdKind::Tcp(e) => Some(e),
             FdKind::Ipc(..) => None,
         }
     }
@@ -429,31 +427,9 @@ impl Kernel {
         port: siperf_simnet::Port,
         pids: &[ProcId],
     ) -> Result<Vec<Fd>, Errno> {
-        let (kind, _) = self.msg_bind(host, proto, Some(port))?;
+        let (ep, _) = self.net.msg_bind(proto, host, Some(port))?;
+        let kind = FdKind::Msg(ep, proto);
         Ok(pids.iter().map(|&pid| self.install_fd(pid, kind)).collect())
-    }
-
-    /// Binds a message socket of `proto` on `port` (ephemeral if `None`);
-    /// returns its descriptor kind and the ephemeral port chosen, if any.
-    fn msg_bind(
-        &mut self,
-        host: HostId,
-        proto: MsgProto,
-        port: Option<siperf_simnet::Port>,
-    ) -> Result<(FdKind, Option<siperf_simnet::Port>), Errno> {
-        let net = &mut self.net;
-        Ok(match (proto, port) {
-            (MsgProto::Udp, Some(port)) => (FdKind::Udp(net.udp_bind(host, port)?), None),
-            (MsgProto::Sctp, Some(port)) => (FdKind::Sctp(net.sctp_bind(host, port)?), None),
-            (MsgProto::Udp, None) => {
-                let (ep, port) = net.udp_bind_ephemeral(host)?;
-                (FdKind::Udp(ep), Some(port))
-            }
-            (MsgProto::Sctp, None) => {
-                let (ep, port) = net.sctp_bind_ephemeral(host)?;
-                (FdKind::Sctp(ep), Some(port))
-            }
-        })
     }
 
     // ----------------------------------------------------- fault injection
@@ -1201,11 +1177,11 @@ impl Kernel {
             Syscall::MsgBind { .. } => (c.bind, "kernel/bind"),
             // The protocol was fixed at bind; the descriptor carries it.
             Syscall::MsgSend { fd, .. } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Sctp(_)) => (c.sctp_send, "kernel/sctp_send"),
+                Ok(FdKind::Msg(_, MsgProto::Sctp)) => (c.sctp_send, "kernel/sctp_send"),
                 _ => (c.udp_send, "kernel/udp_send"),
             },
             Syscall::MsgRecv { fd } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Sctp(_)) => (c.sctp_recv, "kernel/sctp_recv"),
+                Ok(FdKind::Msg(_, MsgProto::Sctp)) => (c.sctp_recv, "kernel/sctp_recv"),
                 _ => (c.udp_recv, "kernel/udp_recv"),
             },
             Syscall::TcpListen { .. } => (c.bind, "kernel/listen"),
@@ -1268,20 +1244,25 @@ impl Kernel {
                 }
             }
             S::Exit => unreachable!("Exit handled at resume"),
-            S::MsgBind { proto, port } => match self.msg_bind(host, *proto, *port) {
-                Ok((kind, chosen)) => {
-                    let fd = self.install_fd(pid, kind);
-                    Ok(match chosen {
-                        Some(port) => SysResult::NewFdPort { fd, port },
-                        None => SysResult::NewFd(fd),
+            S::MsgBind { proto, port } => match self.net.msg_bind(*proto, host, *port) {
+                Ok((ep, chosen)) => {
+                    let fd = self.install_fd(pid, FdKind::Msg(ep, *proto));
+                    Ok(match port {
+                        None => SysResult::NewFdPort { fd, port: chosen },
+                        Some(_) => SysResult::NewFd(fd),
                     })
                 }
                 Err(e) => Ok(SysResult::Err(e)),
             },
             S::MsgSend { fd, to, data } => {
                 let sent = match self.fd_kind(pid, *fd) {
-                    Ok(FdKind::Udp(ep)) => self.net.udp_send(self.now, ep, *to, data.clone()),
-                    Ok(FdKind::Sctp(ep)) => self.net.sctp_send(self.now, ep, *to, data.clone()),
+                    // Each protocol keeps its own send rule.
+                    Ok(FdKind::Msg(ep, MsgProto::Udp)) => {
+                        self.net.udp_send(self.now, ep, *to, data.clone())
+                    }
+                    Ok(FdKind::Msg(ep, MsgProto::Sctp)) => {
+                        self.net.sctp_send(self.now, ep, *to, data.clone())
+                    }
                     Ok(_) => Err(Errno::InvalidOp),
                     Err(e) => Err(e),
                 };
@@ -1291,17 +1272,14 @@ impl Kernel {
                 })
             }
             S::MsgRecv { fd } => match self.fd_kind(pid, *fd) {
-                Ok(kind @ (FdKind::Udp(ep) | FdKind::Sctp(ep))) => {
-                    let got = match kind {
-                        FdKind::Udp(_) => self.net.udp_try_recv(ep).map(|d| (d.from, d.data)),
-                        _ => self.net.sctp_try_recv(ep),
-                    };
-                    match got {
-                        Ok((from, data)) => Ok(SysResult::Datagram { from, data }),
-                        Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
-                        Err(e) => Ok(SysResult::Err(e)),
-                    }
-                }
+                Ok(FdKind::Msg(ep, _)) => match self.net.msg_try_recv(ep) {
+                    Ok(d) => Ok(SysResult::Datagram {
+                        from: d.from,
+                        data: d.data,
+                    }),
+                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
+                    Err(e) => Ok(SysResult::Err(e)),
+                },
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
                 Err(e) => Ok(SysResult::Err(e)),
             },
@@ -1458,12 +1436,7 @@ impl Kernel {
         // if the sender closes its copy before delivery).
         let passed = match msg.fd {
             Some(passed_fd) => match self.fd_kind(pid, passed_fd) {
-                Ok(
-                    kind @ (FdKind::Udp(_)
-                    | FdKind::Tcp(_)
-                    | FdKind::TcpListen(_)
-                    | FdKind::Sctp(_)),
-                ) => {
+                Ok(kind @ (FdKind::Msg(..) | FdKind::Tcp(_) | FdKind::TcpListen(_))) => {
                     let ep = kind.endpoint().expect("net fd");
                     *self.ep_refs.entry(ep).or_insert(0) += 1;
                     Some(kind)

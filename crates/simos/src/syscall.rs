@@ -3,6 +3,7 @@
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::{Port, SockAddr};
 use siperf_simnet::endpoint::Bytes;
+pub use siperf_simnet::endpoint::MsgProto;
 use siperf_simnet::error::Errno;
 
 use crate::ipc::{ChanId, Side};
@@ -55,16 +56,6 @@ impl IpcMsg {
             fd: Some(fd),
         }
     }
-}
-
-/// The protocol of a message socket, fixed when it is bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgProto {
-    /// Connectionless, unreliable datagrams.
-    Udp,
-    /// SCTP one-to-many endpoint: reliable messages over associations the
-    /// kernel sets up on first send.
-    Sctp,
 }
 
 /// What a process asks the kernel to do next. Exactly one syscall is
