@@ -273,16 +273,18 @@ impl<'a> Inbound<'a> {
     }
 
     /// The `code` reply to this request, as `gen::response` writes it
-    /// without a `To` tag. Only the 100 Trying is spliced; the rarer
-    /// replies go through the builders.
-    fn reply(&self, buf: &mut Vec<u8>, code: StatusCode) -> Bytes {
+    /// without a `To` tag, or with `retry_after` the 503 that sheds it, as
+    /// `gen::service_unavailable` writes it. Only the 100 Trying and the
+    /// 503 are spliced; the rarer replies go through the builders.
+    fn reply(&self, buf: &mut Vec<u8>, code: StatusCode, retry_after: Option<u32>) -> Bytes {
         match self {
-            Inbound::Scanned(msg) if code == StatusCode::TRYING => {
+            Inbound::Scanned(msg) if code == StatusCode::TRYING || retry_after.is_some() => {
                 buf.clear();
-                msg.write_reply(buf, code, None, Tail::Bare);
-                spliced(buf, || built_reply(code, &parse_scanned(msg)))
+                let tail = retry_after.map_or(Tail::Bare, Tail::RetryAfter);
+                msg.write_reply(buf, code, None, tail);
+                spliced(buf, || built_reply(code, retry_after, &parse_scanned(msg)))
             }
-            _ => bytes_from(built_reply(code, &self.parsed())),
+            _ => bytes_from(built_reply(code, retry_after, &self.parsed())),
         }
     }
 
@@ -319,8 +321,12 @@ fn parse_scanned(msg: &Scan<'_>) -> SipMessage {
     parse_message(msg.wire()).expect("whatever scans parses")
 }
 
-fn built_reply(code: StatusCode, req: &SipMessage) -> Vec<u8> {
-    gen::response(code, req, None, None).to_bytes()
+fn built_reply(code: StatusCode, retry_after: Option<u32>, req: &SipMessage) -> Vec<u8> {
+    match retry_after {
+        Some(secs) => gen::service_unavailable(req, secs),
+        None => gen::response(code, req, None, None),
+    }
+    .to_bytes()
 }
 
 fn built_forward(mut msg: SipMessage, transport: &str, sent_by: &Text, branch: &str) -> Vec<u8> {
@@ -457,7 +463,7 @@ impl ProxyCore {
     fn reply(&mut self, code: StatusCode, req: &Inbound<'_>, dest: SockAddr) -> Outgoing {
         self.stats.local_replies += 1;
         Outgoing {
-            bytes: req.reply(&mut self.buf, code),
+            bytes: req.reply(&mut self.buf, code, None),
             dest,
             alt: None,
         }
@@ -591,9 +597,9 @@ impl ProxyCore {
                 self.stats.overload_rejections += 1;
                 self.stats.local_replies += 1;
                 plan.rejected = true;
-                let resp = gen::service_unavailable(&msg.parsed(), retry_after);
+                let code = StatusCode::SERVICE_UNAVAILABLE;
                 plan.out.push(Outgoing {
-                    bytes: bytes_from(resp.to_bytes()),
+                    bytes: msg.reply(&mut self.buf, code, Some(retry_after)),
                     dest: src,
                     alt: None,
                 });

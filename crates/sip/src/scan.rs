@@ -37,8 +37,8 @@
 //! * [`Scan::write_reply`] answers: the status line, the request's Via
 //!   through `To` bytes, an optional `To` tag, its `Call-ID` and `CSeq`
 //!   lines, then a [`Tail`]. That is [`gen::response`](crate::gen::response)
-//!   serialized. The callee's 180 and 200 and the proxy's 100 Trying are
-//!   written this way.
+//!   serialized. The callee's 180 and 200 and the proxy's 100 Trying and
+//!   shedding 503 are written this way.
 //! * [`Scan::write_forward`] is the request a proxy forwards: one more Via
 //!   line on top, and `Max-Forwards` one lower.
 //! * [`Scan::write_relay`] is the response a proxy relays: the top Via
@@ -108,6 +108,11 @@ pub enum Tail<'t> {
         /// Everything after the `Contact` line.
         rest: &'t [u8],
     },
+    /// `Max-Forwards: 70`, `Retry-After: <secs>` and `Content-Length: 0`:
+    /// the 503 that sheds load, as
+    /// [`gen::service_unavailable`](crate::gen::service_unavailable)
+    /// writes it.
+    RetryAfter(u32),
 }
 
 /// The header lines every reply without `Contact` or body ends with, as
@@ -160,6 +165,11 @@ impl<'a> Scan<'a> {
                 out.extend_from_slice(uri.as_bytes());
                 out.extend_from_slice(b">\r\n");
                 out.extend_from_slice(rest);
+            }
+            Tail::RetryAfter(secs) => {
+                out.extend_from_slice(b"Max-Forwards: 70\r\nRetry-After: ");
+                push_decimal(out, secs.into());
+                out.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
             }
         }
     }

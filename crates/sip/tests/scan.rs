@@ -158,6 +158,10 @@ fn assert_splices_agree(raw: &[u8]) -> bool {
     };
     s.write_reply(&mut out, StatusCode::OK, Some("tt-x"), tail);
     check("a 200 with Contact", &out, &ok);
+    out.clear();
+    let tail = Tail::RetryAfter(17);
+    s.write_reply(&mut out, StatusCode::SERVICE_UNAVAILABLE, None, tail);
+    check("a 503", &out, &gen::service_unavailable(&msg, 17));
     true
 }
 
