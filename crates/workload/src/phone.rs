@@ -717,7 +717,7 @@ impl CallEngine {
     }
 
     /// Feeds a parsed response; returns what to transmit next.
-    pub fn on_response(&mut self, now: SimTime, msg: &SipMessage) -> Vec<Bytes> {
+    fn on_response(&mut self, now: SimTime, msg: &SipMessage) -> Vec<Bytes> {
         self.feed(now, Reply::parsed(msg))
     }
 
@@ -880,7 +880,7 @@ pub struct CalleeAnswer {
 ///
 /// This is the builders' answer, which [`Callee`] reproduces from the
 /// request's bytes.
-pub fn callee_answer_timed(user: &str, msg: &SipMessage, ring: SimDuration) -> CalleeAnswer {
+fn callee_answer_timed(user: &str, msg: &SipMessage, ring: SimDuration) -> CalleeAnswer {
     let mut out = CalleeAnswer {
         reply_to: msg.vias.first().and_then(|v| parse_sim_addr(&v.sent_by)),
         ..CalleeAnswer::default()
@@ -930,7 +930,7 @@ fn parse_and_answer(user: &str, raw: &[u8], ring: SimDuration) -> CalleeAnswer {
 }
 
 /// A callee's answering machine on received bytes. It gives the answers
-/// of [`callee_answer_timed`] byte for byte, but writes the 180 and 200 to
+/// of `callee_answer_timed` byte for byte, but writes the 180 and 200 to
 /// an INVITE and the 200 to a BYE from the request's own Via, `From`,
 /// `To`, `Call-ID` and `CSeq` bytes; any other request is parsed and
 /// answered through the builders.
