@@ -228,11 +228,12 @@ pub struct Cell {
 
 impl Cell {
     /// Cells that run the same simulation compare equal: UDP runs no TCP
-    /// fix, so every figure shares Figure 3's UDP bar, and no loss or the
+    /// fix, so every figure shares Figure 3's UDP bar, and no loss, loss
+    /// on a reliable transport (only UDP's send rule reads it) or the
     /// default worker count is the bar itself.
     fn new(fig: FigureConfig, workload: TransportWorkload, clients: usize, tweak: Tweak) -> Self {
         let tweak = match tweak {
-            Tweak::Loss(0) => Tweak::Bar,
+            Tweak::Loss(l) if l == 0 || workload != Udp => Tweak::Bar,
             Tweak::Workers(n) if n == ProxyConfig::paper(workload.transport()).worker_count() => {
                 Tweak::Bar
             }
@@ -1067,10 +1068,13 @@ mod tests {
         );
         // Cells that run the same simulation are one cell.
         assert_eq!(workers(Udp, 24), bar((FdCache, Udp), 500));
-        assert_eq!(
-            lossy(TcpPersistent, 0),
-            bar((FdCachePlusPq, TcpPersistent), 300)
-        );
+        for l in LOSSES {
+            assert_eq!(
+                lossy(TcpPersistent, l),
+                bar((FdCachePlusPq, TcpPersistent), 300)
+            );
+        }
+        assert_ne!(lossy(Udp, 10), bar((FdCachePlusPq, Udp), 300));
     }
 
     #[test]
