@@ -3,9 +3,10 @@
 //! CANCEL-heavy human workload and ringing callees, comparing the shipped
 //! TCP architecture against the paper's fixed one.
 //!
-//! This demonstrates the full extension surface: kernel cost models,
-//! application cost models, proxy configuration, workload shaping, and the
-//! report/profile outputs.
+//! This demonstrates the extension surface: the kernel cost model, proxy
+//! configuration, workload shaping, and the scenario report. The
+//! application's costs are the proxy's fixed calibration and cannot be
+//! set.
 //!
 //! Run: `cargo run --release --example custom_experiment`
 
