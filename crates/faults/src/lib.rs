@@ -189,11 +189,6 @@ impl FaultSchedule {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Consumes the schedule into its ordered events.
-    pub fn into_events(self) -> Vec<FaultEvent> {
-        self.events
-    }
 }
 
 #[cfg(test)]
@@ -274,6 +269,5 @@ mod tests {
         let s = FaultSchedule::new();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert!(s.into_events().is_empty());
     }
 }

@@ -198,12 +198,6 @@ impl ProxyConfig {
         self.idle_strategy = IdleStrategy::PriorityQueue;
         self
     }
-
-    /// Selects an overload-control policy.
-    pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        self.overload = overload;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -233,11 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn overload_defaults_off_and_composes() {
+    fn overload_defaults_off() {
         let base = ProxyConfig::paper(Transport::Udp);
         assert!(!base.overload.is_active(), "paper proxy has no control");
-        let controlled = base.with_overload(OverloadConfig::queue_threshold_default());
-        assert_eq!(controlled.overload.token(), "queue-threshold");
     }
 
     #[test]

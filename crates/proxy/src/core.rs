@@ -413,11 +413,6 @@ impl ProxyCore {
         self.policy = policy;
     }
 
-    /// The installed policy's name token.
-    pub fn overload_policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Records the depth of worker `idx`'s input queue. Transports whose
     /// pending messages queue in application memory (TCP workers, threads)
     /// report here so the policy sees backlog the transaction table cannot;
@@ -1312,7 +1307,6 @@ mod tests {
         let mut c = registered_core(Transport::Udp, true);
         // Shed at 1 active transaction, resume at 0.
         c.set_overload_policy(Box::new(QueueThreshold::new(1, 0, 3)));
-        assert_eq!(c.overload_policy_name(), "queue-threshold");
 
         // First INVITE admitted (level 0 < high).
         let inv1 = gen::invite(&alice(), &bob(), "sip.lab", "c1", "z9hG4bKa1", "UDP");

@@ -7,17 +7,20 @@
 //! supervisor, no descriptor passing. Any worker can receive from any phone
 //! and send to any phone.
 //!
+//! As in OpenSER, the socket is bound once before any worker exists, and
+//! each worker, a respawned one included, inherits it as it forks
+//! ([`siperf_simos::kernel::Kernel::spawn_inheriting`]): `MsgWorker::new`
+//! takes the descriptor.
+//!
 //! SCTP is connection-oriented and reliable like TCP but message-based like
 //! UDP, and the kernel manages its associations. The proxy can therefore
 //! keep this architecture on it unchanged: the protocol is fixed when the
 //! spawner binds the socket, and the worker's `MsgSend`/`MsgRecv` are the
 //! same calls on either. The paper predicts this removes most of the TCP
-//! architecture's overheads while retaining reliable delivery — the
-//! `extensions` bench quantifies it.
+//! architecture's overheads while retaining reliable delivery —
+//! EXPERIMENTS.md's E1/E2 quantifies it.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
@@ -28,25 +31,21 @@ use crate::plumbing::ConnShared;
 /// One symmetric datagram worker process, on a UDP or SCTP socket.
 pub(crate) struct MsgWorker {
     shared: ConnShared,
-    /// Filled by the spawner after fork-inheritance of the shared socket.
-    fd_slot: Rc<Cell<Option<Fd>>>,
+    /// The SIP socket, inherited at spawn.
     fd: Fd,
     script: VecDeque<Syscall>,
 }
 
 impl MsgWorker {
-    /// Creates a worker; `fd_slot` must be filled (via
-    /// [`siperf_simos::kernel::Kernel::setup_shared_msg`]) before the
-    /// simulation runs.
-    pub fn new(shared: ConnShared, fd_slot: Rc<Cell<Option<Fd>>>) -> Self {
+    /// Creates a worker on the SIP socket `fd` it inherits.
+    pub fn new(shared: ConnShared, fd: Fd) -> Self {
         assert!(
             shared.cfg.transport != Transport::Tcp,
             "TCP has connection workers"
         );
         MsgWorker {
             shared,
-            fd_slot,
-            fd: Fd(u32::MAX),
+            fd,
             script: VecDeque::new(),
         }
     }
@@ -66,13 +65,6 @@ impl Process for MsgWorker {
             return next;
         }
         match last {
-            SysResult::Start => {
-                self.fd = self
-                    .fd_slot
-                    .get()
-                    .expect("shared SIP socket installed before run");
-                self.recv()
-            }
             SysResult::Datagram { from, data } => {
                 for out in self
                     .shared

@@ -4,16 +4,20 @@
 //! configured architecture, spawns every process (workers, the TCP
 //! connection manager, timer), and hands back a [`ProxyHandle`] for
 //! observing the run.
+//!
+//! A UDP or SCTP proxy binds its SIP socket first, like OpenSER's main
+//! process, and every worker (and the SCTP timer) inherits it at spawn.
+//! A respawned worker inherits it the same way; only when the socket
+//! closed with its last holder is it bound anew.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_simnet::SIP_PORT;
 use siperf_simos::ipc::ChanId;
-use siperf_simos::kernel::Kernel;
+use siperf_simos::kernel::{FdKind, Kernel};
 use siperf_simos::process::{Nice, ProcId};
-use siperf_simos::syscall::{Fd, MsgProto};
 
 use crate::config::{Arch, IdleStrategy, ProxyConfig, Transport};
 use crate::conn::ConnTable;
@@ -33,13 +37,9 @@ const WRITE_LOCK_STRIPES: usize = 16;
 /// Architecture-specific state the fault-injection respawn path needs to
 /// rebuild a crashed process in place.
 enum RespawnCtx {
-    /// UDP/SCTP symmetric workers: the shared socket's protocol and each
-    /// worker's descriptor slot for it (SCTP keeps one extra trailing slot
-    /// for the timer process, which then doubles as a donor descriptor).
-    Msg {
-        proto: MsgProto,
-        slots: Vec<Rc<Cell<Option<Fd>>>>,
-    },
+    /// UDP/SCTP symmetric workers: the SIP socket each one inherits, as
+    /// [`Kernel::bind_msg`] returned it.
+    Msg { sock: FdKind },
     /// TCP multi-process: the channels a worker and the supervisor are
     /// built on.
     TcpMulti {
@@ -92,16 +92,21 @@ impl ProxyHandle {
     fn spawn_worker(&mut self, kernel: &mut Kernel, idx: usize) -> ProcId {
         let cfg = &self.cfg;
         match &mut self.respawn {
-            RespawnCtx::Msg { slots, .. } => {
-                let slot = Rc::new(Cell::new(None));
-                let worker = MsgWorker::new(self.shared.clone(), slot.clone());
-                if idx < slots.len() {
-                    slots[idx] = slot;
-                } else {
-                    slots.push(slot);
-                }
+            RespawnCtx::Msg { sock } => {
                 let name = format!("{}_worker{idx}", cfg.transport.token().to_lowercase());
-                kernel.spawn(self.host, Nice::NORMAL, name, Box::new(worker))
+                let fork = |kernel: &mut Kernel, sock: FdKind| {
+                    kernel.spawn_inheriting(self.host, Nice::NORMAL, name.clone(), &[sock], |fds| {
+                        Box::new(MsgWorker::new(self.shared.clone(), fds[0]))
+                    })
+                };
+                fork(kernel, *sock).unwrap_or_else(|_| {
+                    // The socket closed with its last holder: bind anew.
+                    let proto = cfg.transport.msg_proto().expect("datagram transport");
+                    *sock = kernel
+                        .bind_msg(proto, self.host, SIP_PORT)
+                        .expect("rebind proxy socket");
+                    fork(kernel, *sock).expect("a fresh socket is open")
+                })
             }
             RespawnCtx::TcpMulti {
                 assign_chans,
@@ -132,8 +137,8 @@ impl ProxyHandle {
     /// Crashes worker `idx` (wrapping) and respawns a replacement in place,
     /// exactly as OpenSER's main process re-forks a dead child.
     ///
-    /// Under UDP/SCTP the replacement inherits the shared SIP socket from a
-    /// surviving sibling (or rebinds it if none survived). Under TCP the
+    /// Under UDP/SCTP the replacement inherits the shared SIP socket, or
+    /// binds it anew if it closed with its last holder. Under TCP the
     /// supervisor (or, threaded, the acceptor) is notified and re-announces
     /// the dead worker's connections to the replacement over IPC. Returns
     /// the new worker's pid.
@@ -141,35 +146,8 @@ impl ProxyHandle {
         let idx = idx % self.workers.len();
         kernel.kill(self.workers[idx]);
         let pid = self.spawn_worker(kernel, idx);
-        match &self.respawn {
-            RespawnCtx::Msg { proto, slots } => {
-                // Donor search: any surviving process holding the shared
-                // socket (siblings first, then the SCTP timer's slot).
-                let timer = self.timer.filter(|_| slots.len() > self.workers.len());
-                let donor = self
-                    .workers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != idx)
-                    .chain(timer.iter().map(|t| (self.workers.len(), t)))
-                    .find_map(|(j, &dpid)| {
-                        let fd = slots[j].get().filter(|_| kernel.alive(dpid))?;
-                        Some((dpid, fd))
-                    });
-                let fd = match donor {
-                    Some((dpid, dfd)) => kernel
-                        .dup_to(dpid, dfd, pid)
-                        .expect("donor descriptor is live"),
-                    // Every holder died: the socket is gone, bind anew.
-                    None => kernel
-                        .setup_shared_msg(*proto, self.host, SIP_PORT, &[pid])
-                        .expect("rebind proxy socket")[0],
-                };
-                slots[idx].set(Some(fd));
-            }
-            RespawnCtx::TcpMulti { .. } | RespawnCtx::TcpThread { .. } => {
-                self.shared.respawned.borrow_mut().push_back(idx);
-            }
+        if !matches!(self.respawn, RespawnCtx::Msg { .. }) {
+            self.shared.respawned.borrow_mut().push_back(idx);
         }
         self.workers[idx] = pid;
         self.core.borrow_mut().stats.workers_respawned += 1;
@@ -248,8 +226,10 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
     let n = cfg.worker_count();
     let (respawn, manager) = match (cfg.transport.msg_proto(), cfg.arch) {
         (Some(proto), _) => {
-            let slots = Vec::with_capacity(n + 1);
-            (RespawnCtx::Msg { proto, slots }, None)
+            let sock = kernel
+                .bind_msg(proto, host, SIP_PORT)
+                .expect("bind proxy socket");
+            (RespawnCtx::Msg { sock }, None)
         }
         (None, Arch::MultiProcess) => {
             let assign_chans: Vec<_> = (0..n)
@@ -313,29 +293,18 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
         let pid = proxy.spawn_worker(kernel, i);
         proxy.workers.push(pid);
     }
-    // The SCTP timer retransmits on the shared endpoint, so it holds one
-    // more slot (and can donate it on respawn); the UDP timer binds a
-    // socket of its own, and the TCP timer has none.
-    let timer_slot = (proxy.cfg.transport == Transport::Sctp).then(|| Rc::new(Cell::new(None)));
-    let timer = kernel.spawn(
-        host,
-        Nice::NORMAL,
-        "timer",
-        Box::new(TimerProc::new(proxy.shared.clone(), timer_slot.clone())),
-    );
+    // The SCTP timer retransmits on the shared endpoint, so it inherits
+    // it too; the UDP timer binds a socket of its own, and the TCP timer
+    // has none.
+    let inherit = match proxy.respawn {
+        RespawnCtx::Msg { sock } if proxy.cfg.transport == Transport::Sctp => Some(sock),
+        _ => None,
+    };
+    let timer = kernel
+        .spawn_inheriting(host, Nice::NORMAL, "timer", inherit.as_slice(), |fds| {
+            Box::new(TimerProc::new(proxy.shared.clone(), fds.first().copied()))
+        })
+        .expect("the proxy socket is open");
     proxy.timer = Some(timer);
-    if let RespawnCtx::Msg { proto, slots } = &mut proxy.respawn {
-        let mut pids = proxy.workers.clone();
-        if let Some(slot) = timer_slot {
-            slots.push(slot);
-            pids.push(timer);
-        }
-        let fds = kernel
-            .setup_shared_msg(*proto, host, SIP_PORT, &pids)
-            .expect("bind proxy socket");
-        for (slot, fd) in slots.iter().zip(fds) {
-            slot.set(Some(fd));
-        }
-    }
     proxy
 }

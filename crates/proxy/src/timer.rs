@@ -13,9 +13,7 @@
 //! lacks a connection and drops them, which only matters when a phone dies
 //! mid-call.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use siperf_simcore::time::SimDuration;
 use siperf_simos::process::{Process, ResumeCtx};
@@ -30,8 +28,6 @@ pub(crate) const TICK: SimDuration = SimDuration::from_millis(500);
 /// The retransmission/reaping timer process.
 pub struct TimerProc {
     shared: ConnShared,
-    /// The shared SCTP endpoint's slot, filled by the spawner.
-    sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>,
     /// Where retransmissions go out: an ephemeral UDP socket of its own,
     /// the shared SCTP endpoint, or none under TCP (retransmissions never
     /// happen there and timeouts are dropped).
@@ -42,12 +38,11 @@ pub struct TimerProc {
 
 impl TimerProc {
     /// Creates the timer process for the configured transport; an SCTP
-    /// proxy's timer also needs the shared endpoint's slot.
-    pub(crate) fn new(shared: ConnShared, sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>) -> Self {
+    /// proxy's timer gets the shared endpoint it inherits as `fd`.
+    pub(crate) fn new(shared: ConnShared, fd: Option<Fd>) -> Self {
         TimerProc {
             shared,
-            sctp_fd_slot,
-            fd: None,
+            fd,
             script: VecDeque::new(),
             started: false,
         }
@@ -87,11 +82,9 @@ impl Process for TimerProc {
         let transport = self.shared.cfg.transport;
         if !self.started {
             self.started = true;
-            // SCTP retransmits on the shared endpoint; UDP binds a socket
-            // of its own.
-            if let Some(slot) = &self.sctp_fd_slot {
-                self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
-            } else if let Some(proto) = transport.msg_proto() {
+            // SCTP retransmits on the shared endpoint it inherited; UDP
+            // binds a socket of its own.
+            if let (None, Some(proto)) = (self.fd, transport.msg_proto()) {
                 return Syscall::MsgBind { proto, port: None };
             }
             return Syscall::Sleep(TICK);

@@ -119,14 +119,6 @@ impl SimRng {
         let u = 1.0 - self.f64(); // in (0, 1]
         -mean * u.ln()
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.range_usize(0..i + 1);
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,17 +189,6 @@ mod tests {
         let mut c1 = root.fork(1);
         let mut c2 = root.fork(2);
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from_u64(8);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle should change order");
     }
 
     #[test]

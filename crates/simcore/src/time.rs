@@ -121,16 +121,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Builds a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration seconds: {s}");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -301,7 +291,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
         assert_eq!(SimTime::from_nanos(42).as_nanos(), 42);
     }
 
@@ -369,11 +358,5 @@ mod tests {
             let late = SimTime::from_nanos(20);
             assert_eq!(early.duration_since(late), SimDuration::ZERO);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 }

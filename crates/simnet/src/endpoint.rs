@@ -75,8 +75,6 @@ pub struct MsgEp {
     pub rx: VecDeque<Datagram>,
     /// Kernel-managed SCTP association table; empty under UDP.
     pub assoc: FastMap<SockAddr, AssocState>,
-    /// Messages dropped because `rx` was full.
-    pub dropped: u64,
 }
 
 /// A TCP listening socket with its accept queue.
@@ -131,11 +129,6 @@ pub struct TcpEp {
 }
 
 impl TcpEp {
-    /// True if the application can still write.
-    pub fn can_write(&self) -> bool {
-        self.state == TcpState::Established && !self.app_closed
-    }
-
     /// True if a read would return data, EOF, or an error immediately.
     pub fn readable(&self) -> bool {
         self.rx_bytes > 0 || self.eof || matches!(self.state, TcpState::Failed(_))
@@ -173,16 +166,6 @@ mod tests {
             owns_port: true,
             app_closed: false,
         }
-    }
-
-    #[test]
-    fn tcp_write_requires_established() {
-        assert!(tcp_ep(TcpState::Established).can_write());
-        assert!(!tcp_ep(TcpState::SynSent).can_write());
-        assert!(!tcp_ep(TcpState::PeerClosed).can_write());
-        let mut e = tcp_ep(TcpState::Established);
-        e.app_closed = true;
-        assert!(!e.can_write());
     }
 
     #[test]

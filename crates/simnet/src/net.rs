@@ -250,7 +250,6 @@ impl Network {
             local: addr,
             rx: Default::default(),
             assoc: Default::default(),
-            dropped: 0,
         }));
         self.msg_bound[proto as usize].insert(addr, ep);
         Ok((ep, port_num))
@@ -296,7 +295,6 @@ impl Network {
             return None;
         };
         if m.rx.len() >= self.cfg.udp_rcv_queue {
-            m.dropped += 1;
             return Some(false);
         }
         m.rx.push_back(msg);

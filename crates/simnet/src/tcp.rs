@@ -123,18 +123,6 @@ impl Network {
         }
     }
 
-    /// Remote address of a connection endpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::BadFd`] for anything that is not a live TCP connection.
-    pub fn tcp_peer_addr(&self, ep: EpId) -> Result<SockAddr, Errno> {
-        match self.eps.get(ep) {
-            Some(Endpoint::Tcp(t)) => Ok(t.peer_addr),
-            _ => Err(Errno::BadFd),
-        }
-    }
-
     // -------------------------------------------------------------- data
 
     /// Bytes the peer's receive buffer can still absorb from this sender.
@@ -536,7 +524,6 @@ mod tests {
         assert!(h.outcomes.contains(&NetOutcome::ConnectOk(c)));
         assert_eq!(h.net.tcp_state(s).unwrap(), TcpState::Established);
         assert_eq!(h.net.stats().tcp_established, 1);
-        assert_eq!(h.net.tcp_peer_addr(s).unwrap().host, a);
     }
 
     #[test]

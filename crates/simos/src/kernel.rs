@@ -67,14 +67,12 @@ impl FdKind {
 /// Why a process is not runnable.
 #[derive(Debug, Clone)]
 enum WaitCond {
-    EpRead(EpId),
-    EpWrite(EpId),
+    /// Queued under a key, woken by the first event on it.
+    Key(WaitKey),
     Connect {
         ep: EpId,
         fd: Fd,
     },
-    IpcRead(ChanId, Side),
-    IpcWrite(ChanId, Side),
     /// Waiting on the descriptors of the pending `Syscall::Poll`.
     Poll,
     Sleep,
@@ -279,6 +277,8 @@ pub struct Kernel {
     /// their first registration (which is the order they wake in).
     poll_waiters: FastMap<WaitKey, Vec<ProcId>>,
     connect_waiters: FastMap<EpId, (ProcId, Fd)>,
+    /// Descriptors open on each live endpoint; a socket from
+    /// [`Kernel::bind_msg`] starts at zero.
     ep_refs: FastMap<EpId, u32>,
     /// An empty buffer `wake_polls` swaps with the list it wakes, so the
     /// list keeps a buffer for the next registration.
@@ -412,24 +412,54 @@ impl Kernel {
         pid
     }
 
-    /// Creates a bound message socket at world-building time and installs
-    /// a descriptor for it in each of `pids` — the fork-inheritance
-    /// pattern: OpenSER's main process binds the SIP socket once and every
-    /// forked worker inherits it.
+    /// Binds a message socket at world-building time, for processes that
+    /// inherit it: OpenSER's main process binds the SIP socket once and
+    /// every forked worker inherits it. Returns the socket's kind, a token
+    /// for [`Kernel::spawn_inheriting`] that holds no reference; the socket
+    /// stays open while any process holds it.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn setup_shared_msg(
+    pub fn bind_msg(
         &mut self,
         proto: MsgProto,
         host: HostId,
         port: siperf_simnet::Port,
-        pids: &[ProcId],
-    ) -> Result<Vec<Fd>, Errno> {
+    ) -> Result<FdKind, Errno> {
         let (ep, _) = self.net.msg_bind(proto, host, Some(port))?;
-        let kind = FdKind::Msg(ep, proto);
-        Ok(pids.iter().map(|&pid| self.install_fd(pid, kind)).collect())
+        self.ep_refs.insert(ep, 0);
+        Ok(FdKind::Msg(ep, proto))
+    }
+
+    /// Spawns a process that inherits `inherit` as it forks: each kind is
+    /// installed in the new, empty descriptor table, in order, and `build`
+    /// makes the process from their descriptors.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::BadFd`], spawning nothing, if a socket in `inherit` has
+    /// closed since it was bound.
+    pub fn spawn_inheriting(
+        &mut self,
+        host: HostId,
+        nice: Nice,
+        name: impl Into<String>,
+        inherit: &[FdKind],
+        build: impl FnOnce(&[Fd]) -> Box<dyn Process>,
+    ) -> Result<ProcId, Errno> {
+        let closed = |ep| !self.ep_refs.contains_key(&ep);
+        if inherit.iter().filter_map(|k| k.endpoint()).any(closed) {
+            return Err(Errno::BadFd);
+        }
+        // The new table is empty, so the descriptors are 0, 1, ... in
+        // order, and in place before the process first runs.
+        let fds: Vec<Fd> = (0..inherit.len() as u32).map(Fd).collect();
+        let pid = self.spawn(host, nice, name, build(&fds));
+        for &kind in inherit {
+            self.install_fd(pid, kind);
+        }
+        Ok(pid)
     }
 
     // ----------------------------------------------------- fault injection
@@ -484,18 +514,6 @@ impl Kernel {
     /// True until a process exits (or is killed).
     pub fn alive(&self, pid: ProcId) -> bool {
         !matches!(self.procs[pid.0 as usize].state, ProcState::Exited)
-    }
-
-    /// Duplicates a descriptor of `from` into `to`'s table (the supervisor
-    /// re-sharing an inherited socket with a respawned worker). The
-    /// underlying object gains a reference, exactly as with fd passing.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::BadFd`] if `from_fd` is not open in `from`.
-    pub fn dup_to(&mut self, from: ProcId, from_fd: Fd, to: ProcId) -> Result<Fd, Errno> {
-        let kind = self.fd_kind(from, from_fd)?;
-        Ok(self.install_fd(to, kind))
     }
 
     /// Applies a fault to the network fabric at the current virtual time,
@@ -562,12 +580,13 @@ impl Kernel {
         self.procs
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| match &p.state {
-                ProcState::Blocked(cond) => Some((
-                    ProcId(i as u32),
-                    format!("{} blocked on {:?}", p.name, cond),
-                )),
-                _ => None,
+            .filter_map(|(i, p)| {
+                let what = match &p.state {
+                    ProcState::Blocked(WaitCond::Key(key)) => format!("{key:?}"),
+                    ProcState::Blocked(cond) => format!("{cond:?}"),
+                    _ => return None,
+                };
+                Some((ProcId(i as u32), format!("{} blocked on {what}", p.name)))
             })
             .collect()
     }
@@ -584,8 +603,9 @@ impl Kernel {
         for (i, p) in self.procs.iter().enumerate() {
             let pid = ProcId(i as u32);
             let (chan, side) = match &p.state {
-                ProcState::Blocked(WaitCond::IpcRead(c, s)) => (*c, *s),
-                ProcState::Blocked(WaitCond::IpcWrite(c, s)) => (*c, *s),
+                ProcState::Blocked(WaitCond::Key(
+                    WaitKey::IpcRead(c, s) | WaitKey::IpcWrite(c, s),
+                )) => (*c, *s),
                 _ => continue,
             };
             let others = self
@@ -954,19 +974,12 @@ impl Kernel {
     }
 
     fn block(&mut self, pid: ProcId, syscall: Syscall, cond: WaitCond) {
-        let key = match cond {
-            WaitCond::EpRead(ep) => Some(WaitKey::EpRead(ep)),
-            WaitCond::EpWrite(ep) => Some(WaitKey::EpWrite(ep)),
-            WaitCond::IpcRead(c, s) => Some(WaitKey::IpcRead(c, s)),
-            WaitCond::IpcWrite(c, s) => Some(WaitKey::IpcWrite(c, s)),
+        match cond {
+            WaitCond::Key(key) => self.waiters_one.entry(key).or_default().push_back(pid),
             WaitCond::Connect { ep, fd } => {
                 self.connect_waiters.insert(ep, (pid, fd));
-                None
             }
-            WaitCond::Poll | WaitCond::Sleep => None,
-        };
-        if let Some(key) = key {
-            self.waiters_one.entry(key).or_default().push_back(pid);
+            WaitCond::Poll | WaitCond::Sleep => {}
         }
         if let (WaitCond::Poll, Syscall::Poll { fds, .. }) = (&cond, &syscall) {
             for fd in fds {
@@ -990,35 +1003,18 @@ impl Kernel {
         e.state = ProcState::Blocked(cond);
     }
 
-    fn cond_matches(cond: &WaitCond, key: WaitKey) -> bool {
-        match (cond, key) {
-            (WaitCond::EpRead(e), WaitKey::EpRead(k)) => *e == k,
-            (WaitCond::EpWrite(e), WaitKey::EpWrite(k)) => *e == k,
-            (WaitCond::IpcRead(c, s), WaitKey::IpcRead(kc, ks)) => *c == kc && *s == ks,
-            (WaitCond::IpcWrite(c, s), WaitKey::IpcWrite(kc, ks)) => *c == kc && *s == ks,
-            _ => false,
-        }
-    }
-
     /// Whether `pid` still waits under `key`; queues keep stale entries.
     fn blocked_on(&self, pid: ProcId, key: WaitKey) -> bool {
         matches!(
             &self.procs[pid.0 as usize].state,
-            ProcState::Blocked(cond) if Self::cond_matches(cond, key)
+            ProcState::Blocked(WaitCond::Key(k)) if *k == key
         )
     }
 
     /// Wakes the first process validly blocked under `key`.
     fn wake_one(&mut self, key: WaitKey) {
-        let Some(queue) = self.waiters_one.get_mut(&key) else {
-            return;
-        };
-        while let Some(pid) = queue.pop_front() {
-            let valid = matches!(
-                &self.procs[pid.0 as usize].state,
-                ProcState::Blocked(cond) if Self::cond_matches(cond, key)
-            );
-            if valid {
+        while let Some(pid) = self.waiters_one.get_mut(&key).and_then(VecDeque::pop_front) {
+            if self.blocked_on(pid, key) {
                 self.wake(pid, None);
                 return;
             }
@@ -1277,7 +1273,7 @@ impl Kernel {
                         from: d.from,
                         data: d.data,
                     }),
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
+                    Err(Errno::WouldBlock) => Err(WaitCond::Key(WaitKey::EpRead(ep))),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
@@ -1302,7 +1298,7 @@ impl Kernel {
                         fd: self.install_fd(pid, FdKind::Tcp(conn)),
                         peer,
                     }),
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
+                    Err(Errno::WouldBlock) => Err(WaitCond::Key(WaitKey::EpRead(ep))),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
@@ -1311,7 +1307,7 @@ impl Kernel {
             S::TcpSend { fd, data } => match self.fd_kind(pid, *fd) {
                 Ok(FdKind::Tcp(ep)) => match self.net.tcp_send(self.now, ep, data.clone()) {
                     Ok(()) => Ok(SysResult::Done),
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpWrite(ep)),
+                    Err(Errno::WouldBlock) => Err(WaitCond::Key(WaitKey::EpWrite(ep))),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
@@ -1326,7 +1322,7 @@ impl Kernel {
                             Ok(SysResult::Data(data))
                         }
                     }
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
+                    Err(Errno::WouldBlock) => Err(WaitCond::Key(WaitKey::EpRead(ep))),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
@@ -1387,7 +1383,7 @@ impl Kernel {
                             self.wake_all(WaitKey::IpcWrite(chan, side.other()));
                             Ok(SysResult::Ipc(msg))
                         }
-                        None => Err(WaitCond::IpcRead(chan, side)),
+                        None => Err(WaitCond::Key(WaitKey::IpcRead(chan, side))),
                     }
                 }
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
@@ -1430,7 +1426,7 @@ impl Kernel {
         msg: IpcMsg,
     ) -> Result<SysResult, WaitCond> {
         if self.chans[chan.0 as usize].full_towards(side) {
-            return Err(WaitCond::IpcWrite(chan, side));
+            return Err(WaitCond::Key(WaitKey::IpcWrite(chan, side)));
         }
         // Resolve the passed descriptor now (SCM_RIGHTS pins the object even
         // if the sender closes its copy before delivery).

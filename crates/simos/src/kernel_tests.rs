@@ -1352,7 +1352,7 @@ fn kill_cancels_pending_timers_and_closes_descriptors() {
 }
 
 #[test]
-fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
+fn an_inherited_socket_outlives_every_other_holder() {
     let mut k = free_kernel();
     let h = k.add_host(2);
     let peer = k.add_host(1);
@@ -1383,54 +1383,46 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         }),
     );
 
-    // Donor binds a socket, parks forever; the driver dups its descriptor
-    // into a fresh worker (the respawn path) and then kills the donor.
-    let donor_fd = Rc::new(RefCell::new(None::<Fd>));
-    let donor_fd2 = donor_fd.clone();
-    let mut dstep = 0;
-    let donor = k.spawn(
-        h,
-        Nice::NORMAL,
-        "donor",
-        Box::new(move |_: &mut ResumeCtx, last: SysResult| {
-            dstep += 1;
-            match dstep {
-                1 => udp_bind(6001),
-                _ => {
-                    if dstep == 2 {
-                        *donor_fd2.borrow_mut() = Some(last.expect_fd());
-                    }
-                    Syscall::Sleep(SimDuration::from_secs(10))
-                }
-            }
-        }),
-    );
+    // The socket is bound once; a first child inherits it and parks.
+    let sock = k.bind_msg(MsgProto::Udp, h, 6001).expect("bind");
+    let parked = k
+        .spawn_inheriting(h, Nice::NORMAL, "parked", &[sock], |fds| {
+            assert_eq!(fds, [Fd(0)]);
+            Box::new(|_: &mut ResumeCtx, _| Syscall::Sleep(SimDuration::from_secs(10)))
+        })
+        .expect("socket open");
     k.run_until(SimTime::ZERO + SimDuration::from_millis(5));
-    let dfd = donor_fd.borrow().expect("donor bound");
 
-    let heir_fd = Rc::new(RefCell::new(None::<Fd>));
-    let heir_fd2 = heir_fd.clone();
-    let mut hstep = 0;
-    let heir = k.spawn(
-        h,
-        Nice::NORMAL,
-        "heir",
-        Box::new(move |_: &mut ResumeCtx, _| {
-            hstep += 1;
-            match hstep {
-                1 => Syscall::MsgSend {
-                    fd: heir_fd2.borrow().expect("dup before first run"),
-                    to: SockAddr::new(siperf_simnet::HostId(1), 7000),
+    // A second child inherits it, and the first crashes before the second
+    // ever runs (the respawn path).
+    let heir = k
+        .spawn_inheriting(h, Nice::NORMAL, "heir", &[sock], |fds| {
+            let (fd, mut sent) = (fds[0], false);
+            Box::new(move |_: &mut ResumeCtx, _| {
+                if std::mem::replace(&mut sent, true) {
+                    return Syscall::Exit;
+                }
+                Syscall::MsgSend {
+                    fd,
+                    to: SockAddr::new(peer, 7000),
                     data: bytes_from(b"hi".to_vec()),
-                },
-                _ => Syscall::Exit,
-            }
-        }),
-    );
-    let dup = k.dup_to(donor, dfd, heir).expect("dup_to");
-    *heir_fd.borrow_mut() = Some(dup);
-    assert!(k.kill(donor), "donor crashes before the heir ever runs");
+                }
+            })
+        })
+        .expect("socket open");
+    assert!(k.kill(parked), "the first holder crashes");
 
     k.run_until(secs(1));
-    assert_eq!(&*got.borrow(), b"hi", "the dup'd socket must still work");
+    assert_eq!(
+        &*got.borrow(),
+        b"hi",
+        "the inherited socket must still work"
+    );
+    // The heir's exit closed the socket with its last holder.
+    assert!(!k.alive(heir));
+    let late = k.spawn_inheriting(h, Nice::NORMAL, "late", &[sock], |_| unreachable!());
+    assert!(
+        matches!(late, Err(Errno::BadFd)),
+        "a closed socket is not inherited"
+    );
 }

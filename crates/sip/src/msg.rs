@@ -91,11 +91,6 @@ impl StatusCode {
         (100..200).contains(&self.0)
     }
 
-    /// True for 2xx–6xx responses.
-    pub fn is_final(self) -> bool {
-        self.0 >= 200
-    }
-
     /// True for 2xx responses.
     pub fn is_success(self) -> bool {
         (200..300).contains(&self.0)
@@ -479,9 +474,7 @@ mod tests {
         assert!(StatusCode::TRYING.is_provisional());
         assert!(StatusCode::RINGING.is_provisional());
         assert!(!StatusCode::OK.is_provisional());
-        assert!(StatusCode::OK.is_final());
         assert!(StatusCode::OK.is_success());
-        assert!(StatusCode::NOT_FOUND.is_final());
         assert!(!StatusCode::NOT_FOUND.is_success());
         assert_eq!(StatusCode::OK.to_string(), "200 OK");
     }

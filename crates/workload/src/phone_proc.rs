@@ -260,7 +260,8 @@ impl Phone {
 
     /// Queues requests for the proxy. Over TCP they go through a reconnect
     /// when the ops-per-connection policy says so or the client connection
-    /// is gone; the returned syscall starts it.
+    /// is gone; the returned syscall starts it. Once this resume has
+    /// started a reconnect, later requests wait for it too.
     fn send_to_proxy(&mut self, msgs: Vec<Bytes>) -> Option<Syscall> {
         if msgs.is_empty() {
             return None;
@@ -268,6 +269,10 @@ impl Phone {
         let ops_done = self.engine.as_ref().map_or(0, |e| e.ops_done);
         let per_conn = self.cfg.ops_per_conn;
         if let Link::Stream(conns) = &mut self.link {
+            if let Phase::Connecting = self.phase {
+                conns.pending.extend(msgs);
+                return None;
+            }
             let policy_hit = per_conn.is_some_and(|k| ops_done - conns.ops_at_conn >= k as u64);
             if policy_hit {
                 self.cfg.stats.borrow_mut().reconnects += 1;
@@ -374,7 +379,8 @@ impl Phone {
         }
     }
 
-    /// Frames a connection's bytes and handles each complete message. A
+    /// Frames a connection's bytes and handles every complete message; the
+    /// first one that leaves the poll loop decides the next syscall. A
     /// corrupt stream drops the connection after the messages before it.
     fn on_bytes(&mut self, now: SimTime, fd: Fd, bytes: &[u8]) -> Syscall {
         let Some(framer) = self.conns().framers.get_mut(&fd) else {
@@ -387,10 +393,7 @@ impl Phone {
         };
         let mut next = None;
         for raw in frames {
-            next = self.on_message(now, &raw, Src::Conn(fd));
-            if next.is_some() {
-                break;
-            }
+            next = next.or(self.on_message(now, &raw, Src::Conn(fd)));
         }
         if corrupt {
             return self.lost(now, fd, false, next);

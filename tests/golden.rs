@@ -15,7 +15,7 @@ use siperf::simnet::{GilbertElliott, HostId, NetConfig};
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 18] = [
+const GOLDEN: [(&str, u64); 19] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -34,6 +34,7 @@ const GOLDEN: [(&str, u64); 18] = [
     ("tcp-cancel", 0x1ece_f027_7c4f_9b8b),
     ("udp-lossy", 0x1cea_a758_8521_0a48),
     ("sctp-burst-loss", 0xa044_d811_f97c_9e04),
+    ("udp-kill-sole-worker", 0x207d_eba2_83a2_f417),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -138,6 +139,18 @@ fn scenario(name: &str) -> Scenario {
             .proxy(expiring(Arch::MultiThread))
             .client_pairs(10)
             .ops_per_conn(3),
+        // The only worker dies, and the SIP socket closes with it: the
+        // replacement binds it anew.
+        "udp-kill-sole-worker" => {
+            let mut proxy = ProxyConfig::paper(Transport::Udp);
+            proxy.workers = Some(1);
+            b.proxy(proxy)
+                .client_pairs(10)
+                .fault_schedule(FaultSchedule::new().at(
+                    SimDuration::from_millis(700),
+                    Fault::KillWorker { index: 0 },
+                ))
+        }
         "sctp-kill-worker" => b
             .transport(Transport::Sctp)
             .client_pairs(10)
@@ -210,6 +223,8 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
                 p.conns_destroyed > 0 && p.outbound_connects > 0 && p.fd_requests == 0
             }
             "sctp-kill-worker" => r.workers_respawned > 0,
+            // The window opens 100 ms after the kill: calls still complete.
+            "udp-kill-sole-worker" => r.workers_respawned > 0 && r.throughput.per_sec() > 0.0,
             "threaded-kill-worker" => r.workers_respawned > 0 && p.conns_reassigned > 0,
             "threaded-reset" => {
                 r.connections_reset > 0 && p.conns_reassigned > 0 && p.fd_requests == 0

@@ -165,3 +165,44 @@ fn open_loop_works_over_reliable_transports() {
         assert_eq!(r.call_failures, 0, "{transport:?}: open-loop calls failed");
     }
 }
+
+#[test]
+fn tcp_caller_handles_every_response_of_a_read_that_reconnects() {
+    // An open-loop caller holds many calls, so one read often frames
+    // several responses. When one of them completes the operation that
+    // trips the reconnect policy, the rest of the read must still be
+    // handled: a dropped 200 strands its call until Timer B (32 s).
+    const RATE: f64 = 2_000.0;
+    let mut s = Scenario::builder("open-tcp-reconnect-every-op")
+        .transport(Transport::Tcp)
+        .client_pairs(20)
+        .arrival_rate(RATE)
+        .ops_per_conn(1)
+        .seed(42)
+        .build();
+    s.call_start = SimDuration::from_millis(600);
+    s.measure_from = SimDuration::from_millis(800);
+    s.measure = SimDuration::from_millis(500);
+    let mut world = s.build_world();
+    s.drive(&mut world);
+    let w = world.stats.borrow();
+    assert!(w.reconnects > 1_000, "only {} reconnects", w.reconnects);
+    // A reconnect is counted once, however many responses of the read
+    // want it: each count is one connection beside every phone's first
+    // and the proxy's own.
+    let first = (s.pairs + s.client_hosts) as u64;
+    let outbound = world.proxy.stats().outbound_connects;
+    assert_eq!(
+        world.kernel.net().stats().tcp_established,
+        first + w.reconnects + outbound
+    );
+    let ended = w.bye_ok + w.call_failures + w.calls_cancelled + w.calls_rejected;
+    let open = w.call_attempts - ended;
+    // A call takes a few ms here, so only the last 10 ms of arrivals may
+    // still be open when the run stops.
+    assert!(
+        open as f64 <= RATE * 0.010,
+        "{open} of {} calls are still open",
+        w.call_attempts
+    );
+}
