@@ -8,7 +8,6 @@
 //! does (§3).
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use siperf_overload::{LoadSignals, NoControl, OverloadPolicy, Verdict};
@@ -143,23 +142,87 @@ pub struct TimerPass {
     pub reaped: u64,
 }
 
+/// One transaction, from its forward until it is reaped: what every
+/// phase needs to match a message to it and to answer on its behalf.
 #[derive(Debug)]
 struct ProxyTxn {
+    /// Creation order: the table is sorted by it.
+    id: u64,
     upstream_key: TxnKey,
     downstream_key: TxnKey,
     caller_src: SockAddr,
     caller_via: Option<SockAddr>,
+    /// Where the forward went; a relayed CANCEL follows it.
     callee_dst: SockAddr,
-    fwd_bytes: Bytes,
+    /// Replayed to an absorbed retransmission.
     last_response: Option<Bytes>,
-    clock: RetransClock,
-    completed: bool,
-    reap_at: Option<SimTime>,
-    /// When the transaction was created (admission latency measurement).
-    started: SimTime,
-    /// The overload policy admitted this transaction and is owed exactly
-    /// one `on_complete` or `on_timeout`.
-    policy_tracked: bool,
+    phase: Phase,
+}
+
+/// The rest of a transaction's state, which depends on whether it has
+/// ended.
+#[derive(Debug)]
+enum Phase {
+    /// No final response yet. The forward is retransmitted on the clock,
+    /// and a Timer B/F 408 is built from it.
+    Pending {
+        fwd_bytes: Bytes,
+        clock: RetransClock,
+        /// When the transaction was created (admission latency).
+        started: SimTime,
+        /// The overload policy admitted this transaction and is owed
+        /// exactly one `on_complete` or `on_timeout`.
+        policy_tracked: bool,
+    },
+    /// Completed or timed out: kept only to absorb retransmissions, and
+    /// reaped at `reap_at`. Nothing reads the forward any more, so it is
+    /// released.
+    Lingering { reap_at: SimTime },
+}
+
+/// The transactions in creation order. Ids only grow, so new ones go at
+/// the end and a lookup is a binary search. Reaping removes wherever it
+/// finds, so the table holds only live and lingering transactions, however
+/// far apart their ids are.
+#[derive(Debug, Default)]
+struct TxnTable(Vec<ProxyTxn>);
+
+impl TxnTable {
+    /// Where transaction `id` is. Most lookups are for recent transactions,
+    /// and reaping leaves gaps mostly among old ones, so the slot `id`
+    /// would have with no gap after it is tried first.
+    fn slot(&self, id: u64) -> Option<usize> {
+        let from_end = self.0.last()?.id.checked_sub(id)?;
+        let guess = usize::try_from(from_end)
+            .ok()
+            .and_then(|back| self.0.len().checked_sub(back + 1));
+        match guess {
+            Some(at) if self.0[at].id == id => Some(at),
+            _ => self.0.binary_search_by_key(&id, |txn| txn.id).ok(),
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<&ProxyTxn> {
+        self.slot(id).map(|at| &self.0[at])
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut ProxyTxn> {
+        self.slot(id).map(|at| &mut self.0[at])
+    }
+
+    fn push(&mut self, txn: ProxyTxn) {
+        debug_assert!(self.0.last().is_none_or(|last| last.id < txn.id));
+        self.0.push(txn);
+    }
+
+    /// Keeps the transactions `keep` returns true for, visiting them in
+    /// creation order, and gives back the room a burst left behind.
+    fn retain(&mut self, keep: impl FnMut(&mut ProxyTxn) -> bool) {
+        self.0.retain_mut(keep);
+        if self.0.len() < self.0.capacity() / 4 {
+            self.0.shrink_to(self.0.len() * 2);
+        }
+    }
 }
 
 /// The transaction table's index: every live transaction under its
@@ -369,10 +432,10 @@ pub struct ProxyCore {
     // message's header text alive.
     registrar: FastMap<String, Binding>,
     txn_index: TxnIndex,
-    // Ordered by transaction id so `timer_pass` emits retransmissions and
+    // In creation order, so `timer_pass` emits retransmissions and
     // timeouts in a run-independent order (HashMap iteration order would
     // leak the hasher seed into the packet schedule).
-    txns: BTreeMap<u64, ProxyTxn>,
+    txns: TxnTable,
     next_txn: u64,
     next_branch: u64,
     /// The last branch [`fresh_branch`](Self::fresh_branch) wrote.
@@ -396,7 +459,7 @@ impl ProxyCore {
             stateful,
             registrar: FastMap::default(),
             txn_index: TxnIndex::default(),
-            txns: BTreeMap::new(),
+            txns: TxnTable::default(),
             next_txn: 1,
             next_branch: 1,
             branch: OUR_BRANCH.as_bytes().to_vec(),
@@ -440,7 +503,7 @@ impl ProxyCore {
 
     /// Number of live transactions.
     pub fn live_txns(&self) -> usize {
-        self.txns.len()
+        self.txns.0.len()
     }
 
     /// Looks up a user's registered contact address.
@@ -523,7 +586,7 @@ impl ProxyCore {
                 return plan;
             };
             let (dst, downstream_branch) = {
-                let txn = self.txns.get(&id).expect("index is consistent");
+                let txn = self.txns.get(id).expect("index is consistent");
                 (txn.callee_dst, txn.downstream_key.branch.clone())
             };
             plan.out.push(self.reply(StatusCode::OK, &msg, src));
@@ -549,7 +612,7 @@ impl ProxyCore {
                 if let Some(id) = self.txn_index.get(method, branch) {
                     plan.absorbed = true;
                     self.stats.absorbed_retrans += 1;
-                    if let Some(txn) = self.txns.get(&id) {
+                    if let Some(txn) = self.txns.get(id) {
                         if let Some(last) = &txn.last_response {
                             plan.out.push(Outgoing {
                                 bytes: last.clone(),
@@ -646,23 +709,21 @@ impl ProxyCore {
             };
             self.txn_index.insert(&upstream_key, id);
             self.txn_index.insert(&downstream_key, id);
-            self.txns.insert(
+            self.txns.push(ProxyTxn {
                 id,
-                ProxyTxn {
-                    upstream_key,
-                    downstream_key,
-                    caller_src: src,
-                    caller_via,
-                    callee_dst: dst,
+                upstream_key,
+                downstream_key,
+                caller_src: src,
+                caller_via,
+                callee_dst: dst,
+                last_response: None,
+                phase: Phase::Pending {
                     fwd_bytes: fwd_bytes.clone(),
-                    last_response: None,
                     clock,
-                    completed: false,
-                    reap_at: None,
                     started: now,
                     policy_tracked,
                 },
-            );
+            });
             self.stats.txns_created += 1;
             self.active_txns += 1;
             plan.txn_created = true;
@@ -724,23 +785,30 @@ impl ProxyCore {
             return plan;
         };
         let bytes = msg.relay(&mut self.buf);
-        let txn = self.txns.get_mut(&id).expect("index is consistent");
+        let txn = self.txns.get_mut(id).expect("index is consistent");
         txn.last_response = Some(bytes.clone());
         if code.is_provisional() {
             // Provisional response: stop request retransmissions (Timer A),
             // keep the transaction alive.
-            txn.clock.stop();
+            if let Phase::Pending { clock, .. } = &mut txn.phase {
+                clock.stop();
+            }
         } else {
-            txn.clock.stop();
-            if !txn.completed {
-                txn.completed = true;
+            if let Phase::Pending {
+                started,
+                policy_tracked,
+                ..
+            } = txn.phase
+            {
                 self.active_txns -= 1;
-                if txn.policy_tracked {
-                    self.policy
-                        .on_complete(now, txn.caller_src, now - txn.started);
+                if policy_tracked {
+                    self.policy.on_complete(now, txn.caller_src, now - started);
                 }
             }
-            txn.reap_at = Some(now + TXN_LINGER);
+            // A retransmitted final response restarts the linger.
+            txn.phase = Phase::Lingering {
+                reap_at: now + TXN_LINGER,
+            };
         }
         self.stats.forwards += 1;
         plan.out.push(Outgoing {
@@ -755,56 +823,54 @@ impl ProxyCore {
     /// caller holds the timer and transaction locks.
     pub fn timer_pass(&mut self, now: SimTime) -> TimerPass {
         let mut pass = TimerPass::default();
-        let mut reap = Vec::new();
-        let mut timeout = Vec::new();
-        for (&id, txn) in self.txns.iter_mut() {
+        self.txns.retain(|txn| {
             pass.examined += 1;
-            if let Some(at) = txn.reap_at {
-                if at <= now {
-                    reap.push(id);
+            let (fwd_bytes, clock, policy_tracked) = match &mut txn.phase {
+                Phase::Lingering { reap_at } if *reap_at > now => return true,
+                Phase::Lingering { .. } => {
+                    self.txn_index.remove(&txn.upstream_key);
+                    self.txn_index.remove(&txn.downstream_key);
+                    self.stats.txns_reaped += 1;
+                    pass.reaped += 1;
+                    return false;
                 }
-                continue;
-            }
-            match txn.clock.check(now) {
+                Phase::Pending {
+                    fwd_bytes,
+                    clock,
+                    policy_tracked,
+                    ..
+                } => (fwd_bytes, clock, *policy_tracked),
+            };
+            match clock.check(now) {
                 TimerVerdict::Retransmit { .. } => {
                     pass.retransmits.push(Outgoing {
-                        bytes: txn.fwd_bytes.clone(),
+                        bytes: fwd_bytes.clone(),
                         dest: txn.callee_dst,
                         alt: Some(txn.callee_dst),
                     });
                 }
                 TimerVerdict::TimedOut => {
-                    if let Some(bytes) = timeout_response(&txn.fwd_bytes) {
+                    if let Some(bytes) = timeout_response(fwd_bytes) {
                         pass.timeouts.push(Outgoing {
                             bytes,
                             dest: txn.caller_src,
                             alt: txn.caller_via,
                         });
                     }
-                    timeout.push(id);
+                    // The 408 is built: the forward goes with the phase.
+                    txn.phase = Phase::Lingering {
+                        reap_at: now + TXN_LINGER,
+                    };
+                    self.stats.txn_timeouts += 1;
+                    self.active_txns -= 1;
+                    if policy_tracked {
+                        self.policy.on_timeout(now, txn.caller_src);
+                    }
                 }
                 TimerVerdict::Wait { .. } | TimerVerdict::Done => {}
             }
-        }
-        for id in timeout {
-            let txn = self.txns.get_mut(&id).expect("looked up above");
-            txn.completed = true;
-            txn.clock.stop();
-            txn.reap_at = Some(now + TXN_LINGER);
-            self.stats.txn_timeouts += 1;
-            self.active_txns -= 1;
-            if txn.policy_tracked {
-                self.policy.on_timeout(now, txn.caller_src);
-            }
-        }
-        for id in reap {
-            if let Some(txn) = self.txns.remove(&id) {
-                self.txn_index.remove(&txn.upstream_key);
-                self.txn_index.remove(&txn.downstream_key);
-                self.stats.txns_reaped += 1;
-                pass.reaped += 1;
-            }
-        }
+            true
+        });
         self.stats.retransmits_sent += pass.retransmits.len() as u64;
         pass
     }
@@ -1289,6 +1355,108 @@ mod tests {
         let late = gen::response(StatusCode::OK, &fwd, Some("bt"), None);
         let plan = c.handle_message(t(7_000), late, b_src());
         assert!(plan.out.is_empty());
+    }
+
+    /// Forwards alice's INVITE `c{n}` at `ms` and returns the forward.
+    fn invite_forwarded(c: &mut ProxyCore, ms: u64, n: u32) -> Bytes {
+        let (id, branch) = (format!("c{n}"), format!("z9hG4bKa{n}"));
+        let inv = gen::invite(&alice(), &bob(), "sip.lab", &id, &branch, "UDP");
+        let mut plan = c.handle_message(t(ms), inv, a_src());
+        plan.out.pop().expect("the forward").bytes
+    }
+
+    /// Bob's `code` to the forward `fwd`, at `ms`.
+    fn answer(c: &mut ProxyCore, ms: u64, fwd: &[u8], code: StatusCode) -> Plan {
+        let resp = gen::response(code, &parse_message(fwd).unwrap(), Some("bt"), None);
+        c.handle_message(t(ms), resp, b_src())
+    }
+
+    fn call_ids(outs: &[Outgoing]) -> Vec<String> {
+        let id = |out: &Outgoing| parse_message(&out.bytes).unwrap().call_id.to_string();
+        outs.iter().map(id).collect()
+    }
+
+    #[test]
+    fn a_final_response_to_an_invite_releases_the_forward() {
+        let mut c = registered_core(Transport::Udp, true);
+        let fwd = invite_forwarded(&mut c, 0, 1);
+        answer(&mut c, 1, &fwd, StatusCode::RINGING);
+        assert_eq!(Rc::strong_count(&fwd), 2, "a pending INVITE keeps it");
+        answer(&mut c, 2, &fwd, StatusCode::OK);
+        assert_eq!(Rc::strong_count(&fwd), 1, "the 200 releases it");
+        assert_eq!(c.live_txns(), 1);
+    }
+
+    #[test]
+    fn a_final_response_to_a_bye_releases_the_forward() {
+        let mut c = registered_core(Transport::Udp, true);
+        let bye = gen::bye(&alice(), &bob(), "sip.lab", "c1", "bt", "z9hG4bKb1", "UDP");
+        let plan = c.handle_message(t(0), bye, a_src());
+        assert!(plan.txn_created);
+        let fwd = plan.out.into_iter().next().unwrap().bytes;
+        assert_eq!(Rc::strong_count(&fwd), 2, "the pending BYE keeps it");
+        let ok = gen::response(StatusCode::OK, &parse_message(&fwd).unwrap(), None, None);
+        c.handle_message(t(1), ok, b_src());
+        assert_eq!(Rc::strong_count(&fwd), 1, "the 200 releases it");
+        assert_eq!(c.live_txns(), 1);
+    }
+
+    #[test]
+    fn a_timeout_releases_the_forward_once_its_408_is_built() {
+        let mut c = registered_core(Transport::Udp, true);
+        let fwd = invite_forwarded(&mut c, 0, 1);
+        let pass = c.timer_pass(t(32_000));
+        assert_eq!(call_ids(&pass.timeouts), ["c1"], "the 408 is built");
+        assert_eq!(Rc::strong_count(&fwd), 1, "Timer B releases it");
+        assert_eq!(c.live_txns(), 1);
+    }
+
+    #[test]
+    fn timer_passes_follow_creation_order() {
+        let mut c = registered_core(Transport::Udp, true);
+        // c0 and c2 stay pending around c1, which completes and is reaped.
+        invite_forwarded(&mut c, 0, 0);
+        let fwd1 = invite_forwarded(&mut c, 0, 1);
+        invite_forwarded(&mut c, 0, 2);
+        answer(&mut c, 100, &fwd1, StatusCode::OK);
+        assert_eq!(c.timer_pass(t(6_000)).reaped, 1);
+        // Later transactions go after every earlier one, even where one
+        // was reaped: pending c3, c5 and c7 around completed c4 and c6.
+        invite_forwarded(&mut c, 6_000, 3);
+        let fwd4 = invite_forwarded(&mut c, 6_000, 4);
+        answer(&mut c, 6_100, &fwd4, StatusCode::OK);
+        invite_forwarded(&mut c, 20_000, 5);
+        let fwd6 = invite_forwarded(&mut c, 20_000, 6);
+        answer(&mut c, 20_100, &fwd6, StatusCode::OK);
+        invite_forwarded(&mut c, 20_000, 7);
+
+        let pass = c.timer_pass(t(40_000));
+        assert_eq!(call_ids(&pass.timeouts), ["c0", "c2", "c3"]);
+        assert_eq!(call_ids(&pass.retransmits), ["c5", "c7"]);
+        assert_eq!((pass.examined, pass.reaped), (7, 2));
+        assert_eq!(c.live_txns(), 5);
+        // Each one left is found by its id across the gaps; c1 is gone.
+        for txn in &c.txns.0 {
+            assert_eq!(c.txns.get(txn.id).map(|found| found.id), Some(txn.id));
+        }
+        assert!(c.txns.get(2).is_none());
+    }
+
+    #[test]
+    fn a_stuck_transaction_does_not_pin_the_reaped_ones() {
+        let mut c = registered_core(Transport::Udp, true);
+        // c0 waits 32 s for Timer B while 1,000 later calls complete.
+        invite_forwarded(&mut c, 0, 0);
+        for n in 1..=1_000 {
+            let fwd = invite_forwarded(&mut c, 1, n);
+            answer(&mut c, 2, &fwd, StatusCode::OK);
+        }
+        assert_eq!(c.live_txns(), 1_001);
+        assert_eq!(c.timer_pass(t(6_000)).reaped, 1_000);
+        assert_eq!(c.live_txns(), 1);
+        assert!(c.txns.0.capacity() <= 4, "{} slots", c.txns.0.capacity());
+        let pass = c.timer_pass(t(32_000));
+        assert_eq!(call_ids(&pass.timeouts), ["c0"]);
     }
 
     #[test]

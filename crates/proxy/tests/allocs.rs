@@ -2,7 +2,7 @@
 //! allocator. Matching a message to its transaction borrows the branch from
 //! the message: absorbing a retransmission or relaying a response copies no
 //! key. Forwarding an INVITE read from the wire parses nothing and builds
-//! no message.
+//! no message. A finished transaction holds only what its linger needs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,26 +15,34 @@ use siperf_sip::gen::{self, CallParty};
 use siperf_sip::msg::{SipMessage, StatusCode};
 use siperf_sip::parse::parse_message;
 
-/// Counts this thread's allocations, so tests running in parallel on
-/// other threads do not disturb each other's counts.
+/// Counts this thread's allocations and the bytes it holds, so tests
+/// running in parallel on other threads do not disturb each other's counts.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated less bytes freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn note(allocs: u64, bytes: isize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note(1, layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note(1, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -47,6 +55,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Bytes this thread holds on the heap now.
+fn live_bytes() -> isize {
+    LIVE.with(Cell::get)
 }
 
 fn t(ms: u64) -> SimTime {
@@ -137,4 +150,84 @@ fn forwarding_an_invite_from_the_wire_builds_no_message() {
     // keys and the plan's list; one more when a transaction-table node
     // splits.
     assert!(allocs <= 6, "{allocs} allocations, want at most 6");
+}
+
+/// Routes `wire` from `src` as a worker does: read, then handled.
+fn route(core: &mut ProxyCore, wire: &[u8], src: SockAddr) -> Plan {
+    let msg = Inbound::read(wire).expect("the message reads");
+    assert!(matches!(msg, Inbound::Scanned(_)), "the message scans");
+    core.handle(t(3), msg, src)
+}
+
+/// One whole call from the wire: INVITE, 100, 180, 200, ACK, then BYE and
+/// its 200. It leaves two transactions lingering.
+fn whole_call(core: &mut ProxyCore, no: u32) {
+    let alice = CallParty::new("alice", "h1:20001");
+    let bob = CallParty::new("bob", "h2:20002");
+    let id = format!("c{no}");
+    let invite = gen::invite(
+        &alice,
+        &bob,
+        "sip.lab",
+        &id,
+        &format!("z9hG4bKi{no}"),
+        "UDP",
+    );
+    let plan = route(core, &invite.to_bytes(), ALICE_SRC);
+    assert_eq!(plan.out.len(), 2, "the 100 Trying and the forward");
+    let fwd = parse_message(&plan.out[1].bytes).expect("forwards parse");
+    for (code, contact) in [
+        (StatusCode::RINGING, None),
+        (StatusCode::OK, Some(bob.contact())),
+    ] {
+        let resp = gen::response(code, &fwd, Some("tt-bob"), contact);
+        assert_eq!(route(core, &resp.to_bytes(), BOB_SRC).out.len(), 1);
+    }
+    let ack = gen::ack(
+        &alice,
+        &bob,
+        "sip.lab",
+        &id,
+        "tt-bob",
+        &format!("z9hG4bKk{no}"),
+        "UDP",
+    );
+    assert_eq!(route(core, &ack.to_bytes(), ALICE_SRC).out.len(), 1);
+    let bye = gen::bye(
+        &alice,
+        &bob,
+        "sip.lab",
+        &id,
+        "tt-bob",
+        &format!("z9hG4bKb{no}"),
+        "UDP",
+    );
+    let plan = route(core, &bye.to_bytes(), ALICE_SRC);
+    let fwd = parse_message(&plan.out[0].bytes).expect("forwards parse");
+    let ok = gen::response(StatusCode::OK, &fwd, Some("tt-bob"), None);
+    assert_eq!(route(core, &ok.to_bytes(), BOB_SRC).out.len(), 1);
+}
+
+/// What a lingering transaction may hold, on average over an INVITE and a
+/// BYE: its last response, its two keys, its index entries and its table
+/// slot, each with the slack of a growing table. Near 650 bytes; its
+/// forward would add about 400 more.
+const BOUND: isize = 800;
+
+#[test]
+fn a_lingering_transaction_holds_no_forward() {
+    let (mut core, _, _) = invite_in_flight();
+    // The first call grows the core's write buffer.
+    whole_call(&mut core, 100);
+    let before = live_bytes();
+    for no in 101..=200 {
+        whole_call(&mut core, no);
+    }
+    let per_txn = (live_bytes() - before) / 200;
+    assert_eq!(core.live_txns(), 203, "every transaction lingers");
+    assert_eq!(core.stats.txns_reaped, 0);
+    assert!(
+        per_txn <= BOUND,
+        "{per_txn} bytes per transaction, want at most {BOUND}"
+    );
 }
