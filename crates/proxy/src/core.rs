@@ -29,7 +29,8 @@ use crate::util::parse_sim_addr;
 pub(crate) const TXN_LINGER: SimDuration = SimDuration::from_secs(5);
 
 /// The branches this proxy puts in its Vias start with the RFC 3261 magic
-/// cookie, then `px`, then a counter.
+/// cookie, then `px`, then a counter: the id of the transaction the
+/// forward starts, if it starts one.
 const OUR_BRANCH: &str = "z9hG4bKpx";
 
 /// One location-service binding. For connection-oriented transports the
@@ -48,9 +49,9 @@ pub struct Binding {
 /// Counters a run reports; mirrors `openserctl fifo get_statistics`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProxyStats {
-    /// Requests parsed and handled.
+    /// Requests handled.
     pub requests: u64,
-    /// Responses parsed and handled.
+    /// Responses handled.
     pub responses: u64,
     /// Messages forwarded downstream/upstream.
     pub forwards: u64,
@@ -146,10 +147,13 @@ pub struct TimerPass {
 /// phase needs to match a message to it and to answer on its behalf.
 #[derive(Debug)]
 struct ProxyTxn {
-    /// Creation order: the table is sorted by it.
+    /// The number `n` of our forward's branch, `z9hG4bKpx{n}`, by which a
+    /// response finds the transaction. Numbers only grow, so the table is
+    /// sorted by it.
     id: u64,
+    /// The caller's branch, by which the index finds a retransmission or a
+    /// CANCEL, and the method, which a response's CSeq must match.
     upstream_key: TxnKey,
-    downstream_key: TxnKey,
     caller_src: SockAddr,
     caller_via: Option<SockAddr>,
     /// Where the forward went; a relayed CANCEL follows it.
@@ -163,43 +167,54 @@ struct ProxyTxn {
 /// ended.
 #[derive(Debug)]
 enum Phase {
-    /// No final response yet. The forward is retransmitted on the clock,
-    /// and a Timer B/F 408 is built from it.
-    Pending {
-        fwd_bytes: Bytes,
-        clock: RetransClock,
-        /// When the transaction was created (admission latency).
-        started: SimTime,
-        /// The overload policy admitted this transaction and is owed
-        /// exactly one `on_complete` or `on_timeout`.
-        policy_tracked: bool,
-    },
+    /// No final response yet. Boxed, so that a lingering slot does not
+    /// pay for it.
+    Pending(Box<Pending>),
     /// Completed or timed out: kept only to absorb retransmissions, and
     /// reaped at `reap_at`. Nothing reads the forward any more, so it is
     /// released.
     Lingering { reap_at: SimTime },
 }
 
+/// A pending transaction's state. The forward is retransmitted on the
+/// clock, and a Timer B/F 408 is built from it.
+#[derive(Debug)]
+struct Pending {
+    fwd_bytes: Bytes,
+    clock: RetransClock,
+    /// When the transaction was created (admission latency).
+    started: SimTime,
+    /// The overload policy admitted this transaction and is owed exactly
+    /// one `on_complete` or `on_timeout`.
+    policy_tracked: bool,
+}
+
 /// The transactions in creation order. Ids only grow, so new ones go at
-/// the end and a lookup is a binary search. Reaping removes wherever it
+/// the end and a lookup is a search of a sorted `Vec`. Reaping removes wherever it
 /// finds, so the table holds only live and lingering transactions, however
 /// far apart their ids are.
 #[derive(Debug, Default)]
 struct TxnTable(Vec<ProxyTxn>);
 
 impl TxnTable {
-    /// Where transaction `id` is. Most lookups are for recent transactions,
-    /// and reaping leaves gaps mostly among old ones, so the slot `id`
-    /// would have with no gap after it is tried first.
+    /// Where transaction `id` is. ACKs and stateless forwards take branch
+    /// numbers too, and reaping leaves holes, so the guess interpolates
+    /// between the first and the last id. Ids are distinct integers, so
+    /// `id` is at most as many slots from the guess as it is from the
+    /// guess's id, and only those slots are searched.
     fn slot(&self, id: u64) -> Option<usize> {
-        let from_end = self.0.last()?.id.checked_sub(id)?;
-        let guess = usize::try_from(from_end)
-            .ok()
-            .and_then(|back| self.0.len().checked_sub(back + 1));
-        match guess {
-            Some(at) if self.0[at].id == id => Some(at),
-            _ => self.0.binary_search_by_key(&id, |txn| txn.id).ok(),
+        let (first, last) = (self.0.first()?.id, self.0.last()?.id);
+        if !(first..=last).contains(&id) {
+            return None;
         }
+        let (span, last_slot) = (u128::from(last - first).max(1), self.0.len() - 1);
+        let guess = (u128::from(id - first) * last_slot as u128 / span) as usize;
+        let at = self.0[guess].id;
+        let reach = |a: u64, b: u64| usize::try_from(a.saturating_sub(b)).unwrap_or(usize::MAX);
+        let lo = guess.saturating_sub(reach(at, id));
+        let hi = last_slot.min(guess.saturating_add(reach(id, at)));
+        let found = self.0[lo..=hi].binary_search_by_key(&id, |txn| txn.id);
+        found.ok().map(|i| lo + i)
     }
 
     fn get(&self, id: u64) -> Option<&ProxyTxn> {
@@ -226,10 +241,10 @@ impl TxnTable {
 }
 
 /// The transaction table's index: every live transaction under its
-/// upstream and its downstream key, one map per method. A lookup borrows
-/// the branch from the message, so it copies nothing; a stored key is a
-/// copy of its own, so an entry does not keep a whole message's header
-/// text alive.
+/// upstream key, one map per method. A response needs no entry: our
+/// branch number is its transaction's id. A lookup borrows the branch from
+/// the message, so it copies nothing; a stored key is a copy of its own,
+/// so an entry does not keep a whole message's header text alive.
 #[derive(Debug, Default)]
 struct TxnIndex {
     /// Indexed by `Method as usize`.
@@ -436,9 +451,8 @@ pub struct ProxyCore {
     // timeouts in a run-independent order (HashMap iteration order would
     // leak the hasher seed into the packet schedule).
     txns: TxnTable,
-    next_txn: u64,
     next_branch: u64,
-    /// The last branch [`fresh_branch`](Self::fresh_branch) wrote.
+    /// The last branch [`our_branch`] wrote.
     branch: Vec<u8>,
     /// The buffer each spliced message is written into before it is
     /// copied out.
@@ -460,7 +474,6 @@ impl ProxyCore {
             registrar: FastMap::default(),
             txn_index: TxnIndex::default(),
             txns: TxnTable::default(),
-            next_txn: 1,
             next_branch: 1,
             branch: OUR_BRANCH.as_bytes().to_vec(),
             buf: Vec::new(),
@@ -509,13 +522,6 @@ impl ProxyCore {
     /// Looks up a user's registered contact address.
     pub fn contact_of(&self, user: &str) -> Option<SockAddr> {
         self.registrar.get(user).map(|b| b.contact)
-    }
-
-    /// Writes the next branch of ours, `z9hG4bKpx{n}`, into `self.branch`.
-    fn fresh_branch(&mut self) {
-        self.branch.truncate(OUR_BRANCH.len());
-        push_decimal(&mut self.branch, self.next_branch);
-        self.next_branch += 1;
     }
 
     fn reply(&mut self, code: StatusCode, req: &Inbound<'_>, dest: SockAddr) -> Outgoing {
@@ -585,16 +591,13 @@ impl ProxyCore {
                 self.stats.route_failures += 1;
                 return plan;
             };
-            let (dst, downstream_branch) = {
-                let txn = self.txns.get(id).expect("index is consistent");
-                (txn.callee_dst, txn.downstream_key.branch.clone())
-            };
+            let dst = self.txns.get(id).expect("index is consistent").callee_dst;
             plan.out.push(self.reply(StatusCode::OK, &msg, src));
             let bytes = msg.forward(
                 &mut self.buf,
                 self.transport.token(),
                 &self.via_sent_by,
-                &downstream_branch,
+                our_branch(&mut self.branch, id),
             );
             self.stats.cancels_relayed += 1;
             self.stats.forwards += 1;
@@ -686,43 +689,35 @@ impl ProxyCore {
         };
 
         // The request becomes the forward: our Via on top, a hop spent.
-        self.fresh_branch();
-        let branch = std::str::from_utf8(&self.branch).expect("branches are ASCII");
+        let id = self.next_branch;
+        self.next_branch += 1;
         let fwd_bytes = msg.forward(
             &mut self.buf,
             self.transport.token(),
             &self.via_sent_by,
-            branch,
+            our_branch(&mut self.branch, id),
         );
 
         if let Some(upstream_key) = upstream_key {
-            let id = self.next_txn;
-            self.next_txn += 1;
-            let downstream_key = TxnKey {
-                branch: branch.into(),
-                method,
-            };
             let clock = if self.transport.is_reliable() {
                 RetransClock::reliable(now)
             } else {
                 RetransClock::new(now, method)
             };
             self.txn_index.insert(&upstream_key, id);
-            self.txn_index.insert(&downstream_key, id);
             self.txns.push(ProxyTxn {
                 id,
                 upstream_key,
-                downstream_key,
                 caller_src: src,
                 caller_via,
                 callee_dst: dst,
                 last_response: None,
-                phase: Phase::Pending {
+                phase: Phase::Pending(Box::new(Pending {
                     fwd_bytes: fwd_bytes.clone(),
                     clock,
                     started: now,
                     policy_tracked,
-                },
+                })),
             });
             self.stats.txns_created += 1;
             self.active_txns += 1;
@@ -772,7 +767,10 @@ impl ProxyCore {
         }
 
         let cseq_method = msg.cseq_method();
-        let Some(id) = self.txn_index.get(cseq_method, our_branch) else {
+        let found = our_branch_number(our_branch)
+            .and_then(|id| self.txns.get_mut(id))
+            .filter(|txn| txn.upstream_key.method == cseq_method);
+        let Some(txn) = found else {
             if cseq_method == Method::Cancel {
                 // The callee's 200 to our relayed CANCEL; we already
                 // answered the caller ourselves.
@@ -785,24 +783,19 @@ impl ProxyCore {
             return plan;
         };
         let bytes = msg.relay(&mut self.buf);
-        let txn = self.txns.get_mut(id).expect("index is consistent");
         txn.last_response = Some(bytes.clone());
         if code.is_provisional() {
             // Provisional response: stop request retransmissions (Timer A),
             // keep the transaction alive.
-            if let Phase::Pending { clock, .. } = &mut txn.phase {
-                clock.stop();
+            if let Phase::Pending(pending) = &mut txn.phase {
+                pending.clock.stop();
             }
         } else {
-            if let Phase::Pending {
-                started,
-                policy_tracked,
-                ..
-            } = txn.phase
-            {
+            if let Phase::Pending(pending) = &txn.phase {
                 self.active_txns -= 1;
-                if policy_tracked {
-                    self.policy.on_complete(now, txn.caller_src, now - started);
+                if pending.policy_tracked {
+                    let latency = now - pending.started;
+                    self.policy.on_complete(now, txn.caller_src, latency);
                 }
             }
             // A retransmitted final response restarts the linger.
@@ -825,37 +818,34 @@ impl ProxyCore {
         let mut pass = TimerPass::default();
         self.txns.retain(|txn| {
             pass.examined += 1;
-            let (fwd_bytes, clock, policy_tracked) = match &mut txn.phase {
+            let pending = match &mut txn.phase {
                 Phase::Lingering { reap_at } if *reap_at > now => return true,
                 Phase::Lingering { .. } => {
                     self.txn_index.remove(&txn.upstream_key);
-                    self.txn_index.remove(&txn.downstream_key);
                     self.stats.txns_reaped += 1;
                     pass.reaped += 1;
                     return false;
                 }
-                Phase::Pending {
-                    fwd_bytes,
-                    clock,
-                    policy_tracked,
-                    ..
-                } => (fwd_bytes, clock, *policy_tracked),
+                Phase::Pending(pending) => pending,
             };
-            match clock.check(now) {
+            match pending.clock.check(now) {
                 TimerVerdict::Retransmit { .. } => {
                     pass.retransmits.push(Outgoing {
-                        bytes: fwd_bytes.clone(),
+                        bytes: pending.fwd_bytes.clone(),
                         dest: txn.callee_dst,
                         alt: Some(txn.callee_dst),
                     });
                 }
                 TimerVerdict::TimedOut => {
-                    if let Some(bytes) = timeout_response(fwd_bytes) {
+                    if let Some(bytes) = timeout_response(&pending.fwd_bytes) {
                         pass.timeouts.push(Outgoing {
                             bytes,
                             dest: txn.caller_src,
                             alt: txn.caller_via,
                         });
+                    }
+                    if pending.policy_tracked {
+                        self.policy.on_timeout(now, txn.caller_src);
                     }
                     // The 408 is built: the forward goes with the phase.
                     txn.phase = Phase::Lingering {
@@ -863,9 +853,6 @@ impl ProxyCore {
                     };
                     self.stats.txn_timeouts += 1;
                     self.active_txns -= 1;
-                    if policy_tracked {
-                        self.policy.on_timeout(now, txn.caller_src);
-                    }
                 }
                 TimerVerdict::Wait { .. } | TimerVerdict::Done => {}
             }
@@ -874,6 +861,22 @@ impl ProxyCore {
         self.stats.retransmits_sent += pass.retransmits.len() as u64;
         pass
     }
+}
+
+/// Writes our branch `z9hG4bKpx{n}` into `buf`, which starts with
+/// [`OUR_BRANCH`], and returns it.
+fn our_branch(buf: &mut Vec<u8>, n: u64) -> &str {
+    buf.truncate(OUR_BRANCH.len());
+    push_decimal(buf, n);
+    std::str::from_utf8(buf).expect("branches are ASCII")
+}
+
+/// The `n` of a branch `z9hG4bKpx{n}` as [`our_branch`] writes it: digits
+/// only, no leading zero, within `u64`. Any other branch is not ours.
+fn our_branch_number(branch: &str) -> Option<u64> {
+    let digits = branch.strip_prefix(OUR_BRANCH)?;
+    let canonical = !digits.starts_with('0') && digits.bytes().all(|b| b.is_ascii_digit());
+    digits.parse().ok().filter(|_| canonical)
 }
 
 /// The 408 a timed-out transaction owes its caller (Timer B/F), built
@@ -1457,6 +1460,100 @@ mod tests {
         assert!(c.txns.0.capacity() <= 4, "{} slots", c.txns.0.capacity());
         let pass = c.timer_pass(t(32_000));
         assert_eq!(call_ids(&pass.timeouts), ["c0"]);
+    }
+
+    /// A lingering transaction `id`, for table tests.
+    fn lingering(id: u64) -> ProxyTxn {
+        ProxyTxn {
+            id,
+            upstream_key: TxnKey {
+                branch: "z9hG4bKa".into(),
+                method: Method::Invite,
+            },
+            caller_src: a_src(),
+            caller_via: None,
+            callee_dst: b_src(),
+            last_response: None,
+            phase: Phase::Lingering {
+                reap_at: SimTime::ZERO,
+            },
+        }
+    }
+
+    fn table(ids: &[u64]) -> TxnTable {
+        TxnTable(ids.iter().map(|&id| lingering(id)).collect())
+    }
+
+    #[test]
+    fn the_table_finds_every_id_it_holds_and_no_other() {
+        // Each call takes three branch numbers, the ACK's with no
+        // transaction: INVITE 3k+1, ACK 3k+2, BYE 3k+3. Reaping leaves a
+        // run of holes among old calls and scattered ones after it.
+        let mut ids: Vec<u64> = (0..300).flat_map(|k| [3 * k + 1, 3 * k + 3]).collect();
+        ids.retain(|&id| !(10..200).contains(&id) && id % 7 != 0);
+        let held = table(&ids);
+        for id in 0..=ids[ids.len() - 1] + 5 {
+            assert_eq!(held.slot(id), ids.binary_search(&id).ok(), "id {id}");
+        }
+        assert_eq!(held.slot(u64::MAX), None);
+
+        // Ids far apart, up to the largest: the guess must not overflow.
+        let far = [1, 2, 3, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        let held = table(&far);
+        for (at, &id) in far.iter().enumerate() {
+            assert_eq!(held.slot(id), Some(at), "id {id}");
+        }
+        for id in [0, 4, u64::MAX / 2 - 1, u64::MAX / 2 + 1, u64::MAX - 2] {
+            assert_eq!(held.slot(id), None, "id {id}");
+        }
+        assert_eq!(table(&[5]).slot(5), Some(0));
+        assert_eq!(table(&[5]).slot(4), None);
+        assert_eq!(table(&[]).slot(0), None);
+    }
+
+    #[test]
+    fn a_response_on_a_branch_we_did_not_write_finds_no_transaction() {
+        let mut c = registered_core(Transport::Udp, true);
+        let fwds: Vec<Bytes> = (1..=7).map(|n| invite_forwarded(&mut c, 0, n)).collect();
+        let fwd7 = parse_message(&fwds[6]).unwrap();
+        assert_eq!(fwd7.vias[0].branch, "z9hG4bKpx7");
+        // Each one reads as 7 to a parse that is lax about signs, leading
+        // zeros, trailing bytes or overflow (2^64 + 7 wraps to 7).
+        let not_ours = [
+            "z9hG4bKpx",
+            "z9hG4bKpx07",
+            "z9hG4bKpx7x",
+            "z9hG4bKpx+7",
+            "z9hG4bKpx18446744073709551623",
+        ];
+        for branch in not_ours {
+            let mut ok = gen::response(StatusCode::OK, &fwd7, Some("bt"), None);
+            ok.vias[0].branch = branch.into();
+            let failures = c.stats.route_failures;
+            let plan = c.handle_message(t(1), ok, b_src());
+            assert!(plan.out.is_empty(), "{branch}: relayed");
+            assert_eq!(c.stats.route_failures, failures + 1, "{branch}");
+        }
+        assert_eq!(c.load_signals().active_txns, 7, "every INVITE is pending");
+        assert_eq!(answer(&mut c, 2, &fwds[6], StatusCode::OK).out.len(), 1);
+    }
+
+    #[test]
+    fn a_200_to_our_relayed_cancel_leaves_the_invite_pending() {
+        let mut c = registered_core(Transport::Udp, true);
+        let fwd = invite_forwarded(&mut c, 0, 1);
+        let cancel = gen::cancel(&alice(), &bob(), "sip.lab", "c1", "z9hG4bKa1", "UDP");
+        let plan = c.handle_message(t(1), cancel, a_src());
+        let relayed = parse_message(&plan.out[1].bytes).unwrap();
+        // On the INVITE's branch, with CSeq CANCEL.
+        assert_eq!(relayed.vias[0].branch, "z9hG4bKpx1");
+        let ok = gen::response(StatusCode::OK, &relayed, None, None);
+        let plan = c.handle_message(t(2), ok, b_src());
+        assert!(plan.out.is_empty());
+        assert_eq!(c.stats.cancel_responses_absorbed, 1);
+        assert_eq!(c.stats.route_failures, 0);
+        assert_eq!(c.load_signals().active_txns, 1, "the INVITE is pending");
+        assert_eq!(Rc::strong_count(&fwd), 2, "and keeps its forward");
     }
 
     #[test]

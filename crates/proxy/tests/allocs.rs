@@ -146,9 +146,9 @@ fn forwarding_an_invite_from_the_wire_builds_no_message() {
     if cfg!(debug_assertions) {
         return;
     }
-    // The 100 and the forward (one shared copy each), the two transaction
-    // keys and the plan's list; one more when a transaction-table node
-    // splits.
+    // The 100 and the forward (one shared copy each), the upstream key,
+    // the boxed pending state and the plan's list; one more when the
+    // transaction table or the index grows.
     assert!(allocs <= 6, "{allocs} allocations, want at most 6");
 }
 
@@ -209,10 +209,11 @@ fn whole_call(core: &mut ProxyCore, no: u32) {
 }
 
 /// What a lingering transaction may hold, on average over an INVITE and a
-/// BYE: its last response, its two keys, its index entries and its table
-/// slot, each with the slack of a growing table. Near 650 bytes; its
-/// forward would add about 400 more.
-const BOUND: isize = 800;
+/// BYE: its last response, its upstream key, one index entry and its
+/// table slot, each with the slack of a growing table. Near 480 bytes.
+/// Its forward would add about 400 more, a downstream key with its index
+/// entry about 100, and pending state left in the slot about 70.
+const BOUND: isize = 560;
 
 #[test]
 fn a_lingering_transaction_holds_no_forward() {
