@@ -15,7 +15,7 @@ use siperf::simnet::{GilbertElliott, HostId, NetConfig};
 use siperf::workload::{Scenario, ScenarioBuilder, ScenarioReport};
 
 /// The committed digests, one per scenario name.
-const GOLDEN: [(&str, u64); 19] = [
+const GOLDEN: [(&str, u64); 21] = [
     ("udp", 0x10b0_4ede_e844_0bb4),
     ("tcp-baseline", 0xbdfb_196f_3992_359e),
     ("tcp-fdcache-pq-churn", 0x43cb_fd5c_3508_f829),
@@ -35,6 +35,8 @@ const GOLDEN: [(&str, u64); 19] = [
     ("udp-lossy", 0x1cea_a758_8521_0a48),
     ("sctp-burst-loss", 0xa044_d811_f97c_9e04),
     ("udp-kill-sole-worker", 0x207d_eba2_83a2_f417),
+    ("tcp-pq-expiry", 0x0913_25d1_82ce_3843),
+    ("threaded-pq-expiry", 0xa393_43f2_4cb6_0be1),
 ];
 
 /// 64-bit FNV-1a, the same digest the benchmark reports as
@@ -63,10 +65,10 @@ fn scenario(name: &str) -> Scenario {
     // A short idle timeout, so connections expire inside the call phase:
     // worker return, supervisor destroy and outbound connects all run.
     // (100 ms would idle everything out before the first call.)
-    let expiring = |arch| {
+    let expiring = |arch, idle_strategy| {
         let mut proxy = ProxyConfig::paper(Transport::Tcp);
         proxy.arch = arch;
-        proxy.idle_strategy = IdleStrategy::LinearScan;
+        proxy.idle_strategy = idle_strategy;
         proxy.idle_timeout = SimDuration::from_millis(250);
         proxy
     };
@@ -132,11 +134,21 @@ fn scenario(name: &str) -> Scenario {
             .arrival_rate(8_000.0)
             .setup_deadline(SimDuration::from_millis(200)),
         "tcp-idle-expiry" => b
-            .proxy(expiring(Arch::MultiProcess))
+            .proxy(expiring(Arch::MultiProcess, IdleStrategy::LinearScan))
             .client_pairs(10)
             .ops_per_conn(3),
         "threaded-linear-expiry" => b
-            .proxy(expiring(Arch::MultiThread))
+            .proxy(expiring(Arch::MultiThread, IdleStrategy::LinearScan))
+            .client_pairs(10)
+            .ops_per_conn(3),
+        // The same expiry under the priority queues: the supervisor's and
+        // the workers' queues pop live entries, not only stale ones.
+        "tcp-pq-expiry" => b
+            .proxy(expiring(Arch::MultiProcess, IdleStrategy::PriorityQueue).with_fd_cache())
+            .client_pairs(10)
+            .ops_per_conn(3),
+        "threaded-pq-expiry" => b
+            .proxy(expiring(Arch::MultiThread, IdleStrategy::PriorityQueue))
             .client_pairs(10)
             .ops_per_conn(3),
         // The only worker dies, and the SIP socket closes with it: the
@@ -222,6 +234,8 @@ fn exercises(name: &str, r: &ScenarioReport) -> bool {
             "threaded-linear-expiry" => {
                 p.conns_destroyed > 0 && p.outbound_connects > 0 && p.fd_requests == 0
             }
+            "tcp-pq-expiry" => p.conns_returned > 0 && p.conns_destroyed > 0 && p.fd_cache_hits > 0,
+            "threaded-pq-expiry" => p.conns_destroyed > 0 && p.fd_requests == 0,
             "sctp-kill-worker" => r.workers_respawned > 0,
             // The window opens 100 ms after the kill: calls still complete.
             "udp-kill-sole-worker" => r.workers_respawned > 0 && r.throughput.per_sec() > 0.0,
