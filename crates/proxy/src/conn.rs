@@ -1,14 +1,16 @@
-//! The shared TCP connection table and the two idle-management strategies.
+//! The shared TCP connection table and idle-connection management.
 //!
 //! OpenSER keeps an application-level *connection object* for every TCP
 //! connection in a shared hash table guarded by one lock (§3.1). Finding
 //! idle connections is the second bottleneck the paper identifies (§5.2):
 //! the baseline walks **every** object under that lock, while §5.3's fix
-//! keeps objects in timeout-ordered **priority queues** so only expired
-//! ones are visited.
+//! keeps objects in timeout-ordered **priority queues** — one shared by the
+//! supervisor, one per worker — so only expired ones are visited.
 //!
-//! Both strategies are implemented here as pure data structures; the
-//! supervisor and worker processes charge lock and CPU costs around them.
+//! Only this module knows the strategy, the idle timeout and what each
+//! strategy costs: [`ConnTable`] hunts for the supervisor (or acceptor),
+//! [`OwnedIdle`] for one worker over the connections it owns, and both
+//! return the CPU to charge under the table lock.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,6 +18,13 @@ use std::collections::BinaryHeap;
 use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::SockAddr;
+
+use crate::config::{IdleStrategy, APP_COSTS};
+
+/// The fixed CPU of a supervisor's (or acceptor's) hunt over the table.
+const TABLE_HUNT_NS: u64 = 400;
+/// The fixed CPU of a worker's hunt over the connections it owns.
+const OWNED_HUNT_NS: u64 = 300;
 
 /// Identifies a connection object in the shared table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,13 +44,13 @@ pub struct ConnObj {
     /// When the owning worker handed the connection back (second phase of
     /// the two-step close, §3.1).
     pub returned_at: Option<SimTime>,
-    /// Bumped on every touch; lets heap entries detect staleness.
+    /// Bumped on every touch; lets queue entries detect staleness.
     pub stamp: u64,
 }
 
 impl ConnObj {
     /// When this connection (if never touched again) becomes idle.
-    pub fn expires_at(&self, timeout: SimDuration) -> SimTime {
+    fn expires_at(&self, timeout: SimDuration) -> SimTime {
         match self.returned_at {
             Some(at) => at + timeout,
             None => self.last_used + timeout,
@@ -49,17 +58,54 @@ impl ConnObj {
     }
 }
 
+/// An idle timeout and the strategy that finds what outlived it: no queue
+/// for the §5.2 linear scan, a priority queue of `(expires, id, stamp)` for
+/// §5.3. The queue deletes lazily: an entry whose stamp is no longer its
+/// connection's is stale, and popping it costs one pop but nothing more.
+#[derive(Debug)]
+struct IdleClock {
+    timeout: SimDuration,
+    /// `None` under the linear scan.
+    queue: Option<BinaryHeap<Reverse<(SimTime, u64, u64)>>>,
+}
+
+impl IdleClock {
+    /// Queues connection `id` at `stamp` to expire at `at`.
+    fn push(&mut self, at: SimTime, id: u64, stamp: u64) {
+        if let Some(queue) = &mut self.queue {
+            queue.push(Reverse((at, id, stamp)));
+        }
+    }
+
+    /// Pops the next queued `(id, stamp)` that is due by `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<(u64, u64)> {
+        let queue = self.queue.as_mut()?;
+        let &Reverse((at, id, stamp)) = queue.peek()?;
+        if at > now {
+            return None;
+        }
+        queue.pop();
+        Some((id, stamp))
+    }
+
+    /// The CPU of one hunt that `examined` entries, `fixed` included: a
+    /// walk pays per object (at least one), a queue per pop.
+    fn hunt_ns(&self, examined: u64, fixed: u64) -> u64 {
+        match self.queue {
+            None => (APP_COSTS.idle_scan_entry * examined.max(1)).max(fixed),
+            Some(_) => APP_COSTS.pq_pop * examined + fixed,
+        }
+    }
+}
+
 /// The shared hash table of connection objects plus the supervisor's
-/// shared priority queue.
-#[derive(Debug, Default)]
+/// idle clock.
+#[derive(Debug)]
 pub struct ConnTable {
     by_id: FastMap<u64, ConnObj>,
     by_peer: FastMap<SockAddr, u64>,
     next: u64,
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>, // (expire, id, stamp)
-    /// When false (the baseline linear-scan deployment), the heap is not
-    /// maintained and costs nothing.
-    use_heap: bool,
+    idle: IdleClock,
 }
 
 /// Result of one idle hunt.
@@ -69,23 +115,31 @@ pub struct IdleHunt {
     pub to_return: Vec<ConnId>,
     /// Connections the supervisor can destroy (returned long enough ago).
     pub to_destroy: Vec<ConnId>,
-    /// Entries examined (hash-table walk length, or heap pops including
-    /// stale ones) — drives the CPU cost of the pass.
+    /// Entries examined: objects walked, or queue pops (stale ones too).
     pub examined: u64,
+    /// The CPU the hunt costs, to charge under the table lock.
+    pub ns: u64,
 }
 
 impl ConnTable {
-    /// Creates an empty table for the baseline linear-scan strategy.
-    pub fn new() -> Self {
-        ConnTable::default()
+    /// Creates an empty table whose idle hunts use `strategy` and close
+    /// connections idle for `timeout`.
+    pub fn new(strategy: IdleStrategy, timeout: SimDuration) -> Self {
+        let queue = (strategy == IdleStrategy::PriorityQueue).then(BinaryHeap::new);
+        ConnTable {
+            by_id: FastMap::default(),
+            by_peer: FastMap::default(),
+            next: 0,
+            idle: IdleClock { timeout, queue },
+        }
     }
 
-    /// Creates a table that also maintains the shared priority queue
-    /// (the §5.3 strategy).
-    pub fn with_priority_queue() -> Self {
-        ConnTable {
-            use_heap: true,
-            ..ConnTable::default()
+    /// A worker's idle clock with this table's strategy and timeout.
+    pub fn owned_idle(&self) -> OwnedIdle {
+        let queue = self.idle.queue.as_ref().map(|_| BinaryHeap::new());
+        OwnedIdle {
+            idle: IdleClock { queue, ..self.idle },
+            stamps: FastMap::default(),
         }
     }
 
@@ -101,13 +155,7 @@ impl ConnTable {
 
     /// Inserts a new connection object, making it the freshest route to
     /// `peer`.
-    pub fn insert(
-        &mut self,
-        now: SimTime,
-        peer: SockAddr,
-        owner: usize,
-        timeout: SimDuration,
-    ) -> ConnId {
+    pub fn insert(&mut self, now: SimTime, peer: SockAddr, owner: usize) -> ConnId {
         let id = ConnId(self.next);
         self.next += 1;
         let obj = ConnObj {
@@ -118,10 +166,7 @@ impl ConnTable {
             returned_at: None,
             stamp: 0,
         };
-        if self.use_heap {
-            self.heap
-                .push(Reverse((obj.expires_at(timeout), id.0, obj.stamp)));
-        }
+        self.idle.push(obj.expires_at(self.idle.timeout), id.0, 0);
         self.by_id.insert(id.0, obj);
         self.by_peer.insert(peer, id.0);
         id
@@ -145,29 +190,26 @@ impl ConnTable {
     }
 
     /// Marks activity on a connection, repositioning it in the priority
-    /// queue (the §5.3 per-message cost the workers pay).
-    pub fn touch(&mut self, id: ConnId, now: SimTime, timeout: SimDuration) {
+    /// queue, and returns the CPU that costs (§5.3's per-message price;
+    /// nothing under the linear scan), whether or not the object is still
+    /// in the table.
+    pub fn touch(&mut self, id: ConnId, now: SimTime) -> u64 {
         if let Some(obj) = self.by_id.get_mut(&id.0) {
             obj.last_used = now;
             obj.returned_at = None;
             obj.stamp += 1;
-            if self.use_heap {
-                self.heap
-                    .push(Reverse((obj.expires_at(timeout), id.0, obj.stamp)));
-            }
+            self.idle.push(now + self.idle.timeout, id.0, obj.stamp);
         }
+        self.idle.queue.as_ref().map_or(0, |_| APP_COSTS.pq_update)
     }
 
     /// Records that the owning worker closed its descriptor and returned
     /// the connection to the supervisor.
-    pub fn mark_returned(&mut self, id: ConnId, now: SimTime, timeout: SimDuration) {
+    pub fn mark_returned(&mut self, id: ConnId, now: SimTime) {
         if let Some(obj) = self.by_id.get_mut(&id.0) {
             obj.returned_at = Some(now);
             obj.stamp += 1;
-            if self.use_heap {
-                self.heap
-                    .push(Reverse((obj.expires_at(timeout), id.0, obj.stamp)));
-            }
+            self.idle.push(now + self.idle.timeout, id.0, obj.stamp);
         }
     }
 
@@ -196,59 +238,110 @@ impl ConnTable {
         Some(obj)
     }
 
-    /// The baseline idle hunt (§3.1): walk **every** object in the table.
-    /// `examined` equals the table size — the cost the paper measured
-    /// exploding under the 50 ops/connection workload.
-    pub fn hunt_linear(&self, now: SimTime, timeout: SimDuration) -> IdleHunt {
+    /// One idle hunt over the whole table. The baseline (§3.1) walks
+    /// **every** object, the cost the paper measured exploding under the 50
+    /// ops/connection workload. The §5.3 hunt pops the queue until its head
+    /// has not expired; connections due but still owned are reported for
+    /// return and queued again one timeout on, as the paper describes.
+    pub fn hunt(&mut self, now: SimTime) -> IdleHunt {
         let mut hunt = IdleHunt::default();
-        let mut ids: Vec<&ConnObj> = self.by_id.values().collect();
-        // `by_id` is a `FastMap`: walk it in id order, not table order, for
-        // reproducibility.
-        ids.sort_by_key(|o| o.id);
-        for obj in ids {
-            hunt.examined += 1;
-            if obj.expires_at(timeout) > now {
-                continue;
+        let timeout = self.idle.timeout;
+        let mut due = |obj: &ConnObj| match obj.returned_at {
+            Some(_) => hunt.to_destroy.push(obj.id),
+            None => hunt.to_return.push(obj.id),
+        };
+        let examined = if self.idle.queue.is_none() {
+            let mut objs: Vec<&ConnObj> = self.by_id.values().collect();
+            // `by_id` is a `FastMap`: walk it in id order, not table order,
+            // for reproducibility.
+            objs.sort_by_key(|o| o.id);
+            objs.iter()
+                .filter(|o| o.expires_at(timeout) <= now)
+                .for_each(|o| due(o));
+            objs.len() as u64
+        } else {
+            let (mut pops, mut requeue) = (0, Vec::new());
+            while let Some((id, stamp)) = self.idle.pop_due(now) {
+                pops += 1;
+                // Gone, or touched since (a fresher entry exists): stale.
+                if let Some(obj) = self.by_id.get(&id).filter(|o| o.stamp == stamp) {
+                    due(obj);
+                    // The supervisor cannot destroy an owned connection; it
+                    // waits for the worker to return it.
+                    if obj.returned_at.is_none() {
+                        requeue.push((id, stamp));
+                    }
+                }
             }
-            match obj.returned_at {
-                Some(_) => hunt.to_destroy.push(obj.id),
-                None => hunt.to_return.push(obj.id),
+            for (id, stamp) in requeue {
+                self.idle.push(now + timeout, id, stamp);
             }
-        }
+            pops
+        };
+        hunt.examined = examined;
+        hunt.ns = self.idle.hunt_ns(examined, TABLE_HUNT_NS);
         hunt
     }
+}
 
-    /// The §5.3 idle hunt: pop the priority queue until the head has not
-    /// expired. Stale entries (superseded by a later touch) cost one pop
-    /// each but nothing more. Connections that are due but still owned are
-    /// reported for return and reinserted, exactly as the paper describes
-    /// the supervisor doing.
-    pub fn hunt_priority_queue(&mut self, now: SimTime, timeout: SimDuration) -> IdleHunt {
+/// The idle clock of one worker over the connections it owns: the table's
+/// strategy and timeout, applied to those connections only. The baseline
+/// walks them and reads their objects in the table; under §5.3 the worker
+/// keeps its own queue, fed by its own touches.
+#[derive(Debug)]
+pub struct OwnedIdle {
+    idle: IdleClock,
+    /// Owned connection → how often this worker touched it, which tells
+    /// its live queue entry from stale ones.
+    stamps: FastMap<ConnId, u64>,
+}
+
+impl OwnedIdle {
+    /// Starts the clock of a connection this worker now owns, as if
+    /// touched at `now`.
+    pub fn adopt(&mut self, conn: ConnId, now: SimTime) {
+        self.stamps.insert(conn, 0);
+        self.touch(conn, now);
+    }
+
+    /// Stops the clock of a connection this worker no longer owns.
+    pub fn forget(&mut self, conn: ConnId) {
+        self.stamps.remove(&conn);
+    }
+
+    /// Marks this worker's activity on `conn`; a connection it does not
+    /// own is left alone.
+    pub fn touch(&mut self, conn: ConnId, now: SimTime) {
+        if let Some(stamp) = self.stamps.get_mut(&conn) {
+            *stamp += 1;
+            self.idle.push(now + self.idle.timeout, conn.0, *stamp);
+        }
+    }
+
+    /// One hunt over the owned connections: the idle ones come back in
+    /// `to_return` (in id order under the linear scan, which reads their
+    /// objects in `table`), and this clock forgets them.
+    pub fn hunt(&mut self, now: SimTime, table: &ConnTable) -> IdleHunt {
         let mut hunt = IdleHunt::default();
-        let mut reinsert = Vec::new();
-        while let Some(&Reverse((expires, id, stamp))) = self.heap.peek() {
-            if expires > now {
-                break;
-            }
-            self.heap.pop();
-            hunt.examined += 1;
-            let Some(obj) = self.by_id.get(&id) else {
-                continue; // destroyed; stale entry
-            };
-            if obj.stamp != stamp {
-                continue; // touched since; a fresher entry exists
-            }
-            match obj.returned_at {
-                Some(_) => hunt.to_destroy.push(ConnId(id)),
-                None => {
-                    hunt.to_return.push(ConnId(id));
-                    // The supervisor cannot destroy an owned connection;
-                    // it reinserts and waits for the worker to return it.
-                    reinsert.push(Reverse((now + timeout, id, stamp)));
+        if self.idle.queue.is_none() {
+            let timeout = self.idle.timeout;
+            let idle = |c: &ConnId| table.get(*c).is_some_and(|o| o.expires_at(timeout) <= now);
+            hunt.to_return = self.stamps.keys().copied().filter(idle).collect();
+            // `stamps` is a `FastMap`: return in id order, not table order.
+            hunt.to_return.sort_unstable();
+            hunt.examined = self.stamps.len() as u64;
+        } else {
+            while let Some((conn, stamp)) = self.idle.pop_due(now) {
+                hunt.examined += 1;
+                if self.stamps.get(&ConnId(conn)) == Some(&stamp) {
+                    hunt.to_return.push(ConnId(conn));
                 }
             }
         }
-        self.heap.extend(reinsert);
+        for conn in &hunt.to_return {
+            self.stamps.remove(conn);
+        }
+        hunt.ns = self.idle.hunt_ns(hunt.examined, OWNED_HUNT_NS);
         hunt
     }
 }
@@ -270,8 +363,8 @@ mod tests {
 
     #[test]
     fn insert_lookup_remove() {
-        let mut tab = ConnTable::new();
-        let id = tab.insert(t(0), peer(1), 0, TIMEOUT);
+        let mut tab = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let id = tab.insert(t(0), peer(1), 0);
         assert_eq!(tab.lookup_peer(peer(1)), Some(id));
         assert_eq!(tab.get(id).unwrap().owner, 0);
         assert_eq!(tab.len(), 1);
@@ -283,9 +376,9 @@ mod tests {
 
     #[test]
     fn newer_connection_supersedes_peer_route() {
-        let mut tab = ConnTable::new();
-        let old = tab.insert(t(0), peer(1), 0, TIMEOUT);
-        let new = tab.insert(t(1), peer(1), 1, TIMEOUT);
+        let mut tab = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let old = tab.insert(t(0), peer(1), 0);
+        let new = tab.insert(t(1), peer(1), 1);
         assert_eq!(tab.lookup_peer(peer(1)), Some(new));
         // Removing the stale one must not clobber the fresh route.
         tab.remove(old);
@@ -296,16 +389,16 @@ mod tests {
 
     #[test]
     fn linear_hunt_examines_everything() {
-        let mut tab = ConnTable::new();
+        let mut tab = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
         for i in 0..100 {
-            tab.insert(t(0), peer(i), 0, TIMEOUT);
+            tab.insert(t(0), peer(i), 0);
         }
         // Touch half so they are fresh.
         for i in 0..50 {
             let id = tab.lookup_peer(peer(i)).unwrap();
-            tab.touch(id, t(8), TIMEOUT);
+            tab.touch(id, t(8));
         }
-        let hunt = tab.hunt_linear(t(12), TIMEOUT);
+        let hunt = tab.hunt(t(12));
         assert_eq!(hunt.examined, 100, "linear scan visits every object");
         assert_eq!(hunt.to_return.len(), 50);
         assert!(hunt.to_destroy.is_empty());
@@ -313,48 +406,48 @@ mod tests {
 
     #[test]
     fn priority_queue_hunt_skips_fresh_connections() {
-        let mut tab = ConnTable::with_priority_queue();
+        let mut tab = ConnTable::new(IdleStrategy::PriorityQueue, TIMEOUT);
         for i in 0..100 {
-            tab.insert(t(0), peer(i), 0, TIMEOUT);
+            tab.insert(t(0), peer(i), 0);
         }
         for i in 0..50 {
             let id = tab.lookup_peer(peer(i)).unwrap();
-            tab.touch(id, t(8), TIMEOUT);
+            tab.touch(id, t(8));
         }
-        let hunt = tab.hunt_priority_queue(t(12), TIMEOUT);
+        let hunt = tab.hunt(t(12));
         assert_eq!(hunt.to_return.len(), 50);
         // 50 expired originals + 50 stale (touched) entries popped; the 50
         // fresh entries stay put — strictly less work than the linear walk
         // would do over time as the table grows.
         assert_eq!(hunt.examined, 100);
         // Second hunt shortly after: nothing due, nothing examined.
-        let hunt = tab.hunt_priority_queue(t(13), TIMEOUT);
+        let hunt = tab.hunt(t(13));
         assert_eq!(hunt.examined, 0);
     }
 
     #[test]
     fn two_step_close_protocol() {
-        let mut tab = ConnTable::new();
-        let id = tab.insert(t(0), peer(1), 3, TIMEOUT);
+        let mut tab = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let id = tab.insert(t(0), peer(1), 3);
         // Expired but owned: hunt asks for a return, not destruction.
-        let hunt = tab.hunt_linear(t(11), TIMEOUT);
+        let hunt = tab.hunt(t(11));
         assert_eq!(hunt.to_return, vec![id]);
         assert!(hunt.to_destroy.is_empty());
         // Worker returns it; destruction needs another full timeout.
-        tab.mark_returned(id, t(11), TIMEOUT);
-        let hunt = tab.hunt_linear(t(12), TIMEOUT);
+        tab.mark_returned(id, t(11));
+        let hunt = tab.hunt(t(12));
         assert!(hunt.to_destroy.is_empty());
-        let hunt = tab.hunt_linear(t(22), TIMEOUT);
+        let hunt = tab.hunt(t(22));
         assert_eq!(hunt.to_destroy, vec![id]);
     }
 
     #[test]
     fn touch_resets_idle_clock() {
-        let mut tab = ConnTable::new();
-        let id = tab.insert(t(0), peer(1), 0, TIMEOUT);
-        tab.touch(id, t(9), TIMEOUT);
-        assert!(tab.hunt_linear(t(11), TIMEOUT).to_return.is_empty());
-        assert_eq!(tab.hunt_linear(t(20), TIMEOUT).to_return, vec![id]);
+        let mut tab = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let id = tab.insert(t(0), peer(1), 0);
+        tab.touch(id, t(9));
+        assert!(tab.hunt(t(11)).to_return.is_empty());
+        assert_eq!(tab.hunt(t(20)).to_return, vec![id]);
     }
 
     #[test]
@@ -362,12 +455,12 @@ mod tests {
         // Property-style check with a deterministic schedule: both
         // strategies must nominate the same connections for return and
         // destruction at every checkpoint.
-        let mut lin = ConnTable::new();
-        let mut pq = ConnTable::with_priority_queue();
+        let mut lin = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue, TIMEOUT);
         let mut ids = Vec::new();
         for i in 0..40u16 {
-            let a = lin.insert(t(0), peer(i), 0, TIMEOUT);
-            let b = pq.insert(t(0), peer(i), 0, TIMEOUT);
+            let a = lin.insert(t(0), peer(i), 0);
+            let b = pq.insert(t(0), peer(i), 0);
             assert_eq!(a, b);
             ids.push(a);
         }
@@ -375,17 +468,17 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             let step = (i % 7) as u64;
             if i % 3 == 0 {
-                lin.touch(id, t(step), TIMEOUT);
-                pq.touch(id, t(step), TIMEOUT);
+                lin.touch(id, t(step));
+                pq.touch(id, t(step));
             }
             if i % 5 == 0 {
-                lin.mark_returned(id, t(step + 1), TIMEOUT);
-                pq.mark_returned(id, t(step + 1), TIMEOUT);
+                lin.mark_returned(id, t(step + 1));
+                pq.mark_returned(id, t(step + 1));
             }
         }
         for check in [5u64, 11, 15, 20, 40] {
-            let a = lin.hunt_linear(t(check), TIMEOUT);
-            let mut b = pq.hunt_priority_queue(t(check), TIMEOUT);
+            let a = lin.hunt(t(check));
+            let mut b = pq.hunt(t(check));
             let mut a_ret = a.to_return.clone();
             a_ret.sort();
             b.to_return.sort();
@@ -405,10 +498,56 @@ mod tests {
                 pq.remove(id);
             }
             for id in a_ret {
-                lin.mark_returned(id, t(check), TIMEOUT);
-                pq.mark_returned(id, t(check), TIMEOUT);
+                lin.mark_returned(id, t(check));
+                pq.mark_returned(id, t(check));
             }
             assert_eq!(lin.len(), pq.len(), "tables diverged at t={check}");
+        }
+    }
+
+    #[test]
+    fn costs_follow_the_strategy() {
+        let mut lin = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue, TIMEOUT);
+        let (a, b) = (lin.insert(t(0), peer(1), 0), pq.insert(t(0), peer(1), 0));
+        assert_eq!(lin.touch(a, t(1)), 0);
+        assert_eq!(pq.touch(b, t(1)), APP_COSTS.pq_update);
+        // A touch is charged even once the object is gone.
+        assert_eq!(pq.touch(ConnId(99), t(1)), APP_COSTS.pq_update);
+        // A walk pays per object, at least one; a queue per pop.
+        assert_eq!(lin.hunt(t(2)).ns, APP_COSTS.idle_scan_entry);
+        assert_eq!(pq.hunt(t(2)).ns, TABLE_HUNT_NS);
+        let hunt = pq.hunt(t(10));
+        assert_eq!(hunt.examined, 1, "only the insert's stale entry is due");
+        assert_eq!(hunt.ns, APP_COSTS.pq_pop + TABLE_HUNT_NS);
+        assert_eq!(pq.owned_idle().hunt(t(2), &pq).ns, OWNED_HUNT_NS);
+        assert_eq!(
+            lin.owned_idle().hunt(t(2), &lin).ns,
+            APP_COSTS.idle_scan_entry
+        );
+    }
+
+    #[test]
+    fn a_worker_returns_its_idle_connections_once() {
+        for strategy in [IdleStrategy::LinearScan, IdleStrategy::PriorityQueue] {
+            let mut tab = ConnTable::new(strategy, TIMEOUT);
+            let mut own = tab.owned_idle();
+            let ids: Vec<ConnId> = (0..3).map(|i| tab.insert(t(0), peer(i), 0)).collect();
+            for &id in &ids {
+                own.adopt(id, t(0));
+            }
+            tab.touch(ids[1], t(5));
+            own.touch(ids[1], t(5));
+            own.forget(ids[2]);
+            tab.remove(ids[2]);
+            let hunt = own.hunt(t(12), &tab);
+            assert_eq!(hunt.to_return, vec![ids[0]], "{strategy:?}");
+            assert_eq!(
+                own.hunt(t(16), &tab).to_return,
+                vec![ids[1]],
+                "{strategy:?}"
+            );
+            assert!(own.hunt(t(40), &tab).to_return.is_empty(), "{strategy:?}");
         }
     }
 }

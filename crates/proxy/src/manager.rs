@@ -33,7 +33,7 @@ use siperf_simos::ipc::{ChanId, Side};
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
-use crate::config::{Arch, IdleStrategy, APP_COSTS};
+use crate::config::{Arch, APP_COSTS};
 use crate::conn::ConnId;
 use crate::plumbing::{encode_addr, locked, tags, ConnShared};
 use crate::stream::attach_next;
@@ -178,12 +178,7 @@ impl ConnManager {
     fn accept(&mut self, now: SimTime, fd: Fd, peer: SockAddr) {
         let worker = self.rr % self.workers;
         self.rr += 1;
-        let timeout = self.shared.cfg.idle_timeout;
-        let id = self
-            .shared
-            .conns
-            .borrow_mut()
-            .insert(now, peer, worker, timeout);
+        let id = self.shared.conns.borrow_mut().insert(now, peer, worker);
         self.shared.core.borrow_mut().stats.conns_assigned += 1;
         self.table_op();
         // Between processes the kernel dups the passed descriptor and we
@@ -219,11 +214,10 @@ impl ConnManager {
                     .push_back(Syscall::IpcSend { fd: to, msg: reply });
             }
             MSG_CONN_RETURN => {
-                let timeout = self.shared.cfg.idle_timeout;
                 self.shared
                     .conns
                     .borrow_mut()
-                    .mark_returned(ConnId(msg.a), now, timeout);
+                    .mark_returned(ConnId(msg.a), now);
                 self.shared.core.borrow_mut().stats.conns_returned += 1;
                 self.table_op();
             }
@@ -265,30 +259,15 @@ impl ConnManager {
         }
     }
 
-    /// One idle hunt over the whole table with the configured strategy,
-    /// charged under the table lock (§5.2: "a lock is held on the shared
-    /// hash table throughout").
+    /// One idle hunt over the whole table, charged under the table lock
+    /// (§5.2: "a lock is held on the shared hash table throughout").
     fn idle_pass(&mut self, now: SimTime) {
-        let (cfg, timeout) = (&self.shared.cfg, self.shared.cfg.idle_timeout);
-        let mut conns = self.shared.conns.borrow_mut();
-        let (hunt, ns) = match cfg.idle_strategy {
-            IdleStrategy::LinearScan => {
-                let hunt = conns.hunt_linear(now, timeout);
-                let ns = APP_COSTS.idle_scan_entry * hunt.examined.max(1);
-                (hunt, ns)
-            }
-            IdleStrategy::PriorityQueue => {
-                let hunt = conns.hunt_priority_queue(now, timeout);
-                let ns = APP_COSTS.pq_pop * hunt.examined + 400;
-                (hunt, ns)
-            }
-        };
-        drop(conns);
+        let hunt = self.shared.conns.borrow_mut().hunt(now);
         self.shared.core.borrow_mut().stats.idle_scan_entries += hunt.examined;
         locked(
             &mut self.script,
             self.shared.locks.conn,
-            ns.max(400),
+            hunt.ns,
             tags::IDLE,
         );
         // Point 2: processes leave `to_return` to the owning workers and

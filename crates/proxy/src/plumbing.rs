@@ -21,7 +21,7 @@ use siperf_simnet::SockAddr;
 use siperf_simos::lock::LockId;
 use siperf_simos::syscall::Syscall;
 
-use crate::config::{IdleStrategy, ProxyConfig, Transport, APP_COSTS};
+use crate::config::{ProxyConfig, Transport, APP_COSTS};
 use crate::conn::ConnTable;
 use crate::core::{Inbound, Outgoing, Plan, ProxyCore};
 
@@ -94,10 +94,6 @@ pub(crate) struct ConnShared {
 }
 
 impl ConnShared {
-    pub(crate) fn pq_mode(&self) -> bool {
-        self.cfg.idle_strategy == IdleStrategy::PriorityQueue
-    }
-
     /// Reads one received message (see [`Inbound::read`]) and hands it to
     /// [`ProxyCore::handle`] (admission, then routing), charges its work to
     /// `script` — only the shed cost if the plan is rejected — and returns
@@ -247,7 +243,10 @@ mod tests {
                 Transport::Udp,
                 true,
             ))),
-            conns: Rc::new(RefCell::new(ConnTable::new())),
+            conns: Rc::new(RefCell::new(ConnTable::new(
+                cfg.idle_strategy,
+                cfg.idle_timeout,
+            ))),
             locks: Locks {
                 txn: LockId(0),
                 usrloc: LockId(1),

@@ -19,7 +19,7 @@ use siperf_simos::ipc::ChanId;
 use siperf_simos::kernel::{FdKind, Kernel};
 use siperf_simos::process::{Nice, ProcId};
 
-use crate::config::{Arch, IdleStrategy, ProxyConfig, Transport};
+use crate::config::{Arch, ProxyConfig, Transport};
 use crate::conn::ConnTable;
 use crate::core::{ProxyCore, ProxyStats};
 use crate::datagram::MsgWorker;
@@ -112,8 +112,7 @@ impl ProxyHandle {
                 assign_chans,
                 req_chans,
             } => {
-                let restarts = self.shared.manager_restarts.get();
-                let access = IpcAccess::new(assign_chans[idx], req_chans[idx], restarts);
+                let access = IpcAccess::new(assign_chans[idx], req_chans[idx], &self.shared);
                 kernel.spawn(
                     self.host,
                     Nice::NORMAL,
@@ -205,10 +204,8 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
         cfg.stateful,
     )));
     core.borrow_mut().set_overload_policy(cfg.overload.build());
-    let conns = Rc::new(RefCell::new(match cfg.idle_strategy {
-        IdleStrategy::LinearScan => ConnTable::new(),
-        IdleStrategy::PriorityQueue => ConnTable::with_priority_queue(),
-    }));
+    let table = ConnTable::new(cfg.idle_strategy, cfg.idle_timeout);
+    let conns = Rc::new(RefCell::new(table));
     let locks = Locks {
         txn: kernel.create_lock("txn_table"),
         usrloc: kernel.create_lock("usrloc"),

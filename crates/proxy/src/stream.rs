@@ -54,9 +54,6 @@ pub(crate) struct OwnedConn {
     /// The remote end.
     pub peer: SockAddr,
     framer: StreamFramer,
-    /// Bumped on every touch; tells live worker-local heap entries from
-    /// stale ones.
-    pub stamp: u64,
 }
 
 /// The state every connection worker keeps whatever its access path,
@@ -85,7 +82,6 @@ impl ConnState {
                 fd,
                 peer,
                 framer: StreamFramer::new(),
-                stamp: 0,
             },
         );
         self.conn_by_fd.insert(fd, conn);
@@ -237,19 +233,14 @@ impl<A: ConnAccess> ConnWorker<A> {
 
     /// Handles one received segment on owned connection `conn`.
     fn receive(&mut self, now: SimTime, conn: u64, bytes: &[u8]) {
-        let shared = &self.st.shared;
-        // Update the connection's idle clock; in PQ mode this repositions
-        // it in the shared heap under the table lock (§5.3's per-message
-        // price).
-        shared
-            .conns
-            .borrow_mut()
-            .touch(ConnId(conn), now, shared.cfg.idle_timeout);
+        // Update the connection's idle clock; under the priority queue this
+        // repositions it in the shared queue under the table lock (§5.3's
+        // per-message price).
+        let ns = self.st.shared.conns.borrow_mut().touch(ConnId(conn), now);
         self.access.touched(&mut self.st, now, conn);
-        let shared = &self.st.shared;
-        if shared.pq_mode() {
-            let ns = APP_COSTS.pq_update;
-            locked(&mut self.st.script, shared.locks.conn, ns, tags::CONN_HASH);
+        if ns > 0 {
+            let lock = self.st.shared.locks.conn;
+            locked(&mut self.st.script, lock, ns, tags::CONN_HASH);
         }
         let owned = self
             .st
@@ -285,19 +276,15 @@ impl<A: ConnAccess> ConnWorker<A> {
             SendState::LockTable => (SendState::TableWork, Syscall::LockAcquire { lock }),
             SendState::TableWork => {
                 // Host-side: resolve the destination to a connection and
-                // touch it; charge hash (+ heap reposition in PQ mode, +
-                // whatever the access path adds).
-                let shared = &self.st.shared;
+                // touch it; charge hash (+ what the touch costs, + whatever
+                // the access path adds).
                 let mut ns = APP_COSTS.conn_table_op;
-                let mut conns = shared.conns.borrow_mut();
+                let mut conns = self.st.shared.conns.borrow_mut();
                 job.conn = conns
                     .lookup_peer(job.out.dest)
                     .or_else(|| job.out.alt.and_then(|a| conns.lookup_peer(a)));
                 if let Some(id) = job.conn {
-                    conns.touch(id, now, shared.cfg.idle_timeout);
-                    if shared.pq_mode() {
-                        ns += APP_COSTS.pq_update;
-                    }
+                    ns += conns.touch(id, now);
                 }
                 drop(conns);
                 ns += self.access.table_work(&mut self.st, now, &mut job);

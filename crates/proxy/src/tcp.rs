@@ -24,21 +24,18 @@
 //! The workers are `stream::ConnWorker`s reaching descriptors through
 //! `IpcAccess`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use siperf_simcore::hash::FastMap;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simos::ipc::ChanId;
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
 use crate::config::APP_COSTS;
-use crate::conn::ConnId;
+use crate::conn::{ConnId, OwnedIdle};
 use crate::manager::{
     IDLE_CHECK_INTERVAL, MSG_CONN_DEAD, MSG_CONN_RETURN, MSG_FD_REQ, MSG_FD_RESP, MSG_NEW_CONN,
     MSG_NEW_OUTBOUND,
 };
-use crate::plumbing::{decode_addr, locked, tags};
+use crate::plumbing::{decode_addr, locked, tags, ConnShared};
 use crate::stream::{ConnAccess, ConnState, SendJob, Step};
 
 /// [`IpcAccess`]'s send steps after the table lookup.
@@ -81,8 +78,8 @@ pub(crate) struct IpcAccess {
     chans: [ChanId; 2],
     /// The §5.2 per-worker descriptor cache.
     cache: FastMap<u64, Fd>,
-    /// The §5.3 worker-local priority queue over owned connections.
-    local_heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// The idle clock over the connections this worker owns.
+    idle: OwnedIdle,
     /// When the next idle hunt is due; set at start-up.
     next_idle_check: Option<SimTime>,
     /// The supervisor restart count this worker has announced to.
@@ -91,14 +88,14 @@ pub(crate) struct IpcAccess {
 
 impl IpcAccess {
     /// Creates the access path over a worker's assign and request
-    /// channels, serving the supervisor after `manager_restarts` restarts.
-    pub fn new(assign_chan: ChanId, req_chan: ChanId, manager_restarts: u64) -> Self {
+    /// channels, serving the supervisor as `shared` finds it.
+    pub fn new(assign_chan: ChanId, req_chan: ChanId, shared: &ConnShared) -> Self {
         IpcAccess {
             chans: [assign_chan, req_chan],
             cache: FastMap::default(),
-            local_heap: BinaryHeap::new(),
+            idle: shared.conns.borrow().owned_idle(),
             next_idle_check: None,
-            manager_restarts,
+            manager_restarts: shared.manager_restarts.get(),
         }
     }
 
@@ -106,61 +103,18 @@ impl IpcAccess {
         st.chan_fds[1]
     }
 
-    fn touch_local(&mut self, st: &mut ConnState, now: SimTime, conn: u64) {
-        let timeout = st.shared.cfg.idle_timeout;
-        let pq = st.shared.pq_mode();
-        if let Some(owned) = st.owned.get_mut(&conn) {
-            owned.stamp += 1;
-            if pq {
-                self.local_heap
-                    .push(Reverse((now + timeout, conn, owned.stamp)));
-            }
-        }
-    }
-
+    /// Hunts the owned connections under the table lock and returns the
+    /// idle ones to the supervisor.
     fn idle_check(&mut self, st: &mut ConnState, now: SimTime) {
-        let timeout = st.shared.cfg.idle_timeout;
-        let mut expired: Vec<u64> = Vec::new();
-        let (examined, cost) = if st.shared.pq_mode() {
-            let mut pops = 0u64;
-            while let Some(&Reverse((at, conn, stamp))) = self.local_heap.peek() {
-                if at > now {
-                    break;
-                }
-                self.local_heap.pop();
-                pops += 1;
-                if st.owned.get(&conn).is_some_and(|o| o.stamp == stamp) {
-                    expired.push(conn);
-                }
-            }
-            (pops, pops * APP_COSTS.pq_pop + 300)
-        } else {
-            // Baseline: examine every owned connection, reading the shared
-            // objects (under the table lock).
-            let conns = st.shared.conns.borrow();
-            expired.extend(st.owned.keys().copied().filter(|&id| {
-                conns
-                    .get(ConnId(id))
-                    .is_some_and(|obj| obj.expires_at(timeout) <= now)
-            }));
-            // `owned` is a `FastMap`: return in id order, not table order.
-            expired.sort_unstable();
-            let examined = st.owned.len() as u64;
-            (examined, APP_COSTS.idle_scan_entry * examined.max(1))
-        };
-        st.shared.core.borrow_mut().stats.idle_scan_entries += examined;
-        locked(
-            &mut st.script,
-            st.shared.locks.conn,
-            cost.max(300),
-            tags::IDLE,
-        );
-        for conn in expired {
-            if let Some(owned) = st.forget(conn) {
+        let hunt = self.idle.hunt(now, &st.shared.conns.borrow());
+        st.shared.core.borrow_mut().stats.idle_scan_entries += hunt.examined;
+        locked(&mut st.script, st.shared.locks.conn, hunt.ns, tags::IDLE);
+        for conn in hunt.to_return {
+            if let Some(owned) = st.forget(conn.0) {
                 st.script.push_back(Syscall::Close { fd: owned.fd });
                 st.script.push_back(Syscall::IpcSend {
                     fd: Self::req_fd(st),
-                    msg: IpcMsg::new(MSG_CONN_RETURN, conn, 0),
+                    msg: IpcMsg::new(MSG_CONN_RETURN, conn.0, 0),
                 });
             }
         }
@@ -194,14 +148,15 @@ impl ConnAccess for IpcAccess {
         assert_eq!(msg.kind, MSG_NEW_CONN, "assign channel protocol");
         let fd = msg.fd.expect("new conn carries its fd");
         st.adopt(msg.a, fd, decode_addr(msg.b));
-        self.touch_local(st, now, msg.a);
+        self.idle.adopt(ConnId(msg.a), now);
     }
 
-    fn touched(&mut self, st: &mut ConnState, now: SimTime, conn: u64) {
-        self.touch_local(st, now, conn);
+    fn touched(&mut self, _st: &mut ConnState, now: SimTime, conn: u64) {
+        self.idle.touch(ConnId(conn), now);
     }
 
     fn released(&mut self, st: &mut ConnState, conn: u64, fd: Fd) {
+        self.idle.forget(ConnId(conn));
         self.cache.remove(&conn);
         st.script.push_back(Syscall::Close { fd });
         st.script.push_back(Syscall::IpcSend {
@@ -248,7 +203,7 @@ impl ConnAccess for IpcAccess {
 
     fn table_work(&mut self, st: &mut ConnState, now: SimTime, job: &mut SendJob) -> u64 {
         if let Some(id) = job.conn {
-            self.touch_local(st, now, id.0);
+            self.idle.touch(id, now);
         }
         if st.shared.cfg.fd_cache {
             APP_COSTS.fd_cache_lookup
@@ -357,15 +312,10 @@ impl ConnAccess for IpcAccess {
                 },
                 IpcStep::PostConnWork => {
                     // Registered only now, with the lock granted.
-                    let timeout = st.shared.cfg.idle_timeout;
-                    let id = st
-                        .shared
-                        .conns
-                        .borrow_mut()
-                        .insert(now, target, st.idx, timeout);
+                    let id = st.shared.conns.borrow_mut().insert(now, target, st.idx);
                     job.conn = Some(id);
                     st.adopt(id.0, job.fd.expect("connected"), target);
-                    self.touch_local(st, now, id.0);
+                    self.idle.adopt(id, now);
                     let work = Syscall::Compute {
                         ns: APP_COSTS.conn_table_op,
                         tag: tags::CONN_HASH,

@@ -135,12 +135,7 @@ impl ConnAccess for SharedAccess {
                 }
                 SharedStep::Connected => match last {
                     SysResult::NewFd(fd) => {
-                        let timeout = st.shared.cfg.idle_timeout;
-                        let id = st
-                            .shared
-                            .conns
-                            .borrow_mut()
-                            .insert(now, target, st.idx, timeout);
+                        let id = st.shared.conns.borrow_mut().insert(now, target, st.idx);
                         self.registry.borrow_mut().insert(id.0, *fd);
                         st.adopt(id.0, *fd, target);
                         job.conn = Some(id);

@@ -1,9 +1,11 @@
-//! Property tests on the connection table: the §5.3 priority-queue
-//! strategy must agree with the baseline linear scan about *what is idle*
-//! under arbitrary schedules of activity — only the cost differs.
+//! Property tests on the connection table and a worker's idle clock: the
+//! §5.3 priority-queue strategy must agree with the baseline linear scan
+//! about *what is idle* under arbitrary schedules of activity — only the
+//! cost differs.
 
 use proptest::prelude::*;
 
+use siperf_proxy::config::IdleStrategy;
 use siperf_proxy::conn::{ConnId, ConnTable};
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::{HostId, SockAddr};
@@ -42,8 +44,8 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         step_ms in 100u64..8_000,
     ) {
-        let mut lin = ConnTable::new();
-        let mut pq = ConnTable::with_priority_queue();
+        let mut lin = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue, TIMEOUT);
         let mut ids: Vec<ConnId> = Vec::new();
         let mut now_ms = 0u64;
 
@@ -53,26 +55,26 @@ proptest! {
             match op {
                 Op::Insert(port) => {
                     let peer = SockAddr::new(HostId(1), 10_000 + port);
-                    let a = lin.insert(now, peer, 0, TIMEOUT);
-                    let b = pq.insert(now, peer, 0, TIMEOUT);
+                    let a = lin.insert(now, peer, 0);
+                    let b = pq.insert(now, peer, 0);
                     prop_assert_eq!(a, b);
                     ids.push(a);
                 }
                 Op::Touch(k) if !ids.is_empty() => {
                     let id = ids[k % ids.len()];
-                    lin.touch(id, now, TIMEOUT);
-                    pq.touch(id, now, TIMEOUT);
+                    lin.touch(id, now);
+                    pq.touch(id, now);
                 }
                 Op::Return(k) if !ids.is_empty() => {
                     let id = ids[k % ids.len()];
                     if lin.get(id).is_some() && lin.get(id).unwrap().returned_at.is_none() {
-                        lin.mark_returned(id, now, TIMEOUT);
-                        pq.mark_returned(id, now, TIMEOUT);
+                        lin.mark_returned(id, now);
+                        pq.mark_returned(id, now);
                     }
                 }
                 Op::Hunt => {
-                    let a = lin.hunt_linear(now, TIMEOUT);
-                    let b = pq.hunt_priority_queue(now, TIMEOUT);
+                    let a = lin.hunt(now);
+                    let b = pq.hunt(now);
                     let mut a_ret = a.to_return.clone();
                     let mut b_ret = b.to_return.clone();
                     a_ret.sort();
@@ -87,8 +89,8 @@ proptest! {
                     // evolves identically: returns are marked, destroys
                     // removed.
                     for id in a_ret {
-                        lin.mark_returned(id, now, TIMEOUT);
-                        pq.mark_returned(id, now, TIMEOUT);
+                        lin.mark_returned(id, now);
+                        pq.mark_returned(id, now);
                     }
                     for id in a_des {
                         lin.remove(id);
@@ -101,6 +103,69 @@ proptest! {
         prop_assert_eq!(lin.len(), pq.len());
     }
 
+    /// A worker's hunt over the connections it owns: when only the owner
+    /// touches them, both strategies return the same connections at every
+    /// hunt. The linear walk reads the shared objects and the queue only
+    /// the owner's own touches, so a send by another worker would split
+    /// them.
+    #[test]
+    fn owner_strategies_agree_when_only_the_owner_touches(
+        ops in proptest::collection::vec(op_strategy(), 1..120),
+        step_ms in 100u64..8_000,
+    ) {
+        let mut lin = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue, TIMEOUT);
+        let (mut lin_own, mut pq_own) = (lin.owned_idle(), pq.owned_idle());
+        let mut ids: Vec<ConnId> = Vec::new();
+        let mut now_ms = 0u64;
+
+        for op in ops {
+            now_ms += step_ms;
+            let now = t(now_ms);
+            match op {
+                Op::Insert(port) => {
+                    let peer = SockAddr::new(HostId(1), 10_000 + port);
+                    let id = lin.insert(now, peer, 0);
+                    prop_assert_eq!(id, pq.insert(now, peer, 0));
+                    lin_own.adopt(id, now);
+                    pq_own.adopt(id, now);
+                    ids.push(id);
+                }
+                // Only connections the worker still owns see its traffic.
+                Op::Touch(k) if !ids.is_empty() => {
+                    let id = ids[k % ids.len()];
+                    if lin.get(id).is_some_and(|o| o.returned_at.is_none()) {
+                        lin.touch(id, now);
+                        pq.touch(id, now);
+                        lin_own.touch(id, now);
+                        pq_own.touch(id, now);
+                    }
+                }
+                // The connection dies: its owner forgets it and the
+                // supervisor destroys it.
+                Op::Return(k) if !ids.is_empty() => {
+                    let id = ids[k % ids.len()];
+                    lin_own.forget(id);
+                    pq_own.forget(id);
+                    lin.remove(id);
+                    pq.remove(id);
+                }
+                Op::Hunt => {
+                    let a = lin_own.hunt(now, &lin);
+                    let mut b = pq_own.hunt(now, &pq);
+                    b.to_return.sort();
+                    prop_assert_eq!(&a.to_return, &b.to_return, "diverged at t={}ms", now_ms);
+                    // The worker returns them; the supervisor marks that.
+                    for id in a.to_return {
+                        lin.mark_returned(id, now);
+                        pq.mark_returned(id, now);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// The PQ hunt never examines more entries over a run than (touches +
     /// inserts + returns): each heap entry is popped at most once, so the
     /// total work is bounded by the activity, not by table size × hunts —
@@ -110,14 +175,14 @@ proptest! {
         inserts in 1usize..80,
         hunts in 1usize..40,
     ) {
-        let mut pq = ConnTable::with_priority_queue();
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue, TIMEOUT);
         for i in 0..inserts {
-            pq.insert(t(0), SockAddr::new(HostId(1), 10_000 + i as u16), 0, TIMEOUT);
+            pq.insert(t(0), SockAddr::new(HostId(1), 10_000 + i as u16), 0);
         }
         let mut examined = 0;
         for h in 0..hunts {
             // Hunt long after everything expired, repeatedly.
-            let hunt = pq.hunt_priority_queue(t(20_000 + h as u64), TIMEOUT);
+            let hunt = pq.hunt(t(20_000 + h as u64));
             examined += hunt.examined;
             for id in hunt.to_destroy {
                 pq.remove(id);
@@ -139,11 +204,11 @@ proptest! {
 /// present in the table until destroyed.
 #[test]
 fn returned_connections_are_not_routes() {
-    let mut tab = ConnTable::new();
+    let mut tab = ConnTable::new(IdleStrategy::LinearScan, TIMEOUT);
     let peer = SockAddr::new(HostId(2), 30_000);
-    let id = tab.insert(t(0), peer, 0, TIMEOUT);
+    let id = tab.insert(t(0), peer, 0);
     assert_eq!(tab.lookup_peer(peer), Some(id));
-    tab.mark_returned(id, t(1), TIMEOUT);
+    tab.mark_returned(id, t(1));
     assert_eq!(
         tab.lookup_peer(peer),
         None,
@@ -154,6 +219,6 @@ fn returned_connections_are_not_routes() {
         "object lives until the supervisor reaps it"
     );
     // A fresh connection to the same peer becomes the route again.
-    let id2 = tab.insert(t(2), peer, 1, TIMEOUT);
+    let id2 = tab.insert(t(2), peer, 1);
     assert_eq!(tab.lookup_peer(peer), Some(id2));
 }

@@ -20,10 +20,10 @@
 //!
 //! **Use [`FastMap`] only for a map that is never iterated, or whose
 //! iteration is sorted before anything sees it.** The walks that exist
-//! all sort: simnet's `accept_thaw` its listeners, `ConnTable`'s
-//! `hunt_linear` and `owned_by` by connection id, a worker's baseline idle
-//! scan, fd-cache sweep and re-announce to a restarted supervisor by
-//! connection id, and the worker's and the phones' poll lists by fd.
+//! all sort: simnet's `accept_thaw` its listeners, the linear-scan hunts
+//! of `ConnTable` and `OwnedIdle` and `ConnTable::owned_by` by connection
+//! id, a worker's fd-cache sweep and re-announce to a restarted supervisor
+//! by connection id, and the worker's and the phones' poll lists by fd.
 //! Iteration order still follows the table's insertion history and size,
 //! which code changes move freely; an order that reaches the packet
 //! schedule or a report must come from a sort or a `BTreeMap`. Keys must

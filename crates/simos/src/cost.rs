@@ -63,8 +63,6 @@ pub struct CostModel {
     /// One failed lock attempt: the bounded spin plus the `sched_yield`
     /// syscall OpenSER's lock implementation falls back to.
     pub lock_spin_yield: u64,
-    /// Explicit `sched_yield`.
-    pub sched_yield: u64,
     /// Arming a timer / going to sleep.
     pub sleep: u64,
     /// Scheduler work when a process is put on a core.
@@ -101,7 +99,6 @@ impl CostModel {
             lock_acquire: 120,
             lock_release: 90,
             lock_spin_yield: 1_400,
-            sched_yield: 900,
             sleep: 600,
             context_switch: 1_100,
             wake_retry: 650,
@@ -135,7 +132,6 @@ impl CostModel {
             lock_acquire: 10,
             lock_release: 10,
             lock_spin_yield: 10,
-            sched_yield: 10,
             sleep: 10,
             context_switch: 10,
             wake_retry: 10,

@@ -810,8 +810,8 @@ impl Kernel {
         // Perform the syscall whose cost was just paid.
         let pending = std::mem::replace(&mut self.procs[pid.0 as usize].pending, Pending::Fresh);
         match pending {
-            Pending::Fresh => self.resume_proc(pid, SysResult::Start, Some(core)),
-            Pending::Deliver(result) => self.resume_proc(pid, result, Some(core)),
+            Pending::Fresh => self.resume_proc(pid, SysResult::Start, core),
+            Pending::Deliver(result) => self.resume_proc(pid, result, core),
             Pending::Apply(syscall) => self.apply_syscall(pid, syscall, core),
         }
         self.dispatch(host);
@@ -862,10 +862,9 @@ impl Kernel {
     }
 
     /// Calls into the process for its next syscall and begins charging it.
-    /// `core_hint` lets a process that still has quantum continue on the
-    /// core it already occupies; `None` forces a trip through the ready
-    /// queue (the semantics of a completed `sched_yield`).
-    fn resume_proc(&mut self, pid: ProcId, result: SysResult, core_hint: Option<usize>) {
+    /// A process that still has quantum may continue on `core`, the core
+    /// it just ran on.
+    fn resume_proc(&mut self, pid: ProcId, result: SysResult, core: usize) {
         let (host, mut proc_box) = {
             let e = &mut self.procs[pid.0 as usize];
             (e.host, e.proc.take())
@@ -894,24 +893,23 @@ impl Kernel {
             e.remaining_ns = cost;
             e.burst_tag = tag;
         }
-        self.place(pid, core_hint);
+        self.place(pid, core);
     }
 
     /// Puts a runnable process either straight back on its previous core
     /// (still has quantum, nobody better is waiting) or at the back of the
     /// ready queue.
-    fn place(&mut self, pid: ProcId, core_hint: Option<usize>) {
+    fn place(&mut self, pid: ProcId, core: usize) {
         let (host, quantum_left, nice) = {
             let e = &self.procs[pid.0 as usize];
             (e.host, e.quantum_left, e.nice.0)
         };
         let sched = &self.scheds[host.0 as usize];
-        let core_free =
-            core_hint.is_some_and(|c| sched.cores.get(c).is_some_and(|slot| slot.is_none()));
+        let core_free = sched.cores.get(core).is_some_and(|slot| slot.is_none());
         let better_waiting = sched.ready.best_nice().is_some_and(|n| n < nice);
         let expired = quantum_left == 0;
         if core_free && !better_waiting && !expired {
-            self.start_burst(pid, core_hint.expect("checked"), false);
+            self.start_burst(pid, core, false);
         } else {
             if expired {
                 self.procs[pid.0 as usize].quantum_left = self.quantum;
@@ -1168,7 +1166,6 @@ impl Kernel {
         let (ns, tag) = match s {
             Syscall::Compute { ns, tag } => (*ns, *tag),
             Syscall::Sleep(_) | Syscall::SleepUntil(_) => (c.sleep, "kernel/nanosleep"),
-            Syscall::Yield => (c.sched_yield, "kernel/sched_yield"),
             Syscall::Exit => (c.compute_min, "kernel/exit"),
             Syscall::MsgBind { .. } => (c.bind, "kernel/bind"),
             // The protocol was fixed at bind; the descriptor carries it.
@@ -1211,18 +1208,11 @@ impl Kernel {
         (ns.max(c.compute_min) + c.syscall_base_for(s), tag)
     }
 
-    fn apply_syscall(&mut self, pid: ProcId, syscall: Syscall, core_hint: usize) {
+    fn apply_syscall(&mut self, pid: ProcId, syscall: Syscall, core: usize) {
         use Syscall as S;
         let host = self.procs[pid.0 as usize].host;
-        // A completed sched_yield must go through the ready queue rather
-        // than continuing on its core.
-        let hint = if matches!(syscall, S::Yield) {
-            None
-        } else {
-            Some(core_hint)
-        };
         let result: Result<SysResult, WaitCond> = match &syscall {
-            S::Compute { .. } | S::Yield => Ok(SysResult::Done),
+            S::Compute { .. } => Ok(SysResult::Done),
             S::Sleep(d) => {
                 if d.is_zero() {
                     Ok(SysResult::Done)
@@ -1413,7 +1403,7 @@ impl Kernel {
 
         self.drain_net();
         match result {
-            Ok(result) => self.resume_proc(pid, result, hint),
+            Ok(result) => self.resume_proc(pid, result, core),
             Err(cond) => self.block(pid, syscall, cond),
         }
     }

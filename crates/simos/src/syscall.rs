@@ -77,8 +77,6 @@ pub enum Syscall {
     Sleep(SimDuration),
     /// Sleep until an absolute instant (used for phased workloads).
     SleepUntil(SimTime),
-    /// Give up the CPU, go to the back of the run queue.
-    Yield,
     /// Terminate; all descriptors are closed.
     Exit,
     /// Bind a message socket on this process's host. The protocol is fixed
